@@ -60,6 +60,11 @@ EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
 EXIT_USAGE = 64
 
+# exit codes of package errors; any other TeamDPError (an undefined problem,
+# e.g. a pooled solve under no_sharing, or degenerate data) is a
+# validation failure
+_ERROR_EXITS = {BudgetExceededError: EXIT_BUDGET, ScenarioFormatError: EXIT_MALFORMED}
+
 
 class _UsageError(Exception):
     pass
@@ -68,6 +73,21 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit(2); we reserve 2
         raise _UsageError(message)
+
+
+# argparse types; argparse names them in its message for unparsable text
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def covariance(text: str) -> float:
+    value = float(text)
+    if not abs(value) < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between -1 and 1, got {text}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -84,38 +104,38 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("solve-manager", help="pooled-information dynamic program")
     common(sp)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
 
     sp = sub.add_parser("solve-member", help="one member's dynamic program, co-strategies "
                         "fixed to the manager solution's projections")
     common(sp)
     sp.add_argument("--member", type=int, required=True, help="member index, 0-based")
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
 
     sp = sub.add_parser("oracle-centralized", help="exhaustive full-history strategy search")
     common(sp)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_STRATEGY_BUDGET,
+    sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_STRATEGY_BUDGET,
                     help="strategy-count budget for the enumeration")
 
     sp = sub.add_parser("oracle-decentralized", help="exhaustive member-profile search")
     common(sp)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_STRATEGY_BUDGET,
+    sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_STRATEGY_BUDGET,
                     help="strategy-count budget for the enumeration")
 
     sp = sub.add_parser("compare", help="manager vs member solves vs decentralized oracle")
     common(sp)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimate of the manager strategy's cost")
     common(sp)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=positive_int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
 
     sp = sub.add_parser("gaussian-example", help="closed-form two-member Gaussian example")
     common(sp, scenario=False)
-    sp.add_argument("--covariance", type=float, default=-0.5)
-    sp.add_argument("--samples", type=int, default=1_000_000)
+    sp.add_argument("--covariance", type=covariance, default=-0.5)
+    sp.add_argument("--samples", type=positive_int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid", default="0:2:0.01,0:1:0.01,-1:0:0.01",
                     help="gain grids lo:hi:step for first, pooled, correction")
@@ -166,7 +186,9 @@ def _parse_grid(spec: str):
 # subcommand bodies: return (results, diagnostics, exit_code)
 
 
-def _cmd_validate(model, structure, args):
+def _validation(model, structure):
+    """The validate subcommand's body; every other scenario subcommand
+    returns it instead of running when the scenario is invalid."""
     violations = validate_model(model, structure)
     results = {
         "valid": not violations,
@@ -175,21 +197,7 @@ def _cmd_validate(model, structure, args):
     return results, {}, EXIT_OK if not violations else EXIT_VALIDATION
 
 
-def _require_valid(model, structure):
-    violations = validate_model(model, structure)
-    if violations:
-        results = {
-            "valid": False,
-            "violations": [{"path": v.path, "message": v.message} for v in violations],
-        }
-        return results
-    return None
-
-
 def _cmd_solve_manager(model, structure, args):
-    bad = _require_valid(model, structure)
-    if bad:
-        return bad, {}, EXIT_VALIDATION
     sol = solve_manager(model, structure, node_budget=args.node_budget)
     results = {
         "root_value": sol.root_value,
@@ -200,11 +208,6 @@ def _cmd_solve_manager(model, structure, args):
 
 
 def _cmd_solve_member(model, structure, args):
-    if not 0 <= args.member < model.num_members:
-        raise _UsageError(f"--member must be in 0..{model.num_members - 1}")
-    bad = _require_valid(model, structure)
-    if bad:
-        return bad, {}, EXIT_VALIDATION
     mgr = solve_manager(model, structure, node_budget=args.node_budget)
     others = {
         j: ManagerProjectionStrategy(j, mgr.strategy)
@@ -226,9 +229,6 @@ def _cmd_solve_member(model, structure, args):
 
 
 def _cmd_oracle_centralized(model, structure, args):
-    bad = _require_valid(model, structure)
-    if bad:
-        return bad, {}, EXIT_VALIDATION
     res = enumerate_centralized(model, structure, budget=args.node_budget)
     results = {
         "num_strategies": res.num_strategies,
@@ -239,9 +239,6 @@ def _cmd_oracle_centralized(model, structure, args):
 
 
 def _cmd_oracle_decentralized(model, structure, args):
-    bad = _require_valid(model, structure)
-    if bad:
-        return bad, {}, EXIT_VALIDATION
     res = enumerate_decentralized(model, structure, budget=args.node_budget)
     results = {
         "num_strategies": res.num_strategies,
@@ -252,17 +249,11 @@ def _cmd_oracle_decentralized(model, structure, args):
 
 
 def _cmd_compare(model, structure, args):
-    bad = _require_valid(model, structure)
-    if bad:
-        return bad, {}, EXIT_VALIDATION
     report = compare_solutions(model, structure, node_budget=args.node_budget)
     return report.to_json_dict(), {}, EXIT_OK
 
 
 def _cmd_simulate(model, structure, args):
-    bad = _require_valid(model, structure)
-    if bad:
-        return bad, {}, EXIT_VALIDATION
     mgr = solve_manager(model, structure, node_budget=args.node_budget)
     est = estimate_cost(
         model, structure, mgr.strategy, SimConfig(samples=args.samples, seed=args.seed)
@@ -372,7 +363,6 @@ def _emit(report: dict, args) -> None:
 
 
 _HANDLERS = {
-    "validate": _cmd_validate,
     "solve-manager": _cmd_solve_manager,
     "solve-member": _cmd_solve_member,
     "oracle-centralized": _cmd_oracle_centralized,
@@ -380,6 +370,15 @@ _HANDLERS = {
     "compare": _cmd_compare,
     "simulate": _cmd_simulate,
 }
+
+
+def _error_report(metadata: dict, kind: str, message: str, **details) -> dict:
+    return {
+        "metadata": metadata,
+        "results": {},
+        "diagnostics": {},
+        "error": {"type": kind, "message": message, **details},
+    }
 
 
 def run(argv=None) -> int:
@@ -390,12 +389,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
-        report = {
-            "metadata": {"command": "usage", "version": __version__},
-            "results": {},
-            "diagnostics": {},
-            "error": {"type": "UsageError", "message": str(e)},
-        }
+        metadata = {"command": "usage", "version": __version__}
+        report = _error_report(metadata, "UsageError", str(e))
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -409,51 +404,22 @@ def run(argv=None) -> int:
             model, structure = load_scenario(args.scenario)
             digest = _scenario_digest(args.scenario)
             metadata = _metadata(args.command, args, digest)
-            results, diagnostics, code = _HANDLERS[args.command](model, structure, args)
+            if args.command == "solve-member" and not 0 <= args.member < model.num_members:
+                raise _UsageError(f"--member must be in 0..{model.num_members - 1}")
+            results, diagnostics, code = _validation(model, structure)
+            if args.command != "validate" and code == EXIT_OK:
+                results, diagnostics, code = _HANDLERS[args.command](model, structure, args)
     except _UsageError as e:
-        report = {
-            "metadata": _metadata(args.command, args, digest),
-            "results": {},
-            "diagnostics": {},
-            "error": {"type": "UsageError", "message": str(e)},
-        }
-        _emit(report, args)
+        _emit(_error_report(_metadata(args.command, args, digest), "UsageError", str(e)), args)
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ScenarioFormatError as e:
-        report = {
-            "metadata": _metadata(args.command, args, digest),
-            "results": {},
-            "diagnostics": {},
-            "error": {"type": "ScenarioFormatError", "message": str(e)},
-        }
-        _emit(report, args)
-        return EXIT_MALFORMED
-    except BudgetExceededError as e:
-        report = {
-            "metadata": _metadata(args.command, args, digest),
-            "results": {},
-            "diagnostics": {},
-            "error": {
-                "type": "BudgetExceededError",
-                "message": str(e),
-                "budget": e.budget,
-                "observed": e.observed,
-            },
-        }
-        _emit(report, args)
-        return EXIT_BUDGET
     except TeamDPError as e:
-        # undefined problems (e.g. pooled solves under no_sharing) and
-        # degenerate data count as validation failures
-        report = {
-            "metadata": _metadata(args.command, args, digest),
-            "results": {},
-            "diagnostics": {},
-            "error": {"type": type(e).__name__, "message": str(e)},
-        }
-        _emit(report, args)
-        return EXIT_VALIDATION
+        details = {}
+        if isinstance(e, BudgetExceededError):
+            details = {"budget": e.budget, "observed": e.observed}
+        metadata = _metadata(args.command, args, digest)
+        _emit(_error_report(metadata, type(e).__name__, str(e), **details), args)
+        return _ERROR_EXITS.get(type(e), EXIT_VALIDATION)
 
     diagnostics = dict(diagnostics)
     diagnostics["wall_time_s"] = time.perf_counter() - started

@@ -28,7 +28,6 @@ optimized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -36,10 +35,9 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     IncompleteHistoryError,
-    StrategyUndefinedError,
     UndefinedCoStrategyError,
 )
-from .filters import _likelihood_vec
+from .filters import _likelihood_vec, _member_step, _root_particles
 from .model import (
     HistoryView,
     InformationStructure,
@@ -48,7 +46,6 @@ from .model import (
     prefix_view,
     tiebreak_joint_actions,
     view_key,
-    view_slots,
 )
 from .strategies import (
     DecentralizedStrategy,
@@ -274,73 +271,6 @@ class MemberSolution:
     node_counts: tuple[int, ...]
 
 
-def _co_action(others: dict, m: int, obs_seq, act_seq, s: int) -> int:
-    try:
-        return others[m].member_action(obs_seq, act_seq, s)
-    except KeyError:
-        raise UndefinedCoStrategyError(f"no strategy supplied for co-member {m}") from None
-    except StrategyUndefinedError as e:
-        raise UndefinedCoStrategyError(str(e)) from e
-
-
-def _member_step(model, structure, k, others, particles, t, own_action):
-    """Advance a member node one step under own action ``own_action``.
-
-    Returns (immediate cost term, new slots, groups) where groups maps the
-    values of the newly revealed view slots to the unnormalized child
-    particle tuple (weights merged over coinciding assignments, canonical
-    order).  The member's time-t action slot is excluded from the new
-    slots: it is the decision, not an innovation.
-    """
-    c_now, p_now = view_slots(structure, model.num_members, t, t, k)
-    old = set(c_now) | set(p_now[0])
-    c_next, p_next = view_slots(structure, model.num_members, t + 1, t + 1, k)
-    new_slots = tuple(
-        s for s in (tuple(c_next) + p_next[0]) if s not in old and s != (t, k, "act")
-    )
-    kerns = model.observation_kernels
-    imm = 0.0
-    groups: dict[tuple, dict] = {}
-    for x, obs_seq, act_seq, w in particles:
-        u = tuple(
-            own_action if m == k else _co_action(others, m, obs_seq, act_seq, t)
-            for m in range(model.num_members)
-        )
-        a = model.flat_action(u)
-        imm += w * float(model.stage_cost[t, x, a])
-        act2 = act_seq + (u,)
-        row = model.transition[x, a]
-        for x2 in range(model.num_states):
-            p = float(row[x2])
-            if p == 0.0:
-                continue
-            choices = [
-                [
-                    (yv, float(kerns[m][x2, yv]))
-                    for yv in range(model.observation_sizes[m])
-                    if kerns[m][x2, yv] > 0.0
-                ]
-                for m in range(model.num_members)
-            ]
-            for combo in product(*choices):
-                y = tuple(v for v, _ in combo)
-                wy = w * p
-                for _, pm in combo:
-                    wy *= pm
-                obs2 = obs_seq + (y,)
-                vals = tuple(
-                    obs2[s - 1][j] if kind == "obs" else act2[s][j] for s, j, kind in new_slots
-                )
-                bucket = groups.setdefault(vals, {})
-                pk = (x2, obs2, act2)
-                bucket[pk] = bucket.get(pk, 0.0) + wy
-    out = {
-        vals: tuple((x2, o2, a2, wt) for (x2, o2, a2), wt in sorted(bucket.items()))
-        for vals, bucket in groups.items()
-    }
-    return imm, new_slots, out
-
-
 def solve_member(
     model: TeamModel,
     structure: InformationStructure,
@@ -360,27 +290,21 @@ def solve_member(
     for j in range(K):
         if j != k and j not in (others_strategies or {}):
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
-    root_particles = tuple(
-        (x, (), (), float(p)) for x, p in enumerate(model.initial_dist) if p > 0.0
-    )
     root_view = prefix_view(structure, K, (), (), 0, k)
     stages: list[dict[str, MemberNode]] = [
-        {view_key(root_view): MemberNode(view=root_view, particles=root_particles)}
+        {view_key(root_view): MemberNode(view=root_view, particles=_root_particles(model))}
     ]
     total_nodes = 1
     for t in range(T):
         nxt: dict[str, MemberNode] = {}
         for node in stages[t].values():
             for own in range(model.action_sizes[k]):
-                imm, _, groups = _member_step(
+                imm, branches = _member_step(
                     model, structure, k, others_strategies, node.particles, t, own
                 )
                 transitions = []
-                for vals in sorted(groups):
-                    plist = groups[vals]
-                    wc = sum(w for *_, w in plist)
-                    child_particles = tuple((x, o, a, w / wc) for x, o, a, w in plist)
-                    x0, o0, a0, _ = child_particles[0]
+                for wc, child_particles in branches.values():
+                    _, o0, a0, _ = child_particles[0]
                     cview = prefix_view(structure, K, o0, a0, t + 1, k)
                     ckey = view_key(cview)
                     # a view records the member's whole past, so no two
@@ -455,12 +379,9 @@ def _member_value_rec(model, structure, k, others, t, particles) -> float:
         return sum(w * float(model.terminal_cost[x]) for x, _, _, w in particles)
     best = None
     for own in range(model.action_sizes[k]):
-        imm, _, groups = _member_step(model, structure, k, others, particles, t, own)
+        imm, branches = _member_step(model, structure, k, others, particles, t, own)
         q = imm
-        for vals in sorted(groups):
-            plist = groups[vals]
-            wc = sum(w for *_, w in plist)
-            child = tuple((x, o, a, w / wc) for x, o, a, w in plist)
+        for wc, child in branches.values():
             q += wc * _member_value_rec(model, structure, k, others, t + 1, child)
         if best is None or q < best:
             best = q

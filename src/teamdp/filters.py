@@ -11,16 +11,21 @@ is what makes the manager's dynamic program well posed.
 The member side is heavier.  Conditioned on one member's view, the state
 is entangled with the co-members' unseen private data through their fixed
 strategies, so the filter carries a weighted joint conditional over
-(state, full history assignment) and conditions on each element of the
-view as it is revealed.  The member's own past actions enter as recorded
-values, never through the member's own strategy; the result is therefore
-invariant to it.
+(state, full history assignment).  One forward step, ``_member_step``,
+propagates these particles, branches on unseen co-member data and groups
+the children by the view slots newly revealed; the member dynamic program
+in :mod:`teamdp.dp` expands its nodes with it, and
+:func:`member_conditional` replays it along a view, keeping at each step
+the branch the view reveals.  The member's own past actions enter as
+recorded values, never through the member's own strategy; the result is
+therefore invariant to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -192,6 +197,85 @@ def _check_view_layout(model, structure, view):
             raise ValueError("view private slots do not match the structure")
 
 
+def _co_action(others: dict, m: int, obs_seq, act_seq, s: int) -> int:
+    try:
+        return others[m].member_action(obs_seq, act_seq, s)
+    except KeyError:
+        raise UndefinedCoStrategyError(f"no strategy supplied for co-member {m}") from None
+    except StrategyUndefinedError as e:
+        raise UndefinedCoStrategyError(str(e)) from e
+
+
+def _root_particles(model: TeamModel) -> tuple:
+    return tuple((x, (), (), float(p)) for x, p in enumerate(model.initial_dist) if p > 0.0)
+
+
+@cache
+def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k: int) -> tuple:
+    """Slots that enter member k's view between t and t+1, in layout
+    order.  The member's own time-t action is left out: it is the
+    decision, not an innovation."""
+    c_now, p_now = view_slots(structure, num_members, t, t, k)
+    old = set(c_now) | set(p_now[0])
+    c_next, p_next = view_slots(structure, num_members, t + 1, t + 1, k)
+    return tuple(s for s in c_next + p_next[0] if s not in old and s != (t, k, "act"))
+
+
+def _member_step(model, structure, k, others, particles, t, own_action):
+    """Advance member k's particles one step under own action ``own_action``.
+
+    Returns (immediate cost term, branches) where branches maps the values
+    of the newly revealed view slots, in sorted order, to (branch weight,
+    normalized child particles); child weights are merged over coinciding
+    assignments and listed in canonical order.  This is the one member-side
+    forward step: the member DP expands nodes with it and
+    :func:`member_conditional` replays it along a view.
+    """
+    new_slots = _revealed_slots(structure, model.num_members, t, k)
+    kerns = model.observation_kernels
+    imm = 0.0
+    groups: dict[tuple, dict] = {}
+    for x, obs_seq, act_seq, w in particles:
+        u = tuple(
+            own_action if m == k else _co_action(others, m, obs_seq, act_seq, t)
+            for m in range(model.num_members)
+        )
+        a = model.flat_action(u)
+        imm += w * float(model.stage_cost[t, x, a])
+        act2 = act_seq + (u,)
+        row = model.transition[x, a]
+        for x2 in range(model.num_states):
+            p = float(row[x2])
+            if p == 0.0:
+                continue
+            choices = [
+                [
+                    (yv, float(kerns[m][x2, yv]))
+                    for yv in range(model.observation_sizes[m])
+                    if kerns[m][x2, yv] > 0.0
+                ]
+                for m in range(model.num_members)
+            ]
+            for combo in product(*choices):
+                y = tuple(v for v, _ in combo)
+                wy = w * p
+                for _, pm in combo:
+                    wy *= pm
+                obs2 = obs_seq + (y,)
+                vals = tuple(
+                    obs2[s - 1][j] if kind == "obs" else act2[s][j] for s, j, kind in new_slots
+                )
+                bucket = groups.setdefault(vals, {})
+                pk = (x2, obs2, act2)
+                bucket[pk] = bucket.get(pk, 0.0) + wy
+    branches = {}
+    for vals in sorted(groups):
+        plist = sorted(groups[vals].items())
+        wc = sum(wt for _, wt in plist)
+        branches[vals] = (wc, tuple((x2, o2, a2, wt / wc) for (x2, o2, a2), wt in plist))
+    return imm, branches
+
+
 def member_conditional(
     model: TeamModel,
     structure: InformationStructure,
@@ -201,89 +285,34 @@ def member_conditional(
     """Joint conditional over (state, history assignment) given one
     member's view, with co-members following ``others_strategies``.
 
-    The forward pass advances a weighted particle set through the
-    transition and observation kernels; recorded view elements condition
-    (reweight or prune) while unseen co-member data branches.  Raises
-    UndefinedCoStrategyError if a co-strategy is missing or undefined,
-    ZeroLikelihoodError if the view is impossible under the profile.
+    Replays the member DP's forward step from the root: at each s < t it
+    steps with the view's own action at s and keeps the branch whose newly
+    revealed slot values match the view, so the result equals the member
+    DP's node at this view bit for bit.  Raises UndefinedCoStrategyError
+    if a co-strategy is missing or undefined, ZeroLikelihoodError if the
+    view is impossible under the profile.
     """
     if view.member is None:
         raise ValueError("member view required")
     _check_view_layout(model, structure, view)
     k, t = view.member, view.time
-    K, S = model.num_members, model.num_states
+    K = model.num_members
     others = others_strategies or {}
     for j in range(K):
         if j != k and j not in others:
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
     known = view_known(view)
-    kerns = model.observation_kernels
-
-    parts: dict[tuple, float] = {
-        (x, (), ()): float(p) for x, p in enumerate(model.initial_dist) if p > 0.0
-    }
+    particles = _root_particles(model)
     for s in range(t):
-        nxt: dict[tuple, float] = {}
-        for (x, obs_seq, act_seq), w in parts.items():
-            u = []
-            dead = False
-            for m in range(K):
-                rec = known.get((s, m, "act"))
-                if m == k:
-                    if rec is None:
-                        raise IncompleteHistoryError(
-                            f"member {k}'s own action at time {s} is not in the view"
-                        )
-                    u.append(rec)
-                    continue
-                try:
-                    am = others[m].member_action(obs_seq, act_seq, s)
-                except StrategyUndefinedError as e:
-                    raise UndefinedCoStrategyError(str(e)) from e
-                if rec is not None and rec != am:
-                    dead = True  # recorded pool data contradicts this branch
-                    break
-                u.append(am)
-            if dead:
-                continue
-            u = tuple(u)
-            row = model.transition[x, model.flat_action(u)]
-            for x2 in range(S):
-                p = row[x2]
-                if p == 0.0:
-                    continue
-                choices = []
-                for m in range(K):
-                    rec = known.get((s + 1, m, "obs"))
-                    if rec is not None:
-                        pm = kerns[m][x2, rec]
-                        choices.append(((rec, float(pm)),) if pm > 0.0 else ())
-                    else:
-                        choices.append(
-                            tuple(
-                                (yv, float(kerns[m][x2, yv]))
-                                for yv in range(model.observation_sizes[m])
-                                if kerns[m][x2, yv] > 0.0
-                            )
-                        )
-                if any(len(c) == 0 for c in choices):
-                    continue
-                for combo in product(*choices):
-                    y = tuple(v for v, _ in combo)
-                    wy = w * p
-                    for _, pm in combo:
-                        wy *= pm
-                    key = (x2, obs_seq + (y,), act_seq + (u,))
-                    nxt[key] = nxt.get(key, 0.0) + wy
-        parts = nxt
-    total = sum(parts.values())
-    if total == 0.0:
-        raise ZeroLikelihoodError("view has probability zero under the co-strategy profile")
-    entries = tuple(
-        (x, obs_seq, act_seq, w / total)
-        for (x, obs_seq, act_seq), w in sorted(parts.items())
-    )
-    return JointConditional(member=k, time=t, entries=entries)
+        own = known.get((s, k, "act"))
+        if own is None:
+            raise IncompleteHistoryError(f"member {k}'s own action at time {s} is not in the view")
+        _, branches = _member_step(model, structure, k, others, particles, s, own)
+        vals = tuple(known[slot] for slot in _revealed_slots(structure, K, s, k))
+        if vals not in branches:
+            raise ZeroLikelihoodError("view has probability zero under the co-strategy profile")
+        particles = branches[vals][1]
+    return JointConditional(member=k, time=t, entries=particles)
 
 
 def member_belief(

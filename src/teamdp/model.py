@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -202,13 +202,6 @@ class Trajectory:
     states: tuple[int, ...]
     observations: tuple[tuple[int, ...], ...]
     actions: tuple[tuple[int, ...], ...]
-
-    def obs_at(self, t: int) -> tuple[int, ...]:
-        """Joint observation made at time t (1 <= t <= T)."""
-        return self.observations[t - 1]
-
-    def action_at(self, t: int) -> tuple[int, ...]:
-        return self.actions[t]
 
 
 @dataclass(frozen=True)
@@ -432,6 +425,7 @@ def _private_slots(structure: InformationStructure, horizon: int, t: int, k: int
     return tuple((s, k, kind) for s, _, kind in merged)
 
 
+@cache
 def view_slots(
     structure: InformationStructure, num_members: int, horizon: int, t: int, member: int | None
 ) -> tuple[tuple[Slot, ...], tuple[tuple[Slot, ...], ...]]:
@@ -439,6 +433,8 @@ def view_slots(
 
     For a member view the second element has a single stream; for the
     team-level view (``member`` is None) it has one stream per member.
+    The layout depends only on the arguments, so it is computed once per
+    argument tuple and shared (it is built from tuples, hence immutable).
     """
     common = _common_slots(structure, num_members, horizon, t)
     if member is None:

@@ -115,7 +115,10 @@ def random_model(
     positive: bool = True,
 ) -> TeamModel:
     """Reproducible random instance; ``positive`` keeps every kernel entry
-    off zero so all observation branches stay reachable."""
+    off zero so all observation branches stay reachable.  Otherwise every
+    draw below half of its row's largest is set to zero, so the kernels
+    and the initial distribution have zero entries (each row keeps at
+    least its largest)."""
     r = np.random.default_rng(seed)
     K, S, T = num_members, num_states, horizon
     obs_sizes = tuple(obs_sizes or (2,) * K)
@@ -123,6 +126,8 @@ def random_model(
 
     def dist(shape):
         m = r.uniform(0.05 if positive else 0.0, 1.0, size=shape)
+        if not positive:
+            m[m < 0.5 * m.max(axis=-1, keepdims=True)] = 0.0
         return m / m.sum(axis=-1, keepdims=True)
 
     return TeamModel(

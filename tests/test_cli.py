@@ -175,6 +175,26 @@ def test_exit_usage(capsys, scenario_path):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaussian-example", "--covariance", "1.0"],
+        ["gaussian-example", "--covariance", "-1.5"],
+        ["gaussian-example", "--covariance", "nan"],
+        ["simulate", "--scenario", "SCENARIO", "--samples", "0"],
+        ["gaussian-example", "--samples", "0"],
+        ["solve-manager", "--scenario", "SCENARIO", "--node-budget", "-5"],
+        ["oracle-decentralized", "--scenario", "SCENARIO", "--node-budget", "0"],
+    ],
+)
+def test_exit_usage_on_bad_numeric_arguments(capsys, scenario_path, argv):
+    argv = [scenario_path if a == "SCENARIO" else a for a in argv]
+    code, report, _ = invoke(capsys, argv)
+    assert code == 64
+    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["message"].startswith(f"argument {argv[-2]}:")
+
+
 # ---------------------------------------------------------------------------
 # determinism and plumbing
 

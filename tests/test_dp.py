@@ -26,7 +26,7 @@ from teamdp import (
     solve_member,
 )
 from teamdp import oracle
-from teamdp.model import history_key
+from teamdp.model import history_key, view_known
 
 POOLED_VARIANTS = [
     InformationStructure("delayed_sharing", delays=(1, 1)),
@@ -205,12 +205,54 @@ def test_member_nodes_carry_exact_conditionals(toy2):
     for t in range(model.horizon + 1):
         for node in sol.nodes[t].values():
             ref = member_conditional(model, structure, co, node.view)
-            got = {p[:3]: p[3] for p in node.particles}
-            want = {p[:3]: p[3] for p in ref.entries}
-            assert set(got) == set(want)
-            assert all(abs(got[k] - want[k]) <= 1e-12 for k in got)
+            assert node.particles == ref.entries
             checked += 1
     assert checked == sum(sol.node_counts)
+
+
+class ReplayOwnActions:
+    """Member strategy that plays the own actions a view records."""
+
+    def __init__(self, view):
+        self.known = view_known(view)
+        self.member = view.member
+
+    def member_action(self, obs_seq, act_seq, t):
+        return self.known[(t, self.member, "act")]
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        InformationStructure("delayed_sharing", delays=(2, 2)),
+        InformationStructure("periodic_sharing", period=2),
+        InformationStructure("delayed_observation_sharing", delays=(1, 1)),
+        InformationStructure("delayed_control_sharing", delays=(2, 1)),
+        InformationStructure("no_sharing"),
+    ],
+    ids=lambda s: s.variant,
+)
+def test_member_nodes_match_oracle_on_zero_entry_kernels(structure):
+    """Member DP nodes on kernels with zero entries: the state marginal of
+    every node equals the oracle's posterior under the co-strategy plus an
+    own component that replays the node's recorded own actions."""
+    checked = 0
+    for seed in range(2):
+        model = random_model(300 + seed, num_states=3, horizon=3, positive=False)
+        assert np.any(model.transition == 0.0)
+        for k in range(model.num_members):
+            co = HashedMemberStrategy(model, structure, 1 - k, salt=seed + 4 * k)
+            sol = solve_member(model, structure, k, {1 - k: co})
+            for stage in sol.nodes:
+                for node in stage.values():
+                    members = [co, co]
+                    members[k] = ReplayOwnActions(node.view)
+                    profile = DecentralizedStrategy(model, structure, members)
+                    want = oracle.exact_posterior(model, structure, profile, node.view)
+                    got = node.state_marginal(model.num_states)
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                    checked += 1
+    assert checked > 100
 
 
 def test_member_value_matches_direct_recursion(toy2):
