@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -349,17 +350,18 @@ def _csv_text(report: dict, args) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        text = _csv_text(report, args)
+    if getattr(args, "format", "json") == "csv":
+        chunks = [_csv_text(report, args)]
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # streamed, so the whole report text is never held in memory at once
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        chunks = itertools.chain(encoder.iterencode(report), ["\n"])
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 _HANDLERS = {

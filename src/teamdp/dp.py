@@ -12,8 +12,20 @@ with zero-probability observation branches skipped, never conditioned on.
 The backup is positively homogeneous in the belief vector (weights scale
 linearly and updated beliefs are scale-invariant), and the optimal value
 is concave in the belief; both properties are verified in the test suite.
-Argmins walk joint actions with member 1 varying fastest and keep the
+Argmins walk joint actions with member 0 varying fastest and keep the
 first strict minimum, so repeated solves are byte-for-byte identical.
+
+Because the team belief does not depend on the strategy being optimized,
+every node of a stage goes through the same linear map, and the solver
+holds a stage as arrays rather than as per-node objects: the beliefs
+``(N, S)``, the immediate costs ``(N, A)`` and observation weights
+``(N, A, Y)`` with joint actions in tie-break order, and an index
+``(N, A, Y)`` from each positive branch to its child's row in the next
+stage (-1 for a zero-probability branch).  One stage kernel builds these
+for ``solve_manager``, ``backup`` and ``evaluate_value``; sums over the
+state run in a fixed order with elementwise operations, so a node's
+numbers do not depend on how many nodes share its stage.  History keys
+are built only at the edge, for the value function and strategy table.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -78,24 +90,69 @@ def _as_vec(belief) -> np.ndarray:
     return np.asarray(probs, dtype=float)
 
 
-def _expand(model: TeamModel, vec: np.ndarray, t: int):
-    """Per joint action (tie-break order): immediate cost, positive
-    observation branches as (y, weight, normalized updated belief).
+def _state_sum(beliefs: np.ndarray, per_state: np.ndarray) -> np.ndarray:
+    """sum over x of beliefs[:, x] * per_state[x], added in the order
+    x = 0, 1, ...  Elementwise products only, no BLAS reduction, so a row's
+    bits do not depend on how many rows share the batch."""
+    shape = (len(beliefs),) + (1,) * (per_state.ndim - 1)
+    acc = beliefs[:, 0].reshape(shape) * per_state[0]
+    for x in range(1, beliefs.shape[1]):
+        acc += beliefs[:, x].reshape(shape) * per_state[x]
+    return acc
 
-    Never normalizes its input, so weights scale linearly in ``vec``.
+
+def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used=0):
+    """Expand every node of a stage at once.
+
+    ``beliefs`` is ``(N, S)``, one (possibly unnormalized) belief per row.
+    Returns
+
+    * ``immediate`` ``(N, A)``: stage costs, actions in tie-break order;
+    * ``weights`` ``(N, A, Y)``: probability of each joint observation;
+    * ``index`` ``(N, A, Y)``: row of the branch's child in ``children``,
+      -1 where the weight is exactly zero (such branches are skipped,
+      never conditioned on);
+    * ``children`` ``(N', S)``: the normalized updated beliefs of the
+      positive branches, in (node, action, observation) order.
+
+    Never normalizes its input, so weights scale linearly in it.  When
+    ``node_budget`` is given, raises BudgetExceededError before building
+    the children if ``used`` plus their number exceeds it.
     """
-    for u in tiebreak_joint_actions(model):
-        a = model.flat_action(u)
-        immediate = float(vec @ model.stage_cost[t, :, a])
-        pred = vec @ model.transition[:, a, :]
-        branches = []
-        for y in model.joint_observations:
-            like = _likelihood_vec(model, y)
-            w = float(pred @ like)
-            if w == 0.0:
-                continue
-            branches.append((y, w, (pred * like) / w))
-        yield u, immediate, branches
+    order = [model.flat_action(u) for u in tiebreak_joint_actions(model)]
+    like = np.array([_likelihood_vec(model, y) for y in model.joint_observations])
+    immediate = _state_sum(beliefs, model.stage_cost[t][:, order])
+    pred = _state_sum(beliefs, model.transition[:, order, :])
+    weights = _state_sum(pred.reshape(-1, model.num_states), like.T).reshape(
+        pred.shape[:2] + (len(like),)
+    )
+    live = weights != 0.0
+    count = int(np.count_nonzero(live))
+    if node_budget is not None and used + count > node_budget:
+        raise BudgetExceededError(
+            f"manager tree exceeds node budget {node_budget}",
+            budget=node_budget,
+            observed=node_budget + 1,
+        )
+    index = np.full(weights.shape, -1, dtype=np.intp)
+    index[live] = np.arange(count)
+    nodes, actions, obs = np.nonzero(live)
+    children = pred[nodes, actions] * like[obs] / weights[live][:, None]
+    return immediate, weights, index, children
+
+
+def _stage_values(step, value_next: np.ndarray):
+    """Backward half of a stage: Q-values from the children's values,
+    observation branches added in order; per row the minimum and the first
+    action attaining it."""
+    immediate, weights, index = step
+    q = immediate.copy()
+    if len(value_next):
+        for y in range(weights.shape[2]):
+            w = weights[:, :, y]
+            np.add(q, w * value_next[index[:, :, y]], out=q, where=w != 0.0)
+    best = q.argmin(axis=1)
+    return q[np.arange(len(q)), best], best
 
 
 def backup(model: TeamModel, value_next: Callable[[np.ndarray], float], belief, t: int):
@@ -106,16 +163,10 @@ def backup(model: TeamModel, value_next: Callable[[np.ndarray], float], belief, 
     allowed and the returned value then scales linearly with it.  Returns
     (value, argmin joint action).
     """
-    vec = _as_vec(belief)
-    best = None
-    best_u = None
-    for u, immediate, branches in _expand(model, vec, t):
-        q = immediate
-        for _, w, child in branches:
-            q += w * value_next(child)
-        if best is None or q < best:
-            best, best_u = q, u
-    return best, best_u
+    immediate, weights, index, children = _stage(model, _as_vec(belief)[None, :], t)
+    nxt = np.array([value_next(child) for child in children], dtype=float)
+    value, best = _stage_values((immediate, weights, index), nxt)
+    return float(value[0]), tiebreak_joint_actions(model)[best[0]]
 
 
 @dataclass
@@ -129,7 +180,7 @@ class NodeValue:
 
     def to_json_dict(self) -> dict:
         return {
-            "belief": [float(p) for p in self.belief],
+            "belief": self.belief.tolist(),
             "value": None if self.value is None else float(self.value),
             "argmin": None if self.argmin is None else list(self.argmin),
         }
@@ -163,6 +214,41 @@ class ManagerSolution:
     node_counts: tuple[int, ...]
 
 
+def _solve_tree(model: TeamModel, root: np.ndarray, t: int, node_budget=None):
+    """Forward over the reachable tree from one time-t belief, then
+    backward.  Returns the per-stage beliefs, forward steps
+    ``(immediate, weights, index)``, values and argmin action indices."""
+    beliefs = [root[None, :]]
+    steps = []
+    for s in range(t, model.horizon):
+        immediate, weights, index, children = _stage(
+            model, beliefs[-1], s, node_budget, sum(map(len, beliefs))
+        )
+        steps.append((immediate, weights, index))
+        beliefs.append(children)
+    values = [_state_sum(beliefs[-1], model.terminal_cost)]
+    argmins = []
+    for step in reversed(steps):
+        value, best = _stage_values(step, values[0])
+        values.insert(0, value)
+        argmins.insert(0, best)
+    return beliefs, steps, values, argmins
+
+
+def _child_keys(model: TeamModel, keys: list[str], index: np.ndarray, t: int) -> list[str]:
+    """History keys of a stage's children: each parent key extended by
+    ``u{t}=..;y{t+1}=..``, in the children's row order."""
+    sep = ";" if t else ""
+    suffixes = [
+        f"{sep}u{t}={','.join(map(str, u))};y{t + 1}={','.join(map(str, y))}"
+        for u in tiebreak_joint_actions(model)
+        for y in model.joint_observations
+    ]
+    per_node = index.shape[1] * index.shape[2]
+    flat = np.flatnonzero(index >= 0)
+    return [keys[f // per_node] + suffixes[f % per_node] for f in flat.tolist()]
+
+
 def solve_manager(
     model: TeamModel,
     structure: InformationStructure,
@@ -181,62 +267,35 @@ def solve_manager(
             "under no_sharing the pooled views do not exist; no manager problem is defined"
         )
     T = model.horizon
-    stages: list[dict[str, tuple]] = [{"": ((), (), model.initial_dist.copy())}]
-    total_nodes = 1
-    for t in range(T):
-        nxt: dict[str, tuple] = {}
-        for obs_seq, act_seq, vec in stages[t].values():
-            for u, _, branches in _expand(model, vec, t):
-                for y, _, child in branches:
-                    key = history_key(act_seq + (u,), obs_seq + (y,))
-                    nxt[key] = (obs_seq + (y,), act_seq + (u,), child)
-                    total_nodes += 1
-                    if total_nodes > node_budget:
-                        raise BudgetExceededError(
-                            f"manager tree exceeds node budget {node_budget}",
-                            budget=node_budget,
-                            observed=total_nodes,
-                        )
-        stages.append(nxt)
-
-    value_stages: list[dict[str, NodeValue]] = [dict() for _ in range(T + 1)]
-    for key, (_, _, vec) in stages[T].items():
-        value_stages[T][key] = NodeValue(belief=vec, value=float(vec @ model.terminal_cost))
-    for t in range(T - 1, -1, -1):
-        for key, (obs_seq, act_seq, vec) in stages[t].items():
-            best = None
-            best_u = None
-            for u, immediate, branches in _expand(model, vec, t):
-                q = immediate
-                for y, w, _ in branches:
-                    child_key = history_key(act_seq + (u,), obs_seq + (y,))
-                    q += w * value_stages[t + 1][child_key].value
-                if best is None or q < best:
-                    best, best_u = q, u
-            value_stages[t][key] = NodeValue(belief=vec, value=best, argmin=best_u)
+    beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0, node_budget)
+    joint = tiebreak_joint_actions(model)
+    keys = [""]
+    value_stages: list[dict[str, NodeValue]] = []
+    for t in range(T + 1):
+        acts = [joint[a] for a in argmins[t].tolist()] if t < T else [None] * len(keys)
+        value_stages.append(
+            {
+                key: NodeValue(belief=b, value=v, argmin=a)
+                for key, b, v, a in zip(keys, beliefs[t], values[t].tolist(), acts)
+            }
+        )
+        if t < T:
+            keys = _child_keys(model, keys, steps[t][2], t)
 
     vf = ValueFunction(horizon=T, stages=tuple(value_stages))
     table = {k: nv.argmin for stage in value_stages[:T] for k, nv in stage.items()}
-    beliefs = {k: nv.belief for stage in value_stages for k, nv in stage.items()}
-    strategy = SeparatedTeamStrategy(model, structure, table, node_beliefs=beliefs)
-    counts = tuple(len(stage) for stage in stages)
+    node_beliefs = {k: nv.belief for stage in value_stages for k, nv in stage.items()}
+    strategy = SeparatedTeamStrategy(model, structure, table, node_beliefs=node_beliefs)
+    counts = tuple(len(b) for b in beliefs)
     return ManagerSolution(vf, strategy, float(vf.root.value), counts)
 
 
 def evaluate_value(model: TeamModel, structure: InformationStructure, t: int, belief) -> float:
-    """Optimal cost-to-go from an arbitrary time-t belief, by direct
-    recursion (no tree reuse).  Accepts a Belief or a raw vector."""
-    vec = _as_vec(belief)
-    if t == model.horizon:
-        return float(vec @ model.terminal_cost)
-    best = None
-    for _, immediate, branches in _expand(model, vec, t):
-        q = immediate
-        for _, w, child in branches:
-            q += w * evaluate_value(model, structure, t + 1, child)
-        if best is None or q < best:
-            best = q
-    return best
+    """Optimal cost-to-go from an arbitrary time-t belief: the same stage
+    kernel as :func:`solve_manager`, run over the tree reachable from that
+    belief alone.  Accepts a Belief or a raw vector."""
+    _, _, values, _ = _solve_tree(model, _as_vec(belief), t)
+    return float(values[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ class TeamModel:
 
 
 def tiebreak_joint_actions(model: TeamModel) -> tuple[tuple[int, ...], ...]:
-    """Joint actions in tie-breaking order: member 1 varies fastest.
+    """Joint actions in tie-breaking order: member 0 varies fastest.
 
     Every argmin in the package walks this sequence and keeps the first
     strict minimum, so ties resolve deterministically.

@@ -89,7 +89,7 @@ class SeparatedTeamStrategy(CentralizedTableStrategy):
     def to_json_dict(self) -> dict:
         d = super().to_json_dict()
         if self.node_beliefs:
-            d["node_beliefs"] = {k: [float(p) for p in b] for k, b in sorted(self.node_beliefs.items())}
+            d["node_beliefs"] = {k: b.tolist() for k, b in sorted(self.node_beliefs.items())}
         return d
 
 
@@ -145,7 +145,7 @@ class MemberSeparatedStrategy(MemberTableStrategy):
     def to_json_dict(self) -> dict:
         d = super().to_json_dict()
         if self.node_beliefs:
-            d["node_beliefs"] = {k: [float(p) for p in b] for k, b in sorted(self.node_beliefs.items())}
+            d["node_beliefs"] = {k: b.tolist() for k, b in sorted(self.node_beliefs.items())}
         return d
 
 

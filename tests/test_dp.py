@@ -26,7 +26,7 @@ from teamdp import (
     solve_member,
 )
 from teamdp import oracle
-from teamdp.model import history_key, view_known
+from teamdp.model import history_key, tiebreak_joint_actions, view_known
 
 POOLED_VARIANTS = [
     InformationStructure("delayed_sharing", delays=(1, 1)),
@@ -97,6 +97,56 @@ def test_manager_node_budget(toy2):
     assert info.value.observed > 2
 
 
+def test_manager_node_budget_is_checked_per_stage(toy2):
+    """The budget check runs before a stage's children are built, but it
+    admits a tree of exactly ``node_budget`` nodes and reports an overrun
+    as ``node_budget + 1``, as a node-by-node check would."""
+    model, structure = toy2
+    total = sum(solve_manager(model, structure).node_counts)
+    assert solve_manager(model, structure, node_budget=total).node_counts[-1] > 0
+    for budget in (1, 2, total - 1):
+        with pytest.raises(BudgetExceededError) as info:
+            solve_manager(model, structure, node_budget=budget)
+        assert (info.value.budget, info.value.observed) == (budget, budget + 1)
+
+
+def _oracle_prefixes(model):
+    """Positive-probability full-history prefixes per stage, as
+    (obs_seq, act_seq), found by the oracle's own occupancy propagation
+    under every joint action."""
+    occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
+    stages = [[((), (), occ0)]]
+    for _ in range(model.horizon):
+        nxt = []
+        for obs_seq, act_seq, occ in stages[-1]:
+            for u in tiebreak_joint_actions(model):
+                occp = oracle._predict_occ(model, occ, model.flat_action(u))
+                for y, occy in oracle._split_by_obs(model, occp):
+                    nxt.append((obs_seq + (y,), act_seq + (u,), occy))
+        stages.append(nxt)
+    return [[(o, a) for o, a, _ in stage] for stage in stages]
+
+
+@pytest.mark.parametrize("structure", POOLED_VARIANTS, ids=lambda s: s.variant)
+def test_manager_tree_matches_oracle_on_zero_entry_kernels(structure):
+    """On kernels with zero entries the solver prunes zero-probability
+    branches: its tree holds exactly the prefixes the oracle reaches, and
+    every node's value is the oracle's conditional cost-to-go of the
+    solved strategy."""
+    model = random_model(310, num_states=3, horizon=3, positive=False)
+    mgr = solve_manager(model, structure)
+    prefixes = _oracle_prefixes(model)
+    assert mgr.node_counts == tuple(len(stage) for stage in prefixes)
+    full = (len(tiebreak_joint_actions(model)) * len(model.joint_observations)) ** model.horizon
+    assert mgr.node_counts[-1] < full  # branches were pruned
+    for t, stage in enumerate(prefixes):
+        assert set(mgr.value_function.stages[t]) == {history_key(a, o) for o, a in stage}
+        for obs_seq, act_seq in stage:
+            node = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
+            ctg = oracle.exact_cost_to_go(model, structure, mgr.strategy, obs_seq, act_seq, t)
+            assert abs(node.value - ctg) <= 1e-12
+
+
 def test_manager_refuses_without_pooled_stream(toy2):
     model, _ = toy2
     with pytest.raises(IncompleteHistoryError):
@@ -142,6 +192,29 @@ def test_node_values_dominate_conditional_costs(toy2):
 def _random_value_next(r, num_states):
     coefs = r.uniform(0.0, 2.0, size=(3, num_states))
     return lambda vec: min(float(c @ vec) for c in coefs)
+
+
+@pytest.mark.parametrize("seed, positive", [(320, True), (310, False)], ids=["dense", "pruned"])
+def test_node_values_do_not_depend_on_batch_size(seed, positive):
+    """A node's numbers are the same whether its stage is solved as one
+    batch, alone from its belief (evaluate_value), or as a single-row
+    backup whose next values are read off the solved tree by belief."""
+    model = random_model(seed, num_states=3, horizon=3, positive=positive)
+    structure = POOLED_VARIANTS[0]
+    mgr = solve_manager(model, structure)
+    assert (mgr.node_counts[-1] < 4096) == (not positive)
+    stages = mgr.value_function.stages
+    by_belief = [{} for _ in stages]
+    for lookup, stage in zip(by_belief, stages):
+        for node in stage.values():
+            # equal beliefs at one time have equal values
+            assert lookup.setdefault(node.belief.tobytes(), node.value) == node.value
+    for t, stage in enumerate(stages):
+        for node in stage.values():
+            assert evaluate_value(model, structure, t, node.belief) == node.value
+            if t < model.horizon:
+                vnext = lambda b, t=t: by_belief[t + 1][b.tobytes()]
+                assert backup(model, vnext, node.belief, t) == (node.value, node.argmin)
 
 
 def test_backup_positive_scaling():
