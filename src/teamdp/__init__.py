@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetExceededError,
     IncompleteHistoryError,
+    InvariantError,
     ScenarioFormatError,
     StrategyUndefinedError,
     TeamDPError,

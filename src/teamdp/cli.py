@@ -6,19 +6,29 @@ Every run emits a single JSON report {metadata, results, diagnostics}
 with identical inputs and seeds are byte-identical except for
 ``diagnostics.wall_time_s``.
 
+Reports are written by ``_encode``: it streams the text into the
+output's ``write`` method, so the whole text is never held in memory,
+and gives the same bytes as ``json.dumps(report, indent=2,
+sort_keys=True)``.  The ``json`` module indents only in pure Python,
+which took longer than the manager solve on large trees; ``_encode``
+writes each list of finite floats or plain ints with one ``str.join``.
+The CSV export formats each value with the same ``_scalar``.
+
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
-undefined problem, e.g. pooled solves under no_sharing); 3 budget
-exceeded; 4 malformed scenario file; 64 usage errors.
+undefined problem, e.g. pooled solves under no_sharing, or a broken
+solver invariant); 3 budget exceeded; 4 malformed scenario file; 64
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import itertools
-import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,6 +70,10 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
 EXIT_USAGE = 64
+
+# largest --grid (product of the three range sizes); the default grid has
+# 201 * 101 * 101 = 2,050,401 points
+MAX_GRID_POINTS = 10**7
 
 # exit codes of package errors; any other TeamDPError (an undefined problem,
 # e.g. a pooled solve under no_sharing, or degenerate data) is a
@@ -167,7 +181,7 @@ def _parse_grid(spec: str):
     parts = spec.split(",")
     if len(parts) != 3:
         raise _UsageError("--grid needs three lo:hi:step ranges separated by commas")
-    grids = []
+    ranges = []
     for part in parts:
         pieces = part.split(":")
         if len(pieces) != 3:
@@ -176,11 +190,15 @@ def _parse_grid(spec: str):
             lo, hi, step = (float(v) for v in pieces)
         except ValueError:
             raise _UsageError(f"bad grid range {part!r}, expected numbers") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+            raise _UsageError(f"bad grid range {part!r}, need finite numbers")
         if step <= 0 or hi < lo:
             raise _UsageError(f"bad grid range {part!r}, need step > 0 and hi >= lo")
-        n = int(round((hi - lo) / step)) + 1
-        grids.append(np.linspace(lo, hi, n))
-    return grids
+        ranges.append((lo, hi, int(round((hi - lo) / step)) + 1))
+    points = math.prod(n for _, _, n in ranges)
+    if points > MAX_GRID_POINTS:
+        raise _UsageError(f"--grid has {points} points, more than the limit of {MAX_GRID_POINTS}")
+    return [np.linspace(lo, hi, n) for lo, hi, n in ranges]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +329,96 @@ def _cmd_gaussian(args):
 # emission
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(o, _repr=float.__repr__, _nonfinite=_NONFINITE.get) -> str:
+    text = _repr(o)
+    return _nonfinite(text, text)
+
+
+def _scalar(o) -> str:
+    """JSON text of a string, None, bool, int or float, or of a subclass
+    of one, as the json module writes it; TypeError for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (int, float)) or k is None:  # bool is an int
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+# text of the scalar types themselves; subclasses go through _scalar
+_EXACT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _encode(obj, indent: str, write, _exact=_EXACT.get) -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` does.
+    ``indent`` is a newline followed by the current nesting's spaces."""
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = indent + "  "
+        lead, sep = "{" + inner, "," + inner
+        for k, v in sorted(obj.items()):
+            key = encode_basestring_ascii(k) if type(k) is str else _key(k)
+            fmt = _exact(type(v))
+            if fmt is None:
+                write(lead + key + ": ")
+                _encode(v, inner, write)
+            else:
+                write(lead + key + ": " + fmt(v))
+            lead = sep
+        write(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = indent + "  "
+        lead, sep = "[" + inner, "," + inner
+        first = type(obj[0])
+        if (first is float or first is int) and set(map(type, obj)) == {first}:
+            # one C-level join for a list of plain floats or plain ints;
+            # "nan" and "inf" hold an "n" that no finite float or int has
+            text = sep.join(map(first.__repr__, obj))
+            if "n" not in text:
+                write(lead + text + indent + "]")
+                return
+        for v in obj:
+            fmt = _exact(type(v))
+            if fmt is None:
+                write(lead)
+                _encode(v, inner, write)
+            else:
+                write(lead + fmt(v))
+            lead = sep
+        write(indent + "]")
+    else:
+        write(_scalar(obj))
+
+
 def _flatten(prefix: str, value, rows: list):
     if isinstance(value, dict):
         for k in sorted(value):
@@ -345,23 +453,20 @@ def _csv_text(report: dict, args) -> str:
         rows: list = []
         _flatten("", report, rows)
         for key, value in rows:
-            lines.append(f"{key},{json.dumps(value)}")
+            lines.append(f"{key},{_scalar(value)}")
     return "\n".join(lines) + "\n"
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        chunks = [_csv_text(report, args)]
-    else:
-        # streamed, so the whole report text is never held in memory at once
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        chunks = itertools.chain(encoder.iterencode(report), ["\n"])
+    """Write the report to ``--out`` or stdout; ``args`` is None when the
+    command line did not parse."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as f:
-            f.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    with (open(out, "w") if out else contextlib.nullcontext(sys.stdout)) as f:
+        if getattr(args, "format", "json") == "csv":
+            f.write(_csv_text(report, args))
+        else:
+            _encode(report, "\n", f.write)
+            f.write("\n")
 
 
 _HANDLERS = {
@@ -392,8 +497,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as e:
         metadata = {"command": "usage", "version": __version__}
-        report = _error_report(metadata, "UsageError", str(e))
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(_error_report(metadata, "UsageError", str(e)), None)
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

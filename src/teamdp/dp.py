@@ -47,6 +47,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     IncompleteHistoryError,
+    InvariantError,
     UndefinedCoStrategyError,
 )
 from .filters import _likelihood_vec, _member_step, _root_particles
@@ -368,7 +369,8 @@ def solve_member(
                     ckey = view_key(cview)
                     # a view records the member's whole past, so no two
                     # (parent, action, innovation) paths share a child
-                    assert ckey not in nxt, ckey
+                    if ckey in nxt:
+                        raise InvariantError(f"two member-tree paths reach view {ckey!r}")
                     nxt[ckey] = MemberNode(view=cview, particles=child_particles)
                     total_nodes += 1
                     if total_nodes > node_budget:

@@ -35,6 +35,11 @@ class BudgetExceededError(TeamDPError):
         self.observed = observed
 
 
+class InvariantError(TeamDPError):
+    """An internal invariant of a solver does not hold: a defect in the
+    package, not in its input."""
+
+
 class ScenarioFormatError(TeamDPError):
     """A scenario document is malformed (unparseable, missing fields, or
     structurally invalid)."""

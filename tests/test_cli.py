@@ -7,10 +7,13 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamdp import load_schema, scenario_to_dict
-from teamdp.cli import run
+from teamdp.cli import MAX_GRID_POINTS, _encode, run
 
 WALL_TIME = re.compile(r'^\s*"wall_time_s": [0-9.eE+-]+,?\n', re.MULTILINE)
 
@@ -193,6 +196,149 @@ def test_exit_usage_on_bad_numeric_arguments(capsys, scenario_path, argv):
     assert code == 64
     assert report["error"]["type"] == "UsageError"
     assert report["error"]["message"].startswith(f"argument {argv[-2]}:")
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (
+            "0:1:1e-5,0:1:1e-5,0:1:1e-5",
+            f"{100001**3} points, more than the limit of {MAX_GRID_POINTS}",
+        ),
+        (
+            "0:1:1e-3,0:1:1e-3,0:1:1e-3",
+            f"{1001**3} points, more than the limit of {MAX_GRID_POINTS}",
+        ),
+        ("nan:1:0.1,0:1:0.1,0:1:0.1", "need finite numbers"),
+        ("0:inf:0.1,0:1:0.1,0:1:0.1", "need finite numbers"),
+    ],
+)
+def test_exit_usage_on_unbounded_grid(capsys, grid, message):
+    code, report, _ = invoke(capsys, ["gaussian-example", "--grid", grid])
+    assert code == 64
+    assert report["error"]["type"] == "UsageError"
+    assert message in report["error"]["message"]
+
+
+def test_exit_validation_on_member_tree_invariant(capsys, scenario_path, monkeypatch):
+    # every member view gets the same key, so two children collide
+    monkeypatch.setattr("teamdp.dp.view_key", lambda view: "same")
+    code, report, _ = invoke(
+        capsys, ["solve-member", "--scenario", scenario_path, "--member", "0"]
+    )
+    assert code == 2
+    assert report["error"]["type"] == "InvariantError"
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+def _encoded(obj) -> str:
+    chunks = []
+    _encode(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+# every character, including control characters and lone surrogates
+_text = st.text(st.characters(exclude_categories=()), max_size=8)
+_floats = st.floats() | st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")])
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | _floats
+    | _floats.map(np.float64)
+    | _text
+)
+# lists that the one-join path takes or must refuse: plain floats with
+# nan and inf among them, ints with bools, and every mix of the two
+_numeric_lists = (
+    st.lists(_floats, min_size=1, max_size=6)
+    | st.lists(st.integers(-3, 3) | st.booleans(), min_size=1, max_size=6)
+    | st.lists(
+        _floats | _floats.map(np.float64) | st.integers() | st.booleans(),
+        min_size=1,
+        max_size=6,
+    )
+)
+_keyed = st.one_of(
+    st.dictionaries(st.integers() | st.floats(allow_nan=False), _scalars, max_size=4),
+    st.dictionaries(st.booleans(), _scalars, max_size=2),
+    st.dictionaries(st.none(), _scalars, max_size=1),
+)
+_documents = st.recursive(
+    _scalars | _numeric_lists | _keyed,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(_text, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_documents)
+def test_encode_matches_json_dumps(obj):
+    assert _encoded(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [0.5, float("nan")],
+        [-0.0, float("inf"), -float("inf")],
+        [0.5, np.float64(0.25)],
+        [1, True, False, 10**40],
+        [True, 1],
+        [1.5, 2, True],
+        [2, 1.5],
+        {"\u00e9\n\x00\ud800": ["\u2603\t\"\\"], "": {}, "a": []},
+        {3: 1, 2.5: [], -1: None, 10**30: True},
+        (),
+        {},
+    ],
+)
+def test_encode_matches_json_dumps_on_edge_cases(obj):
+    assert _encoded(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, {"a": [frozenset()]}, np.int64(1), [b"bytes"], {(1, 2): 0}, object()]
+)
+def test_encode_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _encoded(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--scenario", "SCENARIO"],
+        ["solve-manager", "--scenario", "SCENARIO"],
+        ["solve-member", "--scenario", "SCENARIO", "--member", "1"],
+        ["oracle-centralized", "--scenario", "SCENARIO"],
+        ["oracle-decentralized", "--scenario", "SCENARIO"],
+        ["compare", "--scenario", "SCENARIO"],
+        ["simulate", "--scenario", "SCENARIO", "--samples", "50"],
+        ["gaussian-example", "--samples", "100", "--grid", "0:2:0.5,0:1:0.5,-1:0:0.5"],
+        ["validate", "--scenario", "BAD"],
+        ["solve-manager", "--scenario", "BAD"],
+        ["solve-manager", "--scenario", "SCENARIO", "--node-budget", "3"],
+        ["validate", "--scenario", "MISSING"],
+        ["validate"],
+        ["no-such-command"],
+        ["gaussian-example", "--grid", "0:1"],
+    ],
+)
+def test_reports_are_written_as_json_dumps_writes_them(
+    capsys, scenario_path, bad_numbers_path, tmp_path, argv
+):
+    paths = {"SCENARIO": scenario_path, "BAD": bad_numbers_path, "MISSING": str(tmp_path / "x")}
+    _, report, text = invoke(capsys, [paths.get(a, a) for a in argv])
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
