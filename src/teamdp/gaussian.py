@@ -101,6 +101,10 @@ def expected_cost(instance: GaussianInstance, strategy: LinearStrategy) -> float
     return 0.5 * (gap + move)
 
 
+# Points of the product grid that linear_search evaluates at once.
+SLAB_POINTS = 1 << 16
+
+
 def _cost_grid(instance: GaussianInstance, A, B, D) -> np.ndarray:
     ess, esx, exx = instance.second_moments
     gap = (1.0 - B) ** 2 * ess - 2.0 * (1.0 - B) * (A + D) * esx + (A + D) ** 2 * exx
@@ -116,24 +120,33 @@ def linear_search(
 ) -> tuple[LinearStrategy, float]:
     """Brute-force minimum of :func:`expected_cost` over a gain grid.
 
-    Vectorized over the full product grid; ties go to the first flat index
-    (first_gain varies slowest, correction_gain fastest).
+    Vectorized over slabs of the first-gain axis, each broadcast against
+    the whole (pooled, correction) plane and holding at most
+    ``SLAB_POINTS`` points where one plane fits, so memory does not grow
+    with the first axis.  Ties go to the first flat index (first_gain
+    varies slowest, correction_gain fastest), as one argmin over the full
+    product grid would give.
     """
-    A, B, D = np.meshgrid(
-        np.asarray(first_grid, dtype=float),
-        np.asarray(pooled_grid, dtype=float),
-        np.asarray(correction_grid, dtype=float),
-        indexing="ij",
-    )
-    costs = _cost_grid(instance, A, B, D)
-    flat = int(np.argmin(costs))
-    ia, ib, id_ = np.unravel_index(flat, costs.shape)
+    a = np.asarray(first_grid, dtype=float)
+    b = np.asarray(pooled_grid, dtype=float)[:, None]
+    d = np.asarray(correction_grid, dtype=float)
+    rows = max(1, SLAB_POINTS // max(1, b.size * d.size))
+    best = None
+    for lo in range(0, max(a.size, 1), rows):
+        costs = _cost_grid(instance, a[lo : lo + rows, None, None], b, d)
+        flat = int(np.argmin(costs))
+        cost = costs.flat[flat]
+        # np.argmin takes the first nan, so a later slab's nan beats a number
+        if best is None or cost < best[0] or (np.isnan(cost) and not np.isnan(best[0])):
+            best = (cost, lo, costs.shape, flat)
+    cost, lo, shape, flat = best
+    ia, ib, id_ = np.unravel_index(flat, shape)
     strat = LinearStrategy(
-        first_gain=float(A[ia, ib, id_]),
-        pooled_gain=float(B[ia, ib, id_]),
-        correction_gain=float(D[ia, ib, id_]),
+        first_gain=float(a[lo + ia]),
+        pooled_gain=float(b[ib, 0]),
+        correction_gain=float(d[id_]),
     )
-    return strat, float(costs[ia, ib, id_])
+    return strat, float(cost)
 
 
 def mc_estimate(

@@ -3,7 +3,14 @@
 Everything in this module works by brute-force expansion of the outcome
 tree with plain dicts and loops, independently of the belief-filter and
 dynamic-programming code, so it can serve as the trusted side of every
-cross-check.  It is deliberately naive; use it at desk scale only.
+cross-check.  Use it at desk scale only.
+
+The decentralized search enumerates profiles stage by stage and scores
+each one in the same pass, from the occupancies it already carries, with
+the arithmetic of :func:`exact_cost` in the same order; the last stage is
+scored without building children.  The winner is then re-scored by
+:func:`exact_cost` through its member tables, and the two must agree to
+the bit.
 
 Occupancy bookkeeping: an "occupancy" is an unnormalized map
 state -> probability mass of reaching this history node in this state.
@@ -15,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
-from .errors import BudgetExceededError, ZeroLikelihoodError
+from .errors import BudgetExceededError, InvariantError, ZeroLikelihoodError
 from .model import (
     HistoryView,
     InformationStructure,
@@ -352,82 +360,113 @@ def enumerate_centralized(
 
 
 def _member_views(model, structure, nodes, t):
-    """Distinct member views over the node list, first-seen order.
+    """Distinct member views over the node list.
 
-    Returns (per-member list of view keys, per-node list of per-member
+    Returns (the (member, view key) slots, member by member and each
+    member's views in first-seen order; per-node tuple of per-member view
     keys)."""
     K = model.num_members
-    seen: list[list[str]] = [[] for _ in range(K)]
+    seen: list[dict[str, None]] = [{} for _ in range(K)]
     node_keys: list[tuple[str, ...]] = []
     for obs_seq, act_seq, _ in nodes:
-        keys = []
-        for k in range(K):
-            vk = view_key(prefix_view(structure, K, obs_seq, act_seq, t, k))
-            if vk not in seen[k]:
-                seen[k].append(vk)
-            keys.append(vk)
-        node_keys.append(tuple(keys))
-    return seen, node_keys
+        keys = tuple(view_key(prefix_view(structure, K, obs_seq, act_seq, t, k)) for k in range(K))
+        for k, vk in enumerate(keys):
+            seen[k].setdefault(vk)
+        node_keys.append(keys)
+    return [(k, vk) for k in range(K) for vk in seen[k]], node_keys
 
 
-def _assignments(model, seen):
-    """Iterate all joint assignments of actions to (member, view) pairs.
+def _assignments(model, slots, node_keys):
+    """Iterate all joint assignments of actions to the slots.
 
-    Deterministic order: the last listed view of the last member varies
-    fastest, actions ascending."""
-    slots = [(k, vk) for k in range(model.num_members) for vk in seen[k]]
-    ranges = [range(model.action_sizes[k]) for k, _ in slots]
-    for combo in product(*ranges):
-        yield {slot: act for slot, act in zip(slots, combo)}
-
-
-def _decentralized_children(model, nodes, node_keys, assignment, t):
-    children = []
-    for (obs_seq, act_seq, occ), keys in zip(nodes, node_keys):
-        u = tuple(assignment[(k, keys[k])] for k in range(model.num_members))
-        occp = _predict_occ(model, occ, model.flat_action(u))
-        for y, occy in _split_by_obs(model, occp):
-            children.append((obs_seq + (y,), act_seq + (u,), occy))
-    return children
+    Yields (one action per slot, flat joint action of every node).
+    Deterministic order: the last slot varies fastest, actions ascending."""
+    K = model.num_members
+    strides = [prod(model.action_sizes[k + 1:]) for k in range(K)]
+    index = {slot: j for j, slot in enumerate(slots)}
+    node_slots = [[(index[k, vk], strides[k]) for k, vk in enumerate(keys)] for keys in node_keys]
+    for combo in product(*(range(model.action_sizes[k]) for k, _ in slots)):
+        yield combo, [sum(combo[j] * s for j, s in pairs) for pairs in node_slots]
 
 
-def _decentralized_profiles(model, structure, nodes, t, tables):
-    T = model.horizon
-    if t == T:
-        yield tables
-        return
-    seen, node_keys = _member_views(model, structure, nodes, t)
-    for assignment in _assignments(model, seen):
-        tables2 = tuple(
-            {**tables[k], **{vk: assignment[(k, vk)] for vk in seen[k]}}
-            for k in range(model.num_members)
-        )
-        children = _decentralized_children(model, nodes, node_keys, assignment, t)
-        yield from _decentralized_profiles(model, structure, children, t + 1, tables2)
+def _expand(model, node, t, a, last):
+    """A node under flat joint action ``a``: (stage cost, child nodes in
+    observation order) or, at the last stage, its whole cost-to-go.  Sums
+    run exactly as in ``_cost_from``."""
+    obs_seq, act_seq, occ = node
+    total = sum(w * model.stage_cost[t, x, a] for x, w in occ.items())
+    occp = _predict_occ(model, occ, a)
+    if last:
+        return total + sum(w * model.terminal_cost[x] for x, w in occp.items())
+    u = model.joint_actions[a]
+    return total, [
+        (obs_seq + (y,), act_seq + (u,), occy) for y, occy in _split_by_obs(model, occp)
+    ]
 
 
-def _count_decentralized(model, structure, nodes, t, cap) -> int:
-    """Leaf count of the decentralized profile tree, capped at cap+1."""
-    T = model.horizon
-    if t == T:
-        return 1
-    seen, node_keys = _member_views(model, structure, nodes, t)
-    if np.all(model.transition > 0.0) and all(np.all(k > 0.0) for k in model.observation_kernels):
-        # supports do not depend on actions: every assignment spawns child
-        # sets with identical view partitions, so the count factorizes
-        per_stage = 1
-        for k in range(model.num_members):
-            per_stage = _capped_mul(per_stage, model.action_sizes[k] ** len(seen[k]), cap)
-        first = next(iter(_assignments(model, seen)))
-        children = _decentralized_children(model, nodes, node_keys, first, t)
-        return _capped_mul(per_stage, _count_decentralized(model, structure, children, t + 1, cap), cap)
+def _next_nodes(model, nodes, t, actions):
+    """The next stage's nodes when ``nodes[i]`` plays ``actions[i]``."""
+    return [c for node, a in zip(nodes, actions) for c in _expand(model, node, t, a, False)[1]]
+
+
+def _count_decentralized(model, structure, nodes, t, cap, positive) -> int:
+    """Leaf count of the decentralized profile tree, capped at cap+1.
+
+    Every assignment of the last stage is one leaf, so that stage builds
+    no children.  With ``positive`` kernels the supports do not depend on
+    actions: every assignment spawns child sets with identical view
+    partitions, so the count factorizes."""
+    slots, node_keys = _member_views(model, structure, nodes, t)
+    per_stage = 1
+    for k, _ in slots:
+        per_stage = _capped_mul(per_stage, model.action_sizes[k], cap)
+    if t + 1 == model.horizon:
+        return per_stage
+    if positive:
+        children = _next_nodes(model, nodes, t, [0] * len(nodes))
+        rest = _count_decentralized(model, structure, children, t + 1, cap, positive)
+        return _capped_mul(per_stage, rest, cap)
     total = 0
-    for assignment in _assignments(model, seen):
-        children = _decentralized_children(model, nodes, node_keys, assignment, t)
-        total = _capped_add(total, _count_decentralized(model, structure, children, t + 1, cap), cap)
+    for _, actions in _assignments(model, slots, node_keys):
+        children = _next_nodes(model, nodes, t, actions)
+        rest = _count_decentralized(model, structure, children, t + 1, cap, positive)
+        total = _capped_add(total, rest, cap)
         if total > cap:
             return total
     return total
+
+
+def _scored_profiles(model, structure, nodes, t):
+    """Yield (path, costs) for every profile of the stages t..T-1 on
+    ``nodes``, in enumeration order.
+
+    ``path`` holds one (slots, one action per slot) pair per stage and ``costs[i]`` is
+    the occupancy-weighted cost from ``nodes[i]`` on, added up as
+    ``_cost_from`` adds it: the stage cost, then each child's cost in
+    observation order.  Each node is expanded once per joint action."""
+    slots, node_keys = _member_views(model, structure, nodes, t)
+    last = t + 1 == model.horizon
+    memo: list[dict] = [{} for _ in nodes]
+    for combo, actions in _assignments(model, slots, node_keys):
+        step = ((slots, combo),)
+        parts = []
+        for node, a, m in zip(nodes, actions, memo):
+            if a not in m:
+                m[a] = _expand(model, node, t, a, last)
+            parts.append(m[a])
+        if last:
+            yield step, parts
+            continue
+        children = [c for _, cs in parts for c in cs]
+        for path, child_costs in _scored_profiles(model, structure, children, t + 1):
+            costs = []
+            j = 0
+            for total, cs in parts:
+                for c in child_costs[j:j + len(cs)]:
+                    total += c
+                j += len(cs)
+                costs.append(total)
+            yield step + path, costs
 
 
 def enumerate_decentralized(
@@ -440,37 +479,46 @@ def enumerate_decentralized(
 
     Views off the positive-probability set get the lexicographically first
     action (index 0).  The candidate count is computed first; ties go to
-    the first minimizer in enumeration order.
+    the first minimizer in enumeration order.  Profiles are scored in the
+    enumeration with exact_cost's arithmetic; the winner is re-scored by
+    exact_cost through its member tables, and InvariantError is raised
+    unless both give the same bits.
     """
     occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
     root = [((), (), occ0)]
-    empty = tuple({} for _ in range(model.num_members))
-    count = _count_decentralized(model, structure, root, 0, budget)
+    positive = np.all(model.transition > 0.0) and all(
+        np.all(k > 0.0) for k in model.observation_kernels
+    )
+    count = _count_decentralized(model, structure, root, 0, budget, positive)
     if count > budget:
         raise BudgetExceededError(
             f"decentralized profile count exceeds budget {budget}", budget=budget, observed=count
         )
+    scored = 0
     best_cost = None
-    best_tables = None
-    for tables in _decentralized_profiles(model, structure, root, 0, empty):
-        profile = DecentralizedStrategy(
-            model,
-            structure,
-            [
-                MemberTableStrategy(model, structure, k, tables[k], default=0)
-                for k in range(model.num_members)
-            ],
-        )
-        cost = exact_cost(model, structure, profile)
+    best_path = None
+    for path, (cost,) in _scored_profiles(model, structure, root, 0):
+        scored += 1
         if best_cost is None or cost < best_cost:
             best_cost = cost
-            best_tables = tables
+            best_path = path
+    if scored != count:
+        raise InvariantError(f"scored {scored} decentralized profiles, counted {count}")
+    tables: list[dict[str, int]] = [{} for _ in range(model.num_members)]
+    for slots, combo in best_path:
+        for (k, vk), act in zip(slots, combo):
+            tables[k][vk] = act
     strategy = DecentralizedStrategy(
         model,
         structure,
         [
-            MemberTableStrategy(model, structure, k, best_tables[k], default=0)
+            MemberTableStrategy(model, structure, k, tables[k], default=0)
             for k in range(model.num_members)
         ],
     )
+    rescored = exact_cost(model, structure, strategy)
+    if float(rescored).hex() != float(best_cost).hex():
+        raise InvariantError(
+            f"one-pass optimum {float(best_cost)!r} differs from exact_cost {float(rescored)!r}"
+        )
     return EnumerationResult(count, best_cost, strategy)

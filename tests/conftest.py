@@ -113,16 +113,19 @@ def random_model(
     horizon: int = 2,
     obs_sizes=None,
     positive: bool = True,
+    action_sizes=None,
 ) -> TeamModel:
     """Reproducible random instance; ``positive`` keeps every kernel entry
     off zero so all observation branches stay reachable.  Otherwise every
     draw below half of its row's largest is set to zero, so the kernels
     and the initial distribution have zero entries (each row keeps at
-    least its largest)."""
+    least its largest).  Actions are binary unless ``action_sizes`` says
+    otherwise."""
     r = np.random.default_rng(seed)
     K, S, T = num_members, num_states, horizon
     obs_sizes = tuple(obs_sizes or (2,) * K)
-    A = 2**K
+    action_sizes = tuple(action_sizes or (2,) * K)
+    A = int(np.prod(action_sizes))
 
     def dist(shape):
         m = r.uniform(0.05 if positive else 0.0, 1.0, size=shape)
@@ -134,7 +137,7 @@ def random_model(
         num_members=K,
         horizon=T,
         states=tuple(f"s{i}" for i in range(S)),
-        actions=tuple(("0", "1") for _ in range(K)),
+        actions=tuple(tuple(str(v) for v in range(n)) for n in action_sizes),
         observations=tuple(tuple(str(v) for v in range(n)) for n in obs_sizes),
         initial_dist=dist((S,)),
         transition=dist((S, A, S)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamdp import gaussian
 from teamdp.gaussian import (
     GaussianInstance,
     LinearStrategy,
@@ -16,6 +17,7 @@ from teamdp.gaussian import (
     linear_search,
     mc_estimate,
 )
+from teamdp.gaussian import _cost_grid
 
 
 def test_closed_form_negative_covariance():
@@ -62,6 +64,46 @@ def test_grid_search_recovers_closed_form():
         assert abs(strat.pooled_gain - sol.strategy.pooled_gain) <= 1e-2 + 1e-12
         assert abs(strat.correction_gain - sol.strategy.correction_gain) <= 1e-2 + 1e-12
         assert abs(cost - sol.optimal_cost) <= 1e-3
+
+
+def full_grid_search(instance, first, pooled, correction):
+    """The grid search as one argmin over the whole meshgrid product."""
+    A, B, D = np.meshgrid(first, pooled, correction, indexing="ij")
+    costs = _cost_grid(instance, A, B, D)
+    i = np.unravel_index(int(np.argmin(costs)), costs.shape)
+    return LinearStrategy(float(A[i]), float(B[i]), float(D[i])), float(costs[i])
+
+
+def bits(result):
+    strat, cost = result
+    return tuple(
+        float(v).hex()
+        for v in (strat.first_gain, strat.pooled_gain, strat.correction_gain, cost)
+    )
+
+
+# (covariance, first, pooled, correction)
+SEARCH_GRIDS = [
+    (-0.5, np.linspace(0.0, 2.0, 23), np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 0.0, 3)),
+    (0.3, np.linspace(-1.0, 3.0, 7), np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 1.0, 9)),
+    # pooled gain 1 and correction gain 0 leave a cost even in the first
+    # gain, so -0.5 and 0.5 tie exactly and the first (-0.5) must win
+    (0.0, np.array([-1.0, -0.5, 0.5, 1.0]), np.array([1.0]), np.array([0.0])),
+    (0.2, np.array([0.0, np.nan, 1.0, np.nan]), np.linspace(0.0, 1.0, 3), np.array([-1.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("slab", [1, 40, 100, 1 << 16])
+def test_slabbed_search_matches_full_grid(slab, monkeypatch):
+    """Slabs of 1, 2 and 6 first-gain rows (23 is a multiple of none),
+    exact ties across slabs, and nan, which argmin takes first."""
+    monkeypatch.setattr(gaussian, "SLAB_POINTS", slab)
+    for c, first, pooled, correction in SEARCH_GRIDS:
+        inst = GaussianInstance(c)
+        found = linear_search(inst, first, pooled, correction)
+        assert bits(found) == bits(full_grid_search(inst, first, pooled, correction))
+    tie = SEARCH_GRIDS[2]
+    assert linear_search(GaussianInstance(tie[0]), *tie[1:])[0].first_gain == -0.5
 
 
 def test_mc_estimate_within_three_std_errors():
