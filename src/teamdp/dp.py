@@ -35,11 +35,22 @@ views with identical state beliefs can still induce different laws for
 what the co-members will do next.  The member's own past actions enter as
 recorded data, so the construction never consults the strategy being
 optimized.
+
+The member tree is held as arrays too.  The stage kernel
+``filters._member_stage`` expands every node of a stage at once, under
+every own action, and returns the immediate costs ``(N, O)`` and, per
+child node, its parent row, own action and branch weight.
+``solve_member`` and ``evaluate_member_value`` run it forward once per
+stage and then back up over the arrays with ``np.bincount`` in branch
+order (``_member_tree``); ``evaluate_member_value`` does so over the
+tree reachable from its conditional alone, so at a solved node it returns
+the node's value bit for bit.  View keys, node beliefs and the particle
+tuples of :class:`MemberNode` are built only at the edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +61,13 @@ from .errors import (
     InvariantError,
     UndefinedCoStrategyError,
 )
-from .filters import _likelihood_vec, _member_step, _root_particles
+from .filters import (
+    _likelihood_vec,
+    _member_stage,
+    _particle_stage,
+    _root_stage,
+    _sequences,
+)
 from .model import (
     HistoryView,
     InformationStructure,
@@ -303,23 +320,29 @@ def evaluate_value(model: TeamModel, structure: InformationStructure, t: int, be
 # member dynamic program
 
 
-@dataclass
 class MemberNode:
     """One member decision point: the realized view, the joint conditional
     over (state, history assignment) that the fixed co-strategies induce
-    there, and after the backward pass its value and minimizing action."""
+    there, and after the backward pass its value and minimizing action
+    (None at the horizon).  The conditional lives in its stage's arrays;
+    ``particles`` builds the ((state, obs_seq, act_seq, weight), ...)
+    tuples, weights summing to 1, on first use."""
 
-    view: HistoryView
-    particles: tuple  # ((state, obs_seq, act_seq, weight), ...), weights sum to 1
-    actions: dict = field(default_factory=dict)  # own action -> (immediate, ((child_key, w), ...))
-    value: float | None = None
-    argmin: int | None = None
+    __slots__ = ("view", "value", "argmin", "_stage", "_row")
+
+    def __init__(self, view: HistoryView, value: float, argmin: int | None, stage, row: int):
+        self.view = view
+        self.value = value
+        self.argmin = argmin
+        self._stage = stage
+        self._row = row
+
+    @property
+    def particles(self) -> tuple:
+        return self._stage.particles(self._row)
 
     def state_marginal(self, num_states: int) -> np.ndarray:
-        probs = np.zeros(num_states)
-        for x, _, _, w in self.particles:
-            probs[x] += w
-        return probs
+        return self._stage.marginals[self._row].copy()
 
 
 @dataclass
@@ -329,6 +352,33 @@ class MemberSolution:
     strategy: MemberSeparatedStrategy
     root_value: float
     node_counts: tuple[int, ...]
+
+
+def _member_tree(model, structure, k, others, stage, node_budget=None):
+    """Forward over the member tree reachable from one stage under every
+    own action, then backward: terminal values summed in particle order,
+    then per node and own action the stage cost plus the branch terms
+    added in branch order, and the first own action attaining the
+    minimum.  Returns the stages, per-stage values and argmin columns."""
+    stages, steps = [stage], []
+    own = range(model.action_sizes[k])
+    used = stage.num_nodes
+    for _ in range(stage.time, model.horizon):
+        step, stage = _member_stage(model, structure, k, others, stage, own, node_budget, used)
+        used += stage.num_nodes
+        stages.append(stage)
+        steps.append(step)
+    terminal = stage.w * model.terminal_cost[stage.x]
+    values = [np.bincount(stage.node, terminal, minlength=stage.num_nodes)]
+    argmins = []
+    for step in reversed(steps):
+        N, O = step.immediate.shape
+        branches = np.bincount(step.parent * O + step.own, step.weight * values[0], minlength=N * O)
+        q = step.immediate + branches.reshape(N, O)
+        best = q.argmin(axis=1)
+        values.insert(0, q[np.arange(N), best])
+        argmins.insert(0, best)
+    return stages, values, argmins
 
 
 def solve_member(
@@ -343,75 +393,45 @@ def solve_member(
     Builds the tree of views reachable with positive probability under the
     co-strategies and every own action, each node carrying its joint
     conditional, then backs up values with ties going to the smallest own
-    action index.
+    action index.  The tree is held as stages of arrays (see
+    :func:`teamdp.filters._member_stage`); view keys are built only for
+    the node dicts, the strategy table and the node beliefs.
     """
     k = member
     K, T = model.num_members, model.horizon
+    others = others_strategies or {}
     for j in range(K):
-        if j != k and j not in (others_strategies or {}):
+        if j != k and j not in others:
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
-    root_view = prefix_view(structure, K, (), (), 0, k)
-    stages: list[dict[str, MemberNode]] = [
-        {view_key(root_view): MemberNode(view=root_view, particles=_root_particles(model))}
-    ]
-    total_nodes = 1
-    for t in range(T):
-        nxt: dict[str, MemberNode] = {}
-        for node in stages[t].values():
-            for own in range(model.action_sizes[k]):
-                imm, branches = _member_step(
-                    model, structure, k, others_strategies, node.particles, t, own
-                )
-                transitions = []
-                for wc, child_particles in branches.values():
-                    _, o0, a0, _ = child_particles[0]
-                    cview = prefix_view(structure, K, o0, a0, t + 1, k)
-                    ckey = view_key(cview)
-                    # a view records the member's whole past, so no two
-                    # (parent, action, innovation) paths share a child
-                    if ckey in nxt:
-                        raise InvariantError(f"two member-tree paths reach view {ckey!r}")
-                    nxt[ckey] = MemberNode(view=cview, particles=child_particles)
-                    total_nodes += 1
-                    if total_nodes > node_budget:
-                        raise BudgetExceededError(
-                            f"member tree exceeds node budget {node_budget}",
-                            budget=node_budget,
-                            observed=total_nodes,
-                        )
-                    transitions.append((ckey, wc))
-                node.actions[own] = (imm, tuple(transitions))
-        stages.append(nxt)
+    stages, values, argmins = _member_tree(
+        model, structure, k, others, _root_stage(model), node_budget
+    )
+    node_stages: list[dict[str, MemberNode]] = []
+    beliefs: dict[str, np.ndarray] = {}
+    for t, stage in enumerate(stages):
+        best = argmins[t].tolist() if t < T else [None] * stage.num_nodes
+        first = stage.hist[stage.bounds[:-1]]
+        seqs = _sequences(stage.obs[first], stage.act[first])
+        nodes: dict[str, MemberNode] = {}
+        for row, ((obs_seq, act_seq), v, a) in enumerate(zip(seqs, values[t].tolist(), best)):
+            view = prefix_view(structure, K, obs_seq, act_seq, t, k)
+            key = view_key(view)
+            # a view records the member's whole past, so no two
+            # (parent, action, innovation) paths share a node
+            if key in nodes:
+                raise InvariantError(f"two member-tree paths reach view {key!r}")
+            nodes[key] = MemberNode(view, v, a, stage, row)
+            beliefs[key] = stage.marginals[row]
+        node_stages.append(nodes)
 
-    for node in stages[T].values():
-        node.value = sum(w * float(model.terminal_cost[x]) for x, _, _, w in node.particles)
-    for t in range(T - 1, -1, -1):
-        for node in stages[t].values():
-            best = None
-            best_a = None
-            for own in range(model.action_sizes[k]):
-                imm, transitions = node.actions[own]
-                q = imm + sum(w * stages[t + 1][ck].value for ck, w in transitions)
-                if best is None or q < best:
-                    best, best_a = q, own
-            node.value, node.argmin = best, best_a
-
-    table = {
-        key: node.argmin for stage in stages[:T] for key, node in stage.items()
-    }
-    beliefs = {
-        key: node.state_marginal(model.num_states)
-        for stage in stages
-        for key, node in stage.items()
-    }
+    table = {key: node.argmin for stage in node_stages[:T] for key, node in stage.items()}
     strategy = MemberSeparatedStrategy(model, structure, k, table, node_beliefs=beliefs, default=0)
-    root_key = view_key(root_view)
     return MemberSolution(
         member=k,
-        nodes=tuple(stages),
+        nodes=tuple(node_stages),
         strategy=strategy,
-        root_value=float(stages[0][root_key].value),
-        node_counts=tuple(len(s) for s in stages),
+        root_value=float(values[0][0]),
+        node_counts=tuple(s.num_nodes for s in stages),
     )
 
 
@@ -423,30 +443,21 @@ def evaluate_member_value(
     conditional,
 ) -> float:
     """Member-side optimal cost-to-go from an arbitrary joint conditional
-    (a JointConditional or a raw particle tuple at a known time).
+    (a JointConditional or a raw (time, particles) pair; the particles
+    need not be normalized, ordered or distinct).
 
-    Direct recursion mirroring :func:`solve_member`; used for property
-    probes (homogeneity/concavity in the conditional weights).
+    The same stage kernel and backward pass as :func:`solve_member`, run
+    over the tree reachable from that conditional as one node, so at a
+    solved node it returns the node's value bit for bit.  Used for
+    property probes (homogeneity/concavity in the conditional weights).
     """
     if hasattr(conditional, "entries"):
         t, particles = conditional.time, conditional.entries
     else:
         t, particles = conditional
-    return _member_value_rec(model, structure, member, others_strategies, t, particles)
-
-
-def _member_value_rec(model, structure, k, others, t, particles) -> float:
-    if t == model.horizon:
-        return sum(w * float(model.terminal_cost[x]) for x, _, _, w in particles)
-    best = None
-    for own in range(model.action_sizes[k]):
-        imm, branches = _member_step(model, structure, k, others, particles, t, own)
-        q = imm
-        for wc, child in branches.values():
-            q += wc * _member_value_rec(model, structure, k, others, t + 1, child)
-        if best is None or q < best:
-            best = q
-    return best
+    stage = _particle_stage(model, t, particles)
+    _, values, _ = _member_tree(model, structure, member, others_strategies or {}, stage)
+    return float(values[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,33 @@ is what makes the manager's dynamic program well posed.
 The member side is heavier.  Conditioned on one member's view, the state
 is entangled with the co-members' unseen private data through their fixed
 strategies, so the filter carries a weighted joint conditional over
-(state, full history assignment).  One forward step, ``_member_step``,
-propagates these particles, branches on unseen co-member data and groups
-the children by the view slots newly revealed; the member dynamic program
-in :mod:`teamdp.dp` expands its nodes with it, and
-:func:`member_conditional` replays it along a view, keeping at each step
-the branch the view reveals.  The member's own past actions enter as
-recorded values, never through the member's own strategy; the result is
-therefore invariant to it.
+(state, full history assignment).  A stage of member nodes is held as
+arrays, ``_MemberStage``: one row per particle (node row, state, history
+id, weight) plus a table of the stage's distinct full histories as small
+integer arrays, which the co-strategies read.  One stage kernel,
+``_member_stage``, expands every node of a stage at once under every own
+action: it looks up each co-action once per distinct history, propagates
+the particles, branches on unseen co-member data and groups the children
+by the view slots newly revealed, summing with ``np.bincount`` in a fixed
+order.  The member dynamic program in :mod:`teamdp.dp` runs it stage by
+stage, and :func:`member_conditional` replays it on a one-node stage along
+a view, keeping at each step the branch the view reveals.  The
+``(state, obs_seq, act_seq, weight)`` particle tuples are built only at
+the edge.  The member's own past actions enter as recorded values, never
+through the member's own strategy; the result is therefore invariant to
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     IncompleteHistoryError,
     StrategyUndefinedError,
     UndefinedCoStrategyError,
@@ -206,10 +213,6 @@ def _co_action(others: dict, m: int, obs_seq, act_seq, s: int) -> int:
         raise UndefinedCoStrategyError(str(e)) from e
 
 
-def _root_particles(model: TeamModel) -> tuple:
-    return tuple((x, (), (), float(p)) for x, p in enumerate(model.initial_dist) if p > 0.0)
-
-
 @cache
 def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k: int) -> tuple:
     """Slots that enter member k's view between t and t+1, in layout
@@ -221,59 +224,237 @@ def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k
     return tuple(s for s in c_next + p_next[0] if s not in old and s != (t, k, "act"))
 
 
-def _member_step(model, structure, k, others, particles, t, own_action):
-    """Advance member k's particles one step under own action ``own_action``.
+def _sequences(obs: np.ndarray, act: np.ndarray) -> list:
+    """(obs_seq, act_seq) tuples of the histories held in ``obs`` and
+    ``act``, each ``(H, t, K)``."""
+    return [
+        (tuple(map(tuple, o)), tuple(map(tuple, a))) for o, a in zip(obs.tolist(), act.tolist())
+    ]
 
-    Returns (immediate cost term, branches) where branches maps the values
-    of the newly revealed view slots, in sorted order, to (branch weight,
-    normalized child particles); child weights are merged over coinciding
-    assignments and listed in canonical order.  This is the one member-side
-    forward step: the member DP expands nodes with it and
-    :func:`member_conditional` replays it along a view.
+
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """True where a row of the (sorted) 2-D ``rows`` differs from the one
+    before it."""
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return starts
+
+
+def _lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of each row of ``rows`` (``(H, t, K)``) in
+    lexicographic order of its time-major values."""
+    flat = rows.reshape(len(rows), -1)
+    rank = np.zeros(len(flat), dtype=np.intp)
+    if flat.shape[1]:
+        order = np.lexsort(flat.T[::-1])
+        rank[order] = np.cumsum(_starts(flat[order])) - 1
+    return rank
+
+
+@dataclass
+class _MemberStage:
+    """The particles of every node of one member-tree stage, as arrays.
+
+    A particle is (node row, state, history, weight).  The particles of a
+    node are contiguous and in the node's canonical (state, obs_seq,
+    act_seq) order.  ``hist`` indexes the stage's distinct full
+    histories, listed in first-occurrence particle order, whose joint
+    observations and actions ``obs`` and ``act`` hold time-major as
+    ``(H, time, K)``; the co-strategies read whole histories, so the
+    stage keeps them.  The ``(state, obs_seq, act_seq, weight)`` tuples
+    are built only when asked for.
     """
-    new_slots = _revealed_slots(structure, model.num_members, t, k)
-    kerns = model.observation_kernels
-    imm = 0.0
-    groups: dict[tuple, dict] = {}
-    for x, obs_seq, act_seq, w in particles:
-        u = tuple(
-            own_action if m == k else _co_action(others, m, obs_seq, act_seq, t)
-            for m in range(model.num_members)
+
+    time: int
+    num_nodes: int
+    num_states: int
+    node: np.ndarray
+    x: np.ndarray
+    hist: np.ndarray
+    w: np.ndarray
+    obs: np.ndarray
+    act: np.ndarray
+
+    @cached_property
+    def sequences(self) -> list:
+        return _sequences(self.obs, self.act)
+
+    @cached_property
+    def bounds(self) -> list:
+        """Node row r holds particles ``bounds[r]:bounds[r + 1]``."""
+        return [0] + np.cumsum(np.bincount(self.node, minlength=self.num_nodes)).tolist()
+
+    @cached_property
+    def _tuples(self) -> tuple:
+        seqs = self.sequences
+        rows = zip(self.x.tolist(), self.hist.tolist(), self.w.tolist())
+        return tuple((x, *seqs[h], w) for x, h, w in rows)
+
+    def particles(self, row: int) -> tuple:
+        """Node ``row``'s particles as (state, obs_seq, act_seq, weight)."""
+        return self._tuples[self.bounds[row] : self.bounds[row + 1]]
+
+    @cached_property
+    def marginals(self) -> np.ndarray:
+        """Every node's state marginal, ``(N, S)``, summed in particle order."""
+        S = self.num_states
+        flat = np.bincount(self.node * S + self.x, self.w, minlength=self.num_nodes * S)
+        return flat.reshape(self.num_nodes, S)
+
+
+def _particle_stage(model: TeamModel, t: int, particles) -> _MemberStage:
+    """One-node stage of ``particles``, ((state, obs_seq, act_seq, weight),
+    ...) at time t, kept in the given order."""
+    ids: dict = {}
+    hist = [ids.setdefault((o, a), len(ids)) for _, o, a, _ in particles]
+    shape = (len(ids), t, model.num_members)
+    return _MemberStage(
+        time=t,
+        num_nodes=1,
+        num_states=model.num_states,
+        node=np.zeros(len(hist), dtype=np.intp),
+        x=np.array([p[0] for p in particles], dtype=np.intp),
+        hist=np.array(hist, dtype=np.intp),
+        w=np.array([p[3] for p in particles], dtype=float),
+        obs=np.array([o for o, _ in ids], dtype=np.intp).reshape(shape),
+        act=np.array([a for _, a in ids], dtype=np.intp).reshape(shape),
+    )
+
+
+def _root_stage(model: TeamModel) -> _MemberStage:
+    particles = [(x, (), (), float(p)) for x, p in enumerate(model.initial_dist) if p > 0.0]
+    return _particle_stage(model, 0, particles)
+
+
+@dataclass
+class _MemberStep:
+    """Forward half of a member stage.  ``immediate`` ``(N, O)`` is each
+    node's expected stage cost per own action; per child node, in the
+    next stage's row order, ``parent`` and ``own`` are the node row and
+    own-action column it branches from, ``vals`` the values of the newly
+    revealed view slots and ``weight`` the branch probability."""
+
+    immediate: np.ndarray
+    parent: np.ndarray
+    own: np.ndarray
+    vals: np.ndarray
+    weight: np.ndarray
+
+
+def _member_stage(model, structure, k, others, stage, own_actions, node_budget=None, used=0):
+    """Expand every node of a member stage at once, under each own action
+    in ``own_actions`` (ascending).  This is the one member-side forward
+    step: the member DP builds its tree with it and
+    :func:`member_conditional` replays it along a view.
+
+    Co-actions are computed once per distinct history, in the history
+    table's first-occurrence order.  A leaf is (particle, own action, next
+    state, joint observation) with weight ``((w*p)*pm0)*pm1...``; leaves
+    that coincide in (history, own action, observation, next state) merge
+    in particle order.  Children are grouped into child nodes by (parent,
+    own action, revealed slot values), nodes in that order and particles
+    within a node in (state, obs_seq, act_seq) order; a branch weight sums
+    its children in that order and the children are divided by it.  Every
+    sum is an ``np.bincount`` in a fixed order, so a node's numbers do not
+    depend on the other nodes of its stage.  Returns (:class:`_MemberStep`,
+    child stage).
+
+    When ``node_budget`` is given, raises BudgetExceededError before
+    building the child stage if ``used`` plus its node count exceeds it;
+    ``observed`` is the number of the first node past the budget.
+    """
+    t, K, S = stage.time, model.num_members, model.num_states
+    own = np.asarray(own_actions, dtype=np.intp)
+    O, H, N = len(own), len(stage.obs), stage.num_nodes
+    joint = np.empty((H, O, K), dtype=np.intp)
+    joint[:, :, k] = own
+    for h, (obs_seq, act_seq) in enumerate(stage.sequences):
+        for m in range(K):
+            if m != k:
+                joint[h, :, m] = _co_action(others, m, obs_seq, act_seq, t)
+    flat = np.zeros((H, O), dtype=np.intp)
+    for m in range(K):
+        flat = flat * model.action_sizes[m] + joint[:, :, m]
+
+    # immediate costs: particles of a node summed in order, per own action
+    a = flat[stage.hist]
+    x = stage.x[:, None]
+    w = stage.w[:, None]
+    pair = stage.node[:, None] * O + np.arange(O)
+    immediate = np.bincount(
+        pair.ravel(), (w * model.stage_cost[t][x, a]).ravel(), minlength=N * O
+    ).reshape(N, O)
+
+    # leaves (particle, own, x', y), merged into children (history, own, y, x')
+    ys = np.array(model.joint_observations, dtype=np.intp)
+    Y = len(ys)
+    trans = model.transition[x, a]
+    leaf = (w[:, :, None] * trans)[..., None]
+    live = (trans != 0.0)[..., None]
+    for m in range(K):
+        pm = model.observation_kernels[m][:, ys[:, m]]
+        leaf = leaf * pm
+        live = live & (pm > 0.0)
+    hist_own = stage.hist[:, None] * O + np.arange(O)
+    child = ((hist_own[:, :, None, None] * Y + np.arange(Y)) * S + np.arange(S)[:, None])[live]
+    size = H * O * Y * S
+    c = np.flatnonzero(np.bincount(child, minlength=size))
+    cw = np.bincount(child, leaf[live], minlength=size)[c]
+    x2, c = c % S, c // S
+    y, c = c % Y, c // Y
+    o, h = c % O, c // O
+
+    def value(slot):
+        s, j, kind = slot
+        if kind == "obs":
+            return ys[y, j] if s == t + 1 else stage.obs[h, s - 1, j]
+        return joint[h, o, j] if s == t else stage.act[h, s, j]
+
+    # child nodes: (parent, own, revealed values), then canonical particle order
+    hist_node = np.empty(H, dtype=np.intp)
+    hist_node[stage.hist] = stage.node
+    branch = np.column_stack(
+        [hist_node[h], o] + [value(slot) for slot in _revealed_slots(structure, K, t, k)]
+    )
+    order = np.lexsort(
+        (flat[h, o], _lex_rank(stage.act)[h], y, _lex_rank(stage.obs)[h], x2)
+        + tuple(branch.T[::-1])
+    )
+    branch = branch[order]
+    starts = _starts(branch)
+    new_node = np.cumsum(starts) - 1
+    count = int(np.count_nonzero(starts))
+    if node_budget is not None and used + count > node_budget:
+        raise BudgetExceededError(
+            f"member tree exceeds node budget {node_budget}",
+            budget=node_budget,
+            observed=max(node_budget, used) + 1,
         )
-        a = model.flat_action(u)
-        imm += w * float(model.stage_cost[t, x, a])
-        act2 = act_seq + (u,)
-        row = model.transition[x, a]
-        for x2 in range(model.num_states):
-            p = float(row[x2])
-            if p == 0.0:
-                continue
-            choices = [
-                [
-                    (yv, float(kerns[m][x2, yv]))
-                    for yv in range(model.observation_sizes[m])
-                    if kerns[m][x2, yv] > 0.0
-                ]
-                for m in range(model.num_members)
-            ]
-            for combo in product(*choices):
-                y = tuple(v for v, _ in combo)
-                wy = w * p
-                for _, pm in combo:
-                    wy *= pm
-                obs2 = obs_seq + (y,)
-                vals = tuple(
-                    obs2[s - 1][j] if kind == "obs" else act2[s][j] for s, j, kind in new_slots
-                )
-                bucket = groups.setdefault(vals, {})
-                pk = (x2, obs2, act2)
-                bucket[pk] = bucket.get(pk, 0.0) + wy
-    branches = {}
-    for vals in sorted(groups):
-        plist = sorted(groups[vals].items())
-        wc = sum(wt for _, wt in plist)
-        branches[vals] = (wc, tuple((x2, o2, a2, wt / wc) for (x2, o2, a2), wt in plist))
-    return imm, branches
+    cw = cw[order]
+    weight = np.bincount(new_node, cw, minlength=count)
+    step = _MemberStep(
+        immediate, branch[starts, 0], branch[starts, 1], branch[starts, 2:], weight
+    )
+
+    # the child stage's histories, in first-occurrence order
+    h, o, y = h[order], o[order], y[order]
+    _, seen_at, inverse = np.unique((h * O + o) * Y + y, return_index=True, return_inverse=True)
+    seen = np.argsort(seen_at)
+    relabel = np.empty_like(seen)
+    relabel[seen] = np.arange(len(seen))
+    src = seen_at[seen]
+    children = _MemberStage(
+        time=t + 1,
+        num_nodes=count,
+        num_states=S,
+        node=new_node,
+        x=x2[order],
+        hist=relabel[inverse],
+        w=cw / weight[new_node],
+        obs=np.concatenate([stage.obs[h[src]], ys[y[src]][:, None, :]], axis=1),
+        act=np.concatenate([stage.act[h[src]], joint[h[src], o[src]][:, None, :]], axis=1),
+    )
+    return step, children
 
 
 def member_conditional(
@@ -285,12 +466,13 @@ def member_conditional(
     """Joint conditional over (state, history assignment) given one
     member's view, with co-members following ``others_strategies``.
 
-    Replays the member DP's forward step from the root: at each s < t it
-    steps with the view's own action at s and keeps the branch whose newly
-    revealed slot values match the view, so the result equals the member
-    DP's node at this view bit for bit.  Raises UndefinedCoStrategyError
-    if a co-strategy is missing or undefined, ZeroLikelihoodError if the
-    view is impossible under the profile.
+    Replays the member DP's stage kernel from the root on a one-node
+    stage: at each s < t it expands with the view's own action at s and
+    keeps the branch whose newly revealed slot values match the view, so
+    the result equals the member DP's node at this view bit for bit.
+    Raises UndefinedCoStrategyError if a co-strategy is missing or
+    undefined, ZeroLikelihoodError if the view is impossible under the
+    profile.
     """
     if view.member is None:
         raise ValueError("member view required")
@@ -302,17 +484,18 @@ def member_conditional(
         if j != k and j not in others:
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
     known = view_known(view)
-    particles = _root_particles(model)
+    stage = _root_stage(model)
     for s in range(t):
         own = known.get((s, k, "act"))
         if own is None:
             raise IncompleteHistoryError(f"member {k}'s own action at time {s} is not in the view")
-        _, branches = _member_step(model, structure, k, others, particles, s, own)
-        vals = tuple(known[slot] for slot in _revealed_slots(structure, K, s, k))
-        if vals not in branches:
+        step, children = _member_stage(model, structure, k, others, stage, [own])
+        vals = [known[slot] for slot in _revealed_slots(structure, K, s, k)]
+        match = np.flatnonzero(np.all(step.vals == vals, axis=1))
+        if not len(match):
             raise ZeroLikelihoodError("view has probability zero under the co-strategy profile")
-        particles = branches[vals][1]
-    return JointConditional(member=k, time=t, entries=particles)
+        stage = _particle_stage(model, s + 1, children.particles(int(match[0])))
+    return JointConditional(member=k, time=t, entries=stage.particles(0))
 
 
 def member_belief(

@@ -120,30 +120,36 @@ def linear_search(
 ) -> tuple[LinearStrategy, float]:
     """Brute-force minimum of :func:`expected_cost` over a gain grid.
 
-    Vectorized over slabs of the first-gain axis, each broadcast against
-    the whole (pooled, correction) plane and holding at most
-    ``SLAB_POINTS`` points where one plane fits, so memory does not grow
-    with the first axis.  Ties go to the first flat index (first_gain
-    varies slowest, correction_gain fastest), as one argmin over the full
-    product grid would give.
+    Vectorized over slabs of the product grid holding at most
+    ``SLAB_POINTS`` points where a correction row fits: runs of whole
+    (pooled, correction) planes when a plane fits, else runs of pooled
+    rows within one first gain, so memory grows with neither the first
+    nor the pooled axis.  Slabs are visited in flat order, so ties go to
+    the first flat index (first_gain varies slowest, correction_gain
+    fastest), as one argmin over the full product grid would give.
     """
     a = np.asarray(first_grid, dtype=float)
     b = np.asarray(pooled_grid, dtype=float)[:, None]
     d = np.asarray(correction_grid, dtype=float)
-    rows = max(1, SLAB_POINTS // max(1, b.size * d.size))
+    plane = b.size * d.size
+    if plane <= SLAB_POINTS:
+        rows, cols = max(1, SLAB_POINTS // max(1, plane)), max(1, b.size)
+    else:
+        rows, cols = 1, max(1, SLAB_POINTS // max(1, d.size))
     best = None
     for lo in range(0, max(a.size, 1), rows):
-        costs = _cost_grid(instance, a[lo : lo + rows, None, None], b, d)
-        flat = int(np.argmin(costs))
-        cost = costs.flat[flat]
-        # np.argmin takes the first nan, so a later slab's nan beats a number
-        if best is None or cost < best[0] or (np.isnan(cost) and not np.isnan(best[0])):
-            best = (cost, lo, costs.shape, flat)
-    cost, lo, shape, flat = best
+        for mid in range(0, max(b.size, 1), cols):
+            costs = _cost_grid(instance, a[lo : lo + rows, None, None], b[mid : mid + cols], d)
+            flat = int(np.argmin(costs))
+            cost = costs.flat[flat]
+            # np.argmin takes the first nan, so a later slab's nan beats a number
+            if best is None or cost < best[0] or (np.isnan(cost) and not np.isnan(best[0])):
+                best = (cost, lo, mid, costs.shape, flat)
+    cost, lo, mid, shape, flat = best
     ia, ib, id_ = np.unravel_index(flat, shape)
     strat = LinearStrategy(
         first_gain=float(a[lo + ia]),
-        pooled_gain=float(b[ib, 0]),
+        pooled_gain=float(b[mid + ib, 0]),
         correction_gain=float(d[id_]),
     )
     return strat, float(cost)

@@ -7,6 +7,8 @@ case.  The structural probes (positive scaling, concavity in the belief
 or conditional weights) certify the backup operators themselves.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import HashedCentralizedStrategy, HashedMemberStrategy, random_model
@@ -17,6 +19,8 @@ from teamdp import (
     IncompleteHistoryError,
     InformationStructure,
     ManagerProjectionStrategy,
+    MemberTableStrategy,
+    UndefinedCoStrategyError,
     backup,
     compare_solutions,
     evaluate_member_value,
@@ -26,7 +30,7 @@ from teamdp import (
     solve_member,
 )
 from teamdp import oracle
-from teamdp.model import history_key, tiebreak_joint_actions, view_known
+from teamdp.model import history_key, prefix_view, tiebreak_joint_actions, view_key, view_known
 
 POOLED_VARIANTS = [
     InformationStructure("delayed_sharing", delays=(1, 1)),
@@ -353,6 +357,170 @@ def test_member_node_budget(toy2):
         solve_member(model, structure, 0, co, node_budget=1)
     assert info.value.budget == 1
     assert info.value.observed > 1
+
+
+# (seed, shape, positive, structure index) -> (root_value.hex(),
+# node_counts, argmins in sorted view-key order, table digest), recorded
+# before the member tree was held as arrays
+PIN_MEMBER_STRUCTURES = POOLED_VARIANTS + [
+    InformationStructure("delayed_sharing", delays=(2, 2)),
+    InformationStructure("delayed_sharing", delays=(2, 1)),
+    InformationStructure("periodic_sharing", period=2),
+    InformationStructure("no_sharing"),
+]
+PINNED_MEMBER = {
+    (600, "k2", True, 0): (
+        "0x1.7d7b97cca90b6p+0", (1, 4, 32, 256),
+        "1000010110000000010110011001111110011", "3a667eea74af6857",
+    ),
+    (601, "k2", False, 0): (
+        "0x1.957a0af2668c6p+0", (1, 3, 21, 142),
+        "0011000000000100000000100", "e27585ba55d9c295",
+    ),
+    (602, "k2", True, 1): (
+        "0x1.301df51fe5530p+1", (1, 4, 32, 256),
+        "0111010111000101010101011101010101010", "a41b77854e2302c6",
+    ),
+    (603, "k2", False, 1): (
+        "0x1.ab2acade931fep+0", (1, 4, 32, 216),
+        "0111100110011111100111011001111000011", "0865c91bc3bdf74c",
+    ),
+    (604, "k2", True, 2): (
+        "0x1.e77a6ad922c20p+0", (1, 4, 32, 256),
+        "1111100100010001100101010101010101010", "25a7119c34f54b72",
+    ),
+    (605, "k2", False, 2): (
+        "0x1.35dcde431a820p+0", (1, 4, 22, 110),
+        "100000010001001001000000000", "46305d0b802bc3d2",
+    ),
+    (606, "k2", True, 3): (
+        "0x1.b98e975a378a2p+0", (1, 4, 16, 128),
+        "111110000000000000000", "49b6279e73a3b2f7",
+    ),
+    (607, "k2", False, 3): (
+        "0x1.8ba3aa6b80e8dp+0", (1, 4, 13, 70),
+        "110010100000000100", "89dcef587f21b877",
+    ),
+    (608, "k2", True, 4): (
+        "0x1.ca5b3e2f0f0fap+0", (1, 4, 16, 128),
+        "100000000000000000000", "aa89b669a6cec546",
+    ),
+    (609, "k2", False, 4): (
+        "0x1.4532943c7cf66p+0", (1, 4, 16, 112),
+        "011110000000000000000", "d1699a1e2722780c",
+    ),
+    (610, "k2", True, 5): (
+        "0x1.a89a58d9a8416p+0", (1, 4, 32, 256),
+        "0010100010000000000000000000000000000", "d8097d660a9094b0",
+    ),
+    (611, "k2", False, 5): (
+        "0x1.98053a112586bp+0", (1, 4, 16, 96),
+        "101010011000000010000", "d9e3ef5679224924",
+    ),
+    (612, "k2", True, 6): (
+        "0x1.af0d71e93b983p+0", (1, 4, 16, 256),
+        "001010000000000000000", "59ed7c3d1f509c0d",
+    ),
+    (613, "k2", False, 6): (
+        "0x1.7d808945fd7d7p+0", (1, 4, 16, 236),
+        "010000101010101010101", "51bf1adeb145a316",
+    ),
+    (614, "k2", True, 7): (
+        "0x1.795db36355124p+0", (1, 4, 16, 64),
+        "000001111111111111111", "57db5bb0e63bc7fd",
+    ),
+    (615, "k2", False, 7): (
+        "0x1.6c8a3b95dbfe8p+0", (1, 4, 16, 64),
+        "101011011101011111110", "2689ec8a1d6478b2",
+    ),
+    (700, "k3", True, 0): ("0x1.52591d6325856p+0", (1, 4, 64), "10001", "503e9d19c86f12ca"),
+    (702, "a32", False, 5): ("0x1.1f11594d50ea3p+0", (1, 6, 60), "2121020", "9a9c764f316fd92e"),
+}
+
+
+def table_digest(table):
+    text = "\n".join(f"{k}={v}" for k, v in sorted(table.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MEMBER), ids=str)
+def test_member_solve_pinned(case):
+    """Member solves on positive and zero-entry kernels, three members
+    and uneven action counts reproduce recorded bits; the member value
+    from the root's conditional is the root value exactly."""
+    seed, shape, positive, index = case
+    if shape == "k3":
+        model = random_model(seed, num_members=3, positive=positive)
+        structure = InformationStructure("delayed_sharing", delays=(1, 2, 1))
+    else:
+        kw = {"action_sizes": (3, 2)} if shape == "a32" else {"horizon": 3}
+        model = random_model(seed, positive=positive, **kw)
+        structure = PIN_MEMBER_STRUCTURES[index]
+    k = seed % model.num_members
+    co = {
+        j: HashedMemberStrategy(model, structure, j, salt=seed + j)
+        for j in range(model.num_members)
+        if j != k
+    }
+    sol = solve_member(model, structure, k, co)
+    table = sol.strategy.table
+    argmins = "".join(str(v) for _, v in sorted(table.items()))
+    got = (sol.root_value.hex(), sol.node_counts, argmins, table_digest(table))
+    assert got == PINNED_MEMBER[case]
+    root = next(iter(sol.nodes[0].values()))
+    assert evaluate_member_value(model, structure, k, co, (0, root.particles)) == sol.root_value
+
+
+class RecordingMemberStrategy(HashedMemberStrategy):
+    """Hashed member strategy that records its action at every view key."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.table = {}
+
+    def member_action(self, obs_seq, act_seq, t):
+        action = super().member_action(obs_seq, act_seq, t)
+        view = prefix_view(self.structure, self.model.num_members, obs_seq, act_seq, t, self.member)
+        self.table[view_key(view)] = action
+        return action
+
+
+# the co-strategy error of a member-1 table holding only the root view,
+# recorded before the member tree was held as arrays
+FIRST_UNDEFINED_VIEW = {
+    "toy2": "member 1 has no action for view 't=1;k=1;c[a0^0:0,a0^1:0];p[o1:0]'",
+    "zero_entry": "member 1 has no action for view 't=1;k=1;c[a0^0:0,a0^1:0];p[o1:1]'",
+}
+
+
+@pytest.mark.parametrize("instance", ["toy2", "zero_entry"])
+def test_member_node_budget_is_checked_per_stage(instance, toy2):
+    """A budget of the tree size passes; smaller budgets report the first
+    node past the budget, as when nodes were counted one at a time; a
+    co-strategy table missing views names the view first reached."""
+    model, structure = {
+        "toy2": toy2,
+        "zero_entry": (random_model(601, horizon=3, positive=False), POOLED_VARIANTS[0]),
+    }[instance]
+    co = {1: RecordingMemberStrategy(model, structure, 1, salt=5)}
+    sol = solve_member(model, structure, 0, co)
+    size = sum(sol.node_counts)
+    assert solve_member(model, structure, 0, co, node_budget=size).node_counts == sol.node_counts
+    for budget in (1, size - 1):
+        with pytest.raises(BudgetExceededError) as info:
+            solve_member(model, structure, 0, co, node_budget=budget)
+        assert (info.value.budget, info.value.observed) == (budget, budget + 1)
+
+    table = dict(co[1].table)
+    missing = sorted(table)[len(table) // 2]
+    del table[missing]
+    with pytest.raises(UndefinedCoStrategyError) as info:
+        solve_member(model, structure, 0, {1: MemberTableStrategy(model, structure, 1, table)})
+    assert str(info.value) == f"member 1 has no action for view {missing!r}"
+    only_root = {"t=0;k=1;c[];p[]": 0}
+    with pytest.raises(UndefinedCoStrategyError) as info:
+        solve_member(model, structure, 0, {1: MemberTableStrategy(model, structure, 1, only_root)})
+    assert str(info.value) == FIRST_UNDEFINED_VIEW[instance]
 
 
 def test_single_member_solves_agree(chain1):

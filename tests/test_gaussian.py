@@ -90,13 +90,22 @@ SEARCH_GRIDS = [
     # gain, so -0.5 and 0.5 tie exactly and the first (-0.5) must win
     (0.0, np.array([-1.0, -0.5, 0.5, 1.0]), np.array([1.0]), np.array([0.0])),
     (0.2, np.array([0.0, np.nan, 1.0, np.nan]), np.linspace(0.0, 1.0, 3), np.array([-1.0, 0.0])),
+    # one first gain, so only the pooled axis can be split: 11 pooled rows
+    # are a multiple of neither 5 (40 points) nor 1
+    (0.4, np.array([0.7]), np.linspace(0.0, 1.0, 11), np.linspace(-1.0, 1.0, 7)),
+    # with c = 0 and the first and correction gains 0 the cost is
+    # (1 - B)^2 + B^2, so pooled gains 0.25 and 0.75 tie exactly and the
+    # first must win; and a nan in a later pooled slab beats every number
+    (0.0, np.array([0.0]), np.array([0.0, 0.25, 0.75, 1.0]), np.array([0.0])),
+    (0.2, np.array([0.5]), np.array([0.0, np.nan, 1.0, np.nan]), np.array([-1.0, 0.0])),
 ]
 
 
 @pytest.mark.parametrize("slab", [1, 40, 100, 1 << 16])
 def test_slabbed_search_matches_full_grid(slab, monkeypatch):
     """Slabs of 1, 2 and 6 first-gain rows (23 is a multiple of none),
-    exact ties across slabs, and nan, which argmin takes first."""
+    slabs of 1 and 5 pooled rows within one first gain, exact ties across
+    slabs of either axis, and nan, which argmin takes first."""
     monkeypatch.setattr(gaussian, "SLAB_POINTS", slab)
     for c, first, pooled, correction in SEARCH_GRIDS:
         inst = GaussianInstance(c)
@@ -104,6 +113,8 @@ def test_slabbed_search_matches_full_grid(slab, monkeypatch):
         assert bits(found) == bits(full_grid_search(inst, first, pooled, correction))
     tie = SEARCH_GRIDS[2]
     assert linear_search(GaussianInstance(tie[0]), *tie[1:])[0].first_gain == -0.5
+    tie = SEARCH_GRIDS[5]
+    assert linear_search(GaussianInstance(tie[0]), *tie[1:])[0].pooled_gain == 0.25
 
 
 def test_mc_estimate_within_three_std_errors():

@@ -550,3 +550,23 @@ def test_decentralized_ties_go_to_the_first_profile():
         "t=1;k=0;c[a0^0:1,a0^1:0];p[o1:0]": 0,
         "t=1;k=0;c[a0^0:1,a0^1:0];p[o1:1]": 0,
     }
+
+
+def test_centralized_ties_go_to_the_first_table():
+    """When member 1's action changes nothing, every table ties with the
+    ones that differ only in member 1's components, and the first in
+    enumeration order (member 1 playing 0 at every history) wins."""
+    base = random_model(7, positive=False)
+    transition, stage_cost = base.transition.copy(), base.stage_cost.copy()
+    transition[:, 1::2] = transition[:, 0::2]
+    stage_cost[:, :, 1::2] = stage_cost[:, :, 0::2]
+    model = dataclasses.replace(base, transition=transition, stage_cost=stage_cost)
+    rc = oracle.enumerate_centralized(model, POOLED_VARIANTS[0])
+    assert rc.num_strategies == 1024
+    assert rc.strategy.table == {
+        "": (1, 0),
+        "u0=1,0;y1=0,0": (0, 0),
+        "u0=1,0;y1=0,1": (0, 0),
+        "u0=1,0;y1=1,0": (0, 0),
+        "u0=1,0;y1=1,1": (0, 0),
+    }
