@@ -96,14 +96,14 @@ def main() -> None:
     profile = DecentralizedStrategy(
         model, sharing, [EchoLastReading(0), EchoLastReading(1)]
     )
-    traj = rollout(model, sharing, profile, seed=args.seed).trajectory
+    traj = rollout(model, profile, seed=args.seed).trajectory
     show_trajectory(model, traj)
 
     print("pooled posterior over the hidden state, epoch by epoch:")
     for t in range(model.horizon + 1):
         views = extract_views(sharing, traj, t, None)
         belief = team_belief_from_history(model, sharing, views)
-        ref = oracle.exact_posterior(model, sharing, None, views)
+        ref = oracle.exact_posterior(model, None, views)
         err = float(np.max(np.abs(belief.probs - ref)))
         probs = ", ".join(f"P({s})={p:.4f}" for s, p in zip(model.states, belief.probs))
         print(f"  t={t}: {probs}   (vs enumeration: max err {err:.1e})")
@@ -139,7 +139,7 @@ def main() -> None:
             prof = DecentralizedStrategy(
                 model, structure, [EchoLastReading(0), EchoLastReading(1)]
             )
-            ref = oracle.exact_posterior(model, structure, prof, view)
+            ref = oracle.exact_posterior(model, prof, view)
             err = float(np.max(np.abs(mine.probs - ref)))
             probs = ", ".join(f"{p:.4f}" for p in mine.probs)
             print(f"  {label:38s} station {k}: ({probs})  max err {err:.1e}")

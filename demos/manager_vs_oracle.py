@@ -89,12 +89,12 @@ def main() -> None:
 
     # the same dominance holds node by node: pick one history and compare
     g = HashedStrategy(model, 0)
-    outs = oracle.enumerate_outcomes(model, structure, g)
+    outs = oracle.enumerate_outcomes(model, g)
     traj = outs[0].trajectory
     t = 1
     key = history_key(traj.actions[:t], traj.observations[:t])
     node = sol.value_function.stages[t][key]
-    ctg = oracle.exact_cost_to_go(model, structure, g, traj.observations[:t], traj.actions[:t], t)
+    ctg = oracle.exact_cost_to_go(model, g, traj.observations[:t], traj.actions[:t], t)
     print(f"\nat one realized history ({key!r}):")
     print(f"  optimal cost-to-go {node.value:.6f} <= strategy's cost-to-go {ctg:.6f}")
 

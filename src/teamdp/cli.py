@@ -274,9 +274,7 @@ def _cmd_compare(model, structure, args):
 
 def _cmd_simulate(model, structure, args):
     mgr = solve_manager(model, structure, node_budget=args.node_budget)
-    est = estimate_cost(
-        model, structure, mgr.strategy, SimConfig(samples=args.samples, seed=args.seed)
-    )
+    est = estimate_cost(model, mgr.strategy, SimConfig(samples=args.samples, seed=args.seed))
     exact = exact_cost(model, structure, mgr.strategy)
     abs_error = abs(est.mean - exact)
     results = {

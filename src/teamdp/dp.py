@@ -302,13 +302,12 @@ def solve_manager(
 
     vf = ValueFunction(horizon=T, stages=tuple(value_stages))
     table = {k: nv.argmin for stage in value_stages[:T] for k, nv in stage.items()}
-    node_beliefs = {k: nv.belief for stage in value_stages for k, nv in stage.items()}
-    strategy = SeparatedTeamStrategy(model, structure, table, node_beliefs=node_beliefs)
+    strategy = SeparatedTeamStrategy(model, table)
     counts = tuple(len(b) for b in beliefs)
     return ManagerSolution(vf, strategy, float(vf.root.value), counts)
 
 
-def evaluate_value(model: TeamModel, structure: InformationStructure, t: int, belief) -> float:
+def evaluate_value(model: TeamModel, t: int, belief) -> float:
     """Optimal cost-to-go from an arbitrary time-t belief: the same stage
     kernel as :func:`solve_manager`, run over the tree reachable from that
     belief alone.  Accepts a Belief or a raw vector."""

@@ -191,9 +191,7 @@ def team_belief_from_history(
 
 
 def _check_view_layout(model, structure, view):
-    common, privates = view_slots(
-        structure, model.num_members, view.time, view.time, view.member
-    )
+    common, privates = view_slots(structure, model.num_members, view.time, view.member)
     have_common = tuple((s, j, kind) for s, j, kind, _ in view.common)
     if have_common != common:
         raise ValueError("view common slots do not match the structure")
@@ -218,9 +216,9 @@ def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k
     """Slots that enter member k's view between t and t+1, in layout
     order.  The member's own time-t action is left out: it is the
     decision, not an innovation."""
-    c_now, p_now = view_slots(structure, num_members, t, t, k)
+    c_now, p_now = view_slots(structure, num_members, t, k)
     old = set(c_now) | set(p_now[0])
-    c_next, p_next = view_slots(structure, num_members, t + 1, t + 1, k)
+    c_next, p_next = view_slots(structure, num_members, t + 1, k)
     return tuple(s for s in c_next + p_next[0] if s not in old and s != (t, k, "act"))
 
 

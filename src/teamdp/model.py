@@ -14,14 +14,14 @@ Conventions used throughout the package:
   by the model;
 * joint actions are flattened row-major in member order (member K varies
   fastest) wherever a flat index is needed, matching the scenario wire
-  format.  Tie-breaking loops instead enumerate joint actions with member 1
+  format.  Tie-breaking loops instead enumerate joint actions with member 0
   varying fastest; see :func:`tiebreak_joint_actions`.
 
 Information sharing patterns are described by :class:`InformationStructure`
 and realized by :func:`extract_views`, which splits a trajectory at time t
 into the common pool available to everybody and each member's private
-stream.  All index ranges are clipped to data that exists under the timing
-convention above.
+stream.  A view at time t reaches back from t, so index ranges are only
+clipped below: no observation before t = 1, no action before t = 0.
 """
 
 from __future__ import annotations
@@ -340,14 +340,14 @@ def validate_structure(structure: InformationStructure, num_members: int) -> lis
 # ---------------------------------------------------------------------------
 # view slots
 
-def _obs_times(lo: int, hi: int, horizon: int) -> range:
-    """Observation times in [lo, hi] that exist (clipped to 1..T)."""
-    return range(max(lo, 1), min(hi, horizon) + 1)
+def _obs_times(lo: int, hi: int) -> range:
+    """Observation times in [lo, hi] that exist (clipped below at 1)."""
+    return range(max(lo, 1), hi + 1)
 
 
-def _act_times(lo: int, hi: int, horizon: int) -> range:
-    """Action times in [lo, hi] that exist (clipped to 0..T-1)."""
-    return range(max(lo, 0), min(hi, horizon - 1) + 1)
+def _act_times(lo: int, hi: int) -> range:
+    """Action times in [lo, hi] that exist (clipped below at 0)."""
+    return range(max(lo, 0), hi + 1)
 
 
 def _periodic_boundary(t: int, period: int) -> int:
@@ -368,7 +368,7 @@ def _arrival(structure: InformationStructure, s: int, member: int) -> int:
     raise ValueError("no common pool under no_sharing")
 
 
-def _common_slots(structure: InformationStructure, K: int, horizon: int, t: int) -> tuple[Slot, ...]:
+def _common_slots(structure: InformationStructure, K: int, t: int) -> tuple[Slot, ...]:
     v = structure.variant
     slots: list[tuple[int, int, int, str]] = []  # (arrival, time, kind_order, member) carrier
     if v == "no_sharing":
@@ -378,9 +378,9 @@ def _common_slots(structure: InformationStructure, K: int, horizon: int, t: int)
         if b == 0:
             return ()
         for j in range(K):
-            for s in _obs_times(1, b, horizon):
+            for s in _obs_times(1, b):
                 slots.append((_arrival(structure, s, j), s, 0, j))
-            for s in _act_times(0, b, horizon):
+            for s in _act_times(0, b):
                 slots.append((_arrival(structure, s, j), s, 1, j))
     else:
         share_obs = v in ("delayed_sharing", "delayed_observation_sharing")
@@ -388,36 +388,36 @@ def _common_slots(structure: InformationStructure, K: int, horizon: int, t: int)
         for j in range(K):
             n = structure.delays[j]
             if share_obs:
-                for s in _obs_times(1, t - n, horizon):
+                for s in _obs_times(1, t - n):
                     slots.append((s + n, s, 0, j))
             if share_act:
-                for s in _act_times(0, t - n, horizon):
+                for s in _act_times(0, t - n):
                     slots.append((s + n, s, 1, j))
     slots.sort()
     return tuple((s, j, "obs" if kind == 0 else "act") for _, s, kind, j in slots)
 
 
-def _private_slots(structure: InformationStructure, horizon: int, t: int, k: int) -> tuple[Slot, ...]:
+def _private_slots(structure: InformationStructure, t: int, k: int) -> tuple[Slot, ...]:
     v = structure.variant
     if v == "delayed_sharing":
         n = structure.delays[k]
-        obs = _obs_times(t - n + 1, t, horizon)
-        act = _act_times(t - n + 1, t - 1, horizon)
+        obs = _obs_times(t - n + 1, t)
+        act = _act_times(t - n + 1, t - 1)
     elif v == "periodic_sharing":
         b = _periodic_boundary(t, structure.period)
-        obs = _obs_times(b + 1, t, horizon)
-        act = _act_times(b + 1 if b > 0 else 0, t - 1, horizon)
+        obs = _obs_times(b + 1, t)
+        act = _act_times(b + 1 if b > 0 else 0, t - 1)
     elif v == "delayed_observation_sharing":
         n = structure.delays[k]
-        obs = _obs_times(t - n + 1, t, horizon)
-        act = _act_times(0, t - 1, horizon)
+        obs = _obs_times(t - n + 1, t)
+        act = _act_times(0, t - 1)
     elif v == "delayed_control_sharing":
         n = structure.delays[k]
-        obs = _obs_times(1, t, horizon)
-        act = _act_times(t - n + 1, t - 1, horizon)
+        obs = _obs_times(1, t)
+        act = _act_times(t - n + 1, t - 1)
     elif v == "no_sharing":
-        obs = _obs_times(1, t, horizon)
-        act = _act_times(0, t - 1, horizon)
+        obs = _obs_times(1, t)
+        act = _act_times(0, t - 1)
     else:
         raise ValueError(f"unknown variant {v!r}")
     merged = [(s, 0, "obs") for s in obs] + [(s, 1, "act") for s in act]
@@ -427,7 +427,7 @@ def _private_slots(structure: InformationStructure, horizon: int, t: int, k: int
 
 @cache
 def view_slots(
-    structure: InformationStructure, num_members: int, horizon: int, t: int, member: int | None
+    structure: InformationStructure, num_members: int, t: int, member: int | None
 ) -> tuple[tuple[Slot, ...], tuple[tuple[Slot, ...], ...]]:
     """Slot layout of a view at time t: (common slots, private slot streams).
 
@@ -436,11 +436,11 @@ def view_slots(
     The layout depends only on the arguments, so it is computed once per
     argument tuple and shared (it is built from tuples, hence immutable).
     """
-    common = _common_slots(structure, num_members, horizon, t)
+    common = _common_slots(structure, num_members, t)
     if member is None:
-        privates = tuple(_private_slots(structure, horizon, t, k) for k in range(num_members))
+        privates = tuple(_private_slots(structure, t, k) for k in range(num_members))
     else:
-        privates = (_private_slots(structure, horizon, t, member),)
+        privates = (_private_slots(structure, t, member),)
     return common, privates
 
 
@@ -465,7 +465,7 @@ def prefix_view(
     the joint action at time i; the prefixes must reach time t (t joint
     observations, t joint actions, fewer only at the horizon boundary).
     """
-    common_slots, private_streams = view_slots(structure, num_members, t, t, member)
+    common_slots, private_streams = view_slots(structure, num_members, t, member)
     common = tuple(
         (s, j, kind, _value_at(obs_seq, act_seq, (s, j, kind))) for s, j, kind in common_slots
     )

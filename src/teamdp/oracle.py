@@ -6,8 +6,8 @@ dynamic-programming code, so it can serve as the trusted side of every
 cross-check.  Use it at desk scale only.
 
 The decentralized search enumerates profiles stage by stage and scores
-each one in the same pass, from the occupancies it already carries, with
-the arithmetic of :func:`exact_cost` in the same order; the last stage is
+each one in the same pass, from the occupancies it already carries,
+through the node expansion :func:`exact_cost` uses; the last stage is
 scored without building children.  The winner is then re-scored by
 :func:`exact_cost` through its member tables, and the two must agree to
 the bit.
@@ -118,33 +118,28 @@ def exact_cost(model: TeamModel, structure: InformationStructure, strategy) -> f
     history reached with positive probability.
     """
     occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
-    return _cost_from(model, strategy, (), (), occ0, 0)
+    return _cost_from(model, strategy, ((), (), occ0), 0)
 
 
-def _cost_from(model, strategy, obs_seq, act_seq, occ, t) -> float:
+def _cost_from(model, strategy, node, t) -> float:
+    """Cost-to-go of ``node`` = (obs_seq, act_seq, occupancy) at time t:
+    :func:`_expand` under the strategy's action, then each child's cost in
+    observation order."""
     T = model.horizon
+    obs_seq, act_seq, occ = node
     if t == T:
         return sum(w * model.terminal_cost[x] for x, w in occ.items())
-    u = strategy.joint_action(obs_seq, act_seq, t)
-    a = model.flat_action(u)
-    total = sum(w * model.stage_cost[t, x, a] for x, w in occ.items())
-    occp = _predict_occ(model, occ, a)
+    a = model.flat_action(strategy.joint_action(obs_seq, act_seq, t))
     if t + 1 == T:
         # the trailing observation carries no cost and integrates out
-        return total + sum(w * model.terminal_cost[x] for x, w in occp.items())
-    for y, occy in _split_by_obs(model, occp):
-        total += _cost_from(model, strategy, obs_seq + (y,), act_seq + (u,), occy, t + 1)
+        return _expand(model, node, t, a, True)
+    total, children = _expand(model, node, t, a, False)
+    for child in children:
+        total += _cost_from(model, strategy, child, t + 1)
     return total
 
 
-def exact_cost_to_go(
-    model: TeamModel,
-    structure: InformationStructure,
-    strategy,
-    obs_seq: tuple,
-    act_seq: tuple,
-    t: int,
-) -> float:
+def exact_cost_to_go(model: TeamModel, strategy, obs_seq: tuple, act_seq: tuple, t: int) -> float:
     """Expected cost from time t on, conditioned on a realized full-history
     prefix (t joint observations, t joint actions), with future actions
     drawn from ``strategy``."""
@@ -158,14 +153,14 @@ def exact_cost_to_go(
     if z == 0.0:
         raise ZeroLikelihoodError("history prefix has probability zero")
     occ = {x: w / z for x, w in occ.items()}
-    return _cost_from(model, strategy, tuple(obs_seq), tuple(act_seq), occ, t)
+    return _cost_from(model, strategy, (tuple(obs_seq), tuple(act_seq), occ), t)
 
 
 # ---------------------------------------------------------------------------
 # full outcome expansion
 
 
-def enumerate_outcomes(model: TeamModel, structure: InformationStructure, strategy) -> list[WeightedOutcome]:
+def enumerate_outcomes(model: TeamModel, strategy) -> list[WeightedOutcome]:
     """All positive-probability trajectories under ``strategy`` with their
     probabilities and realized costs.  Probabilities sum to one."""
     T = model.horizon
@@ -201,12 +196,7 @@ def enumerate_outcomes(model: TeamModel, structure: InformationStructure, strate
 # posteriors by conditioning the joint outcome law
 
 
-def exact_posterior(
-    model: TeamModel,
-    structure: InformationStructure,
-    strategy,
-    view: HistoryView,
-) -> np.ndarray:
+def exact_posterior(model: TeamModel, strategy, view: HistoryView) -> np.ndarray:
     """Distribution of x_t given a realized view, by direct conditioning.
 
     Sums the joint law induced by ``strategy`` over every trajectory
@@ -391,8 +381,8 @@ def _assignments(model, slots, node_keys):
 
 def _expand(model, node, t, a, last):
     """A node under flat joint action ``a``: (stage cost, child nodes in
-    observation order) or, at the last stage, its whole cost-to-go.  Sums
-    run exactly as in ``_cost_from``."""
+    observation order) or, at the last stage, its whole cost-to-go.
+    :func:`exact_cost` and the decentralized search both score with it."""
     obs_seq, act_seq, occ = node
     total = sum(w * model.stage_cost[t, x, a] for x, w in occ.items())
     occp = _predict_occ(model, occ, a)

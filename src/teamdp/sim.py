@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InformationStructure, TeamModel, Trajectory
+from .model import TeamModel, Trajectory
 from .oracle import WeightedOutcome
 
 __all__ = ["SimConfig", "CostEstimate", "rollout", "estimate_cost"]
@@ -43,12 +43,7 @@ class CostEstimate:
         }
 
 
-def rollout(
-    model: TeamModel,
-    structure: InformationStructure,
-    strategy,
-    seed: int,
-) -> WeightedOutcome:
+def rollout(model: TeamModel, strategy, seed: int) -> WeightedOutcome:
     """Simulate one trajectory under a joint strategy.
 
     The returned outcome carries the realized cost; its probability field
@@ -78,12 +73,7 @@ def rollout(
     return WeightedOutcome(trajectory=traj, probability=None, cost=cost)
 
 
-def estimate_cost(
-    model: TeamModel,
-    structure: InformationStructure,
-    strategy,
-    config: SimConfig,
-) -> CostEstimate:
+def estimate_cost(model: TeamModel, strategy, config: SimConfig) -> CostEstimate:
     """Sample-mean estimate of the expected total cost of a strategy.
 
     The standard error uses the n-1 normalization and is 0.0 for a single
@@ -94,7 +84,7 @@ def estimate_cost(
         raise ValueError("samples must be >= 1")
     costs = np.empty(n)
     for i in range(n):
-        costs[i] = rollout(model, structure, strategy, (config.seed + i) % 2**64).cost
+        costs[i] = rollout(model, strategy, (config.seed + i) % 2**64).cost
     mean = float(np.sum(costs) / n)
     if n > 1:
         se = float(np.std(costs, ddof=1) / math.sqrt(n))

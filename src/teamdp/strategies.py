@@ -12,8 +12,8 @@ Forms:
   joint history; the class of strategies a single all-seeing controller
   could play.
 * :class:`SeparatedTeamStrategy` - the manager solver's output: a table
-  keyed by full-history tree nodes, each carrying the team belief the
-  action was computed from.
+  keyed by full-history tree nodes (the beliefs stay in the value
+  function).
 * :class:`MemberTableStrategy` / :class:`MemberSeparatedStrategy` - tables
   keyed by the member's own view; the feasible decentralized form.
 * :class:`ConstantMemberStrategy`, :class:`ManagerProjectionStrategy` -
@@ -24,10 +24,8 @@ Forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import StrategyUndefinedError
 from .model import InformationStructure, TeamModel, history_key, prefix_view, view_key
@@ -75,22 +73,10 @@ class CentralizedTableStrategy:
 
 class SeparatedTeamStrategy(CentralizedTableStrategy):
     """Joint actions indexed by manager tree nodes (full histories), each a
-    deterministic function of the node's team belief."""
+    deterministic function of the node's team belief.  The beliefs are
+    kept once, in the manager solution's value function."""
 
     variant = "separated_team"
-
-    def __init__(self, model: TeamModel, structure: InformationStructure,
-                 table: Mapping[str, tuple[int, ...]],
-                 node_beliefs: Mapping[str, np.ndarray] | None = None):
-        super().__init__(model, table)
-        self.structure = structure
-        self.node_beliefs = dict(node_beliefs or {})
-
-    def to_json_dict(self) -> dict:
-        d = super().to_json_dict()
-        if self.node_beliefs:
-            d["node_beliefs"] = {k: b.tolist() for k, b in sorted(self.node_beliefs.items())}
-        return d
 
 
 class MemberTableStrategy:

@@ -138,7 +138,7 @@ def test_criterion_2_filter_exactness():
     views_checked = 0
     for i, (model, structure) in enumerate(filter_instances()):
         profile = hashed_profile(model, structure, salt=i)
-        traj = rollout(model, structure, profile, seed=i).trajectory
+        traj = rollout(model, profile, seed=i).trajectory
         co_maps = [
             {j: profile.members[j] for j in range(model.num_members) if j != k}
             for k in range(model.num_members)
@@ -146,13 +146,13 @@ def test_criterion_2_filter_exactness():
         for t in range(model.horizon + 1):
             team_views = extract_views(structure, traj, t, None)
             team = team_belief_from_history(model, structure, team_views)
-            ref = oracle.exact_posterior(model, structure, None, team_views)
+            ref = oracle.exact_posterior(model, None, team_views)
             worst = max(worst, float(np.max(np.abs(team.probs - ref))))
             views_checked += 1
             for k in range(model.num_members):
                 view = extract_views(structure, traj, t, k)
                 mine = member_belief(model, structure, co_maps[k], view)
-                ref = oracle.exact_posterior(model, structure, profile, view)
+                ref = oracle.exact_posterior(model, profile, view)
                 worst = max(worst, float(np.max(np.abs(mine.probs - ref))))
                 views_checked += 1
     elapsed = time.perf_counter() - started
@@ -220,10 +220,10 @@ def test_criterion_4_value_function_properties():
                 b2 = r.uniform(0.05, 1.0, size=model.num_states)
                 b1, b2 = b1 / b1.sum(), b2 / b2.sum()
                 lam = float(r.uniform())
-                mixed = evaluate_value(model, structure, t, lam * b1 + (1.0 - lam) * b2)
-                split = lam * evaluate_value(model, structure, t, b1) + (
+                mixed = evaluate_value(model, t, lam * b1 + (1.0 - lam) * b2)
+                split = lam * evaluate_value(model, t, b1) + (
                     1.0 - lam
-                ) * evaluate_value(model, structure, t, b2)
+                ) * evaluate_value(model, t, b2)
                 worst_team = max(worst_team, split - mixed)
                 assert mixed >= split - 1e-9
     # concavity of the member value in the joint conditional
@@ -275,7 +275,7 @@ def test_criterion_5_strategy_independence():
     checked = 0
     for i, (model, structure) in enumerate(filter_instances()):
         profile = hashed_profile(model, structure, salt=100 + i)
-        traj = rollout(model, structure, profile, seed=1000 + i).trajectory
+        traj = rollout(model, profile, seed=1000 + i).trajectory
         T = model.horizon
         # team side: same realized history, different off-path behavior
         table = {
@@ -286,8 +286,8 @@ def test_criterion_5_strategy_independence():
         team_b = CentralizedTableStrategy(model, dict(table), default=(1,) * model.num_members)
         for t in range(T + 1):
             views = extract_views(structure, traj, t, None)
-            post_a = oracle.exact_posterior(model, structure, team_a, views)
-            post_b = oracle.exact_posterior(model, structure, team_b, views)
+            post_a = oracle.exact_posterior(model, team_a, views)
+            post_b = oracle.exact_posterior(model, team_b, views)
             np.testing.assert_array_equal(post_a, post_b)
             checked += 1
         # member side: swap member k's own component, keep co fixed
@@ -305,8 +305,8 @@ def test_criterion_5_strategy_independence():
                 variants.append(DecentralizedStrategy(model, structure, members))
             for t in range(T + 1):
                 view = extract_views(structure, traj, t, k)
-                post_a = oracle.exact_posterior(model, structure, variants[0], view)
-                post_b = oracle.exact_posterior(model, structure, variants[1], view)
+                post_a = oracle.exact_posterior(model, variants[0], view)
+                post_b = oracle.exact_posterior(model, variants[1], view)
                 np.testing.assert_array_equal(post_a, post_b)
                 checked += 1
     print(f"criterion 5: {checked} posterior pairs bitwise identical on 50 instances")

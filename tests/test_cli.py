@@ -72,6 +72,27 @@ def test_solve_member(capsys, scenario_path):
     assert report["results"]["root_value"] >= report["results"]["manager_root_value"] - 1e-12
 
 
+def test_beliefs_live_once_per_report(capsys, scenario_path):
+    """A solve-manager report holds each team belief once, under the value
+    function; a solve-member report keeps the member's node beliefs with
+    its strategy, the only place they appear."""
+    _, report, _ = invoke(capsys, ["solve-manager", "--scenario", scenario_path])
+    strategy = report["results"]["strategy"]
+    stages = report["results"]["value_function"]["stages"]
+    assert strategy["variant"] == "separated_team"
+    assert "node_beliefs" not in strategy
+    assert strategy["table"]
+    for key in strategy["table"]:
+        t = len(re.findall(r"u\d+=", key))
+        assert len(stages[t][key]["belief"]) == 2
+    _, report, _ = invoke(
+        capsys, ["solve-member", "--scenario", scenario_path, "--member", "0"]
+    )
+    strategy = report["results"]["strategy"]
+    assert strategy["variant"] == "member_separated"
+    assert set(strategy["table"]) <= set(strategy["node_beliefs"])
+
+
 def test_oracles(capsys, scenario_path):
     code, report, _ = invoke(capsys, ["oracle-centralized", "--scenario", scenario_path])
     assert code == 0

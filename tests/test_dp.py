@@ -81,7 +81,7 @@ def test_manager_strategy_replays_to_root_value(toy2):
 def test_evaluate_value_matches_solver(toy2):
     model, structure = toy2
     mgr = solve_manager(model, structure)
-    assert evaluate_value(model, structure, 0, model.initial_dist) == mgr.root_value
+    assert evaluate_value(model, 0, model.initial_dist) == mgr.root_value
 
 
 def test_manager_is_deterministic(toy2):
@@ -147,7 +147,7 @@ def test_manager_tree_matches_oracle_on_zero_entry_kernels(structure):
         assert set(mgr.value_function.stages[t]) == {history_key(a, o) for o, a in stage}
         for obs_seq, act_seq in stage:
             node = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
-            ctg = oracle.exact_cost_to_go(model, structure, mgr.strategy, obs_seq, act_seq, t)
+            ctg = oracle.exact_cost_to_go(model, mgr.strategy, obs_seq, act_seq, t)
             assert abs(node.value - ctg) <= 1e-12
 
 
@@ -176,13 +176,13 @@ def test_node_values_dominate_conditional_costs(toy2):
     mgr = solve_manager(model, structure)
     for salt in range(10):
         g = HashedCentralizedStrategy(model, salt=salt)
-        for out in oracle.enumerate_outcomes(model, structure, g):
+        for out in oracle.enumerate_outcomes(model, g):
             traj = out.trajectory
             for t in range(model.horizon + 1):
                 obs_seq = traj.observations[:t]
                 act_seq = traj.actions[:t]
                 node = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
-                ctg = oracle.exact_cost_to_go(model, structure, g, obs_seq, act_seq, t)
+                ctg = oracle.exact_cost_to_go(model, g, obs_seq, act_seq, t)
                 if t == model.horizon:
                     assert abs(node.value - ctg) <= 1e-12
                 else:
@@ -215,7 +215,7 @@ def test_node_values_do_not_depend_on_batch_size(seed, positive):
             assert lookup.setdefault(node.belief.tobytes(), node.value) == node.value
     for t, stage in enumerate(stages):
         for node in stage.values():
-            assert evaluate_value(model, structure, t, node.belief) == node.value
+            assert evaluate_value(model, t, node.belief) == node.value
             if t < model.horizon:
                 vnext = lambda b, t=t: by_belief[t + 1][b.tobytes()]
                 assert backup(model, vnext, node.belief, t) == (node.value, node.argmin)
@@ -249,9 +249,9 @@ def test_team_value_concavity():
             b2 = r.uniform(0.05, 1.0, size=model.num_states)
             b1, b2 = b1 / b1.sum(), b2 / b2.sum()
             lam = float(r.uniform())
-            mixed = evaluate_value(model, structure, t, lam * b1 + (1.0 - lam) * b2)
-            split = lam * evaluate_value(model, structure, t, b1) + (1.0 - lam) * evaluate_value(
-                model, structure, t, b2
+            mixed = evaluate_value(model, t, lam * b1 + (1.0 - lam) * b2)
+            split = lam * evaluate_value(model, t, b1) + (1.0 - lam) * evaluate_value(
+                model, t, b2
             )
             assert mixed >= split - 1e-9
 
@@ -325,7 +325,7 @@ def test_member_nodes_match_oracle_on_zero_entry_kernels(structure):
                     members = [co, co]
                     members[k] = ReplayOwnActions(node.view)
                     profile = DecentralizedStrategy(model, structure, members)
-                    want = oracle.exact_posterior(model, structure, profile, node.view)
+                    want = oracle.exact_posterior(model, profile, node.view)
                     got = node.state_marginal(model.num_states)
                     assert np.max(np.abs(got - want)) <= 1e-12
                     checked += 1

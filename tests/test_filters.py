@@ -169,7 +169,7 @@ def test_team_update_matches_posterior_oracle(toy2):
     for t in range(2):
         belief = team_update(model, belief, traj.actions[t], traj.observations[t])
         views = extract_views(structure, traj, t + 1, None)
-        post = oracle.exact_posterior(model, structure, None, views)
+        post = oracle.exact_posterior(model, None, views)
         np.testing.assert_allclose(belief.probs, post, atol=1e-12)
 
 
@@ -192,12 +192,12 @@ def test_team_belief_matches_oracle_across_variants():
     for seed in range(6):
         model = random_model(seed, num_members=2, num_states=3, horizon=3)
         g = HashedCentralizedStrategy(model, salt=seed)
-        traj = rollout(model, structures[0], g, seed=seed).trajectory
+        traj = rollout(model, g, seed=seed).trajectory
         for structure in structures:
             for t in range(model.horizon + 1):
                 views = extract_views(structure, traj, t, None)
                 got = team_belief_from_history(model, structure, views)
-                want = oracle.exact_posterior(model, structure, None, views)
+                want = oracle.exact_posterior(model, None, views)
                 assert np.max(np.abs(got.probs - want)) <= 1e-12
 
 
@@ -225,7 +225,7 @@ def test_team_filter_ignores_which_strategy_made_the_history(toy2):
     for salt in range(3):
         g = HashedCentralizedStrategy(model, salt=salt)
         consistent = CentralizedTableStrategy(model, table, default=g.joint_action((), (), 0))
-        posts.append(oracle.exact_posterior(model, structure, consistent, views))
+        posts.append(oracle.exact_posterior(model, consistent, views))
     for post in posts[1:]:
         np.testing.assert_array_equal(posts[0], post)
     assert np.max(np.abs(base.probs - posts[0])) <= 1e-13
@@ -238,7 +238,7 @@ def test_team_filter_ignores_which_strategy_made_the_history(toy2):
 def test_member_belief_k1_equals_team_belief(chain1):
     model, structure = chain1
     g = HashedCentralizedStrategy(model, salt=9)
-    traj = rollout(model, structure, g, seed=4).trajectory
+    traj = rollout(model, g, seed=4).trajectory
     for t in range(model.horizon + 1):
         team = team_belief_from_history(model, structure, extract_views(structure, traj, t, None))
         member = member_belief(model, structure, {}, extract_views(structure, traj, t, 0))
@@ -269,13 +269,13 @@ def test_member_belief_matches_oracle(toy2):
          HashedMemberStrategy(model, structure, 1, salt=2)],
     )
     for seed in range(8):
-        traj = rollout(model, structure, profile, seed=seed).trajectory
+        traj = rollout(model, profile, seed=seed).trajectory
         for t in range(model.horizon + 1):
             for k in range(2):
                 view = extract_views(structure, traj, t, k)
                 co = {j: profile.members[j] for j in range(2) if j != k}
                 got = member_belief(model, structure, co, view)
-                want = oracle.exact_posterior(model, structure, profile, view)
+                want = oracle.exact_posterior(model, profile, view)
                 assert np.max(np.abs(got.probs - want)) <= 1e-12
 
 
@@ -296,13 +296,13 @@ def test_member_belief_oracle_across_variants_and_sizes():
             [HashedMemberStrategy(model, structure, 0, salt=7),
              HashedMemberStrategy(model, structure, 1, salt=8)],
         )
-        traj = rollout(model, structure, profile, seed=seed).trajectory
+        traj = rollout(model, profile, seed=seed).trajectory
         for t in range(model.horizon + 1):
             for k in range(2):
                 view = extract_views(structure, traj, t, k)
                 co = {j: profile.members[j] for j in range(2) if j != k}
                 got = member_belief(model, structure, co, view)
-                want = oracle.exact_posterior(model, structure, profile, view)
+                want = oracle.exact_posterior(model, profile, view)
                 assert np.max(np.abs(got.probs - want)) <= 1e-12, (structure.variant, t, k)
 
 
@@ -314,7 +314,7 @@ def test_member_belief_invariant_to_own_strategy(toy2):
     seed_profile = DecentralizedStrategy(
         model, structure, [HashedMemberStrategy(model, structure, 0, salt=10), co]
     )
-    traj = rollout(model, structure, seed_profile, seed=21).trajectory
+    traj = rollout(model, seed_profile, seed=21).trajectory
     # two own-strategies that replay the recorded actions on the realized
     # views but disagree everywhere off the realized path
     own_table = {
@@ -328,8 +328,8 @@ def test_member_belief_invariant_to_own_strategy(toy2):
     for t in range(model.horizon + 1):
         view = extract_views(structure, traj, t, 0)
         got = member_belief(model, structure, {1: co}, view)
-        post_a = oracle.exact_posterior(model, structure, profile_a, view)
-        post_b = oracle.exact_posterior(model, structure, profile_b, view)
+        post_a = oracle.exact_posterior(model, profile_a, view)
+        post_b = oracle.exact_posterior(model, profile_b, view)
         np.testing.assert_array_equal(post_a, post_b)
         assert np.max(np.abs(got.probs - post_a)) <= 1e-12
 
@@ -376,7 +376,7 @@ def test_member_conditional_weights_and_marginal(toy2):
 def test_recombine_k1_is_identity(chain1):
     model, structure = chain1
     g = HashedCentralizedStrategy(model, salt=5)
-    traj = rollout(model, structure, g, seed=11).trajectory
+    traj = rollout(model, g, seed=11).trajectory
     views = extract_views(structure, traj, 2, None)
     mb = member_belief(model, structure, {}, extract_views(structure, traj, 2, 0))
     out = recombine(model, structure, 0, mb, {}, views)
@@ -428,7 +428,7 @@ def test_filter_outputs_are_normalized(seed):
         [HashedMemberStrategy(model, structure, 0, salt=seed),
          HashedMemberStrategy(model, structure, 1, salt=seed + 1)],
     )
-    traj = rollout(model, structure, profile, seed=seed).trajectory
+    traj = rollout(model, profile, seed=seed).trajectory
     t = seed % (model.horizon + 1)
     team = team_belief_from_history(model, structure, extract_views(structure, traj, t, None))
     assert abs(float(team.probs.sum()) - 1.0) <= 1e-10

@@ -5,6 +5,7 @@ here they are checked against each other and against direct recomputation
 from trajectory tables, never against the solvers they certify.
 """
 
+import ast
 import dataclasses
 
 import numpy as np
@@ -55,7 +56,7 @@ def hashed_profile(model, structure, salt):
 
 def test_outcomes_conserve_probability(toy2):
     model, structure = toy2
-    outs = oracle.enumerate_outcomes(model, structure, HashedCentralizedStrategy(model, salt=3))
+    outs = oracle.enumerate_outcomes(model, HashedCentralizedStrategy(model, salt=3))
     assert len(outs) == 128  # 2 initial states x (2 states x 4 joint obs)^2
     assert all(o.probability > 0.0 for o in outs)
     assert abs(sum(o.probability for o in outs) - 1.0) <= 1e-12
@@ -63,7 +64,7 @@ def test_outcomes_conserve_probability(toy2):
 
 def test_outcome_costs_match_cost_tables(toy2):
     model, structure = toy2
-    outs = oracle.enumerate_outcomes(model, structure, HashedCentralizedStrategy(model, salt=3))
+    outs = oracle.enumerate_outcomes(model, HashedCentralizedStrategy(model, salt=3))
     for o in outs:
         assert abs(o.cost - trajectory_cost(model, o.trajectory)) <= 1e-12
 
@@ -72,7 +73,7 @@ def test_exact_cost_equals_outcome_expectation(toy2):
     model, structure = toy2
     for salt in range(5):
         g = HashedCentralizedStrategy(model, salt=salt)
-        outs = oracle.enumerate_outcomes(model, structure, g)
+        outs = oracle.enumerate_outcomes(model, g)
         expected = sum(o.probability * o.cost for o in outs)
         assert abs(expected - oracle.exact_cost(model, structure, g)) <= 1e-12
 
@@ -82,7 +83,7 @@ def test_exact_cost_equals_outcome_expectation_random_instances():
         model = random_model(seed, num_states=2)
         structure = POOLED_VARIANTS[seed % len(POOLED_VARIANTS)]
         g = hashed_profile(model, structure, salt=seed)
-        outs = oracle.enumerate_outcomes(model, structure, g)
+        outs = oracle.enumerate_outcomes(model, g)
         assert abs(sum(o.probability for o in outs) - 1.0) <= 1e-12
         expected = sum(o.probability * o.cost for o in outs)
         assert abs(expected - oracle.exact_cost(model, structure, g)) <= 1e-12
@@ -95,7 +96,7 @@ def test_exact_cost_equals_outcome_expectation_random_instances():
 def test_cost_to_go_from_empty_prefix_is_total_cost(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=7)
-    assert oracle.exact_cost_to_go(model, structure, g, (), (), 0) == oracle.exact_cost(
+    assert oracle.exact_cost_to_go(model, g, (), (), 0) == oracle.exact_cost(
         model, structure, g
     )
 
@@ -120,7 +121,7 @@ def test_cost_to_go_tower_property(toy2):
         p_y = float(pred @ like)
         if p_y == 0.0:
             continue
-        total += p_y * oracle.exact_cost_to_go(model, structure, g, (y,), (u0,), 1)
+        total += p_y * oracle.exact_cost_to_go(model, g, (y,), (u0,), 1)
     assert abs(total - oracle.exact_cost(model, structure, g)) <= 1e-12
 
 
@@ -131,8 +132,8 @@ def test_cost_to_go_tower_property(toy2):
 def test_posterior_matches_conditioned_outcomes(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=5)
-    outs = oracle.enumerate_outcomes(model, structure, g)
-    traj = rollout(model, structure, g, seed=4).trajectory
+    outs = oracle.enumerate_outcomes(model, g)
+    traj = rollout(model, g, seed=4).trajectory
     views = extract_views(structure, traj, 2, None)
     known = view_known(views)
 
@@ -151,7 +152,7 @@ def test_posterior_matches_conditioned_outcomes(toy2):
     for o in outs:
         if consistent(o):
             mass[o.trajectory.states[2]] += o.probability
-    post = oracle.exact_posterior(model, structure, g, views)
+    post = oracle.exact_posterior(model, g, views)
     assert np.max(np.abs(mass / mass.sum() - post)) <= 1e-12
 
 
@@ -570,3 +571,20 @@ def test_centralized_ties_go_to_the_first_table():
         "u0=1,0;y1=1,0": (0, 0),
         "u0=1,0;y1=1,1": (0, 0),
     }
+
+
+def test_oracle_imports_no_solver_module():
+    """The oracle is the trusted side: it must not reuse the filters, the
+    dynamic programs or the sampler it certifies."""
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    solvers = {"dp", "filters", "sim"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            imported.update(parts)
+            if (node.level and not node.module) or parts == ["teamdp"]:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(p for alias in node.names for p in alias.name.split("."))
+    assert imported & solvers == set()

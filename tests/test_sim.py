@@ -11,8 +11,8 @@ from teamdp import oracle
 def test_rollout_reproducible(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=1)
-    a = rollout(model, structure, g, seed=42)
-    b = rollout(model, structure, g, seed=42)
+    a = rollout(model, g, seed=42)
+    b = rollout(model, g, seed=42)
     assert a.trajectory == b.trajectory
     assert a.cost == b.cost
     assert a.probability is None
@@ -22,7 +22,7 @@ def test_rollout_trajectory_is_consistent(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=1)
     for seed in range(20):
-        out = rollout(model, structure, g, seed=seed)
+        out = rollout(model, g, seed=seed)
         traj = out.trajectory
         assert len(traj.states) == model.horizon + 1
         assert len(traj.actions) == model.horizon
@@ -43,8 +43,8 @@ def test_estimate_matches_manual_per_sample_rollouts(toy2):
     individually replayed rollouts."""
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=4)
-    est = estimate_cost(model, structure, g, SimConfig(samples=64, seed=100))
-    singles = [rollout(model, structure, g, seed=100 + i).cost for i in range(64)]
+    est = estimate_cost(model, g, SimConfig(samples=64, seed=100))
+    singles = [rollout(model, g, seed=100 + i).cost for i in range(64)]
     assert est.mean == float(np.sum(singles) / 64)
     assert est.samples == 64 and est.seed == 100
 
@@ -52,9 +52,9 @@ def test_estimate_matches_manual_per_sample_rollouts(toy2):
 def test_estimate_single_sample_has_zero_std_error(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=4)
-    est = estimate_cost(model, structure, g, SimConfig(samples=1, seed=9))
+    est = estimate_cost(model, g, SimConfig(samples=1, seed=9))
     assert est.std_error == 0.0
-    assert est.mean == rollout(model, structure, g, seed=9).cost
+    assert est.mean == rollout(model, g, seed=9).cost
 
 
 def test_estimate_within_three_std_errors_of_exact(toy2):
@@ -65,7 +65,7 @@ def test_estimate_within_three_std_errors_of_exact(toy2):
         [HashedMemberStrategy(model, structure, k, salt=7 + k) for k in range(2)],
     )
     exact = oracle.exact_cost(model, structure, profile)
-    est = estimate_cost(model, structure, profile, SimConfig(samples=4000, seed=123))
+    est = estimate_cost(model, profile, SimConfig(samples=4000, seed=123))
     assert abs(est.mean - exact) <= 3.0 * est.std_error
 
 
@@ -73,9 +73,9 @@ def test_seed_wraps_at_uint64(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=2)
     big = 2**64 - 1
-    est = estimate_cost(model, structure, g, SimConfig(samples=2, seed=big))
+    est = estimate_cost(model, g, SimConfig(samples=2, seed=big))
     wrapped = [
-        rollout(model, structure, g, seed=big).cost,
-        rollout(model, structure, g, seed=0).cost,
+        rollout(model, g, seed=big).cost,
+        rollout(model, g, seed=0).cost,
     ]
     assert est.mean == float(np.sum(wrapped) / 2)
