@@ -28,6 +28,7 @@ import hashlib
 import math
 import sys
 import time
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -247,18 +248,10 @@ def _cmd_solve_member(model, structure, args):
     return results, diag, EXIT_OK
 
 
-def _cmd_oracle_centralized(model, structure, args):
-    res = enumerate_centralized(model, structure, budget=args.node_budget)
-    results = {
-        "num_strategies": res.num_strategies,
-        "optimal_cost": res.optimal_cost,
-        "strategy": res.strategy.to_json_dict(),
-    }
-    return results, {"num_strategies": res.num_strategies}, EXIT_OK
-
-
-def _cmd_oracle_decentralized(model, structure, args):
-    res = enumerate_decentralized(model, structure, budget=args.node_budget)
+def _cmd_oracle(search, model, structure, args):
+    """oracle-centralized and oracle-decentralized: ``search`` is the
+    oracle's enumeration for the class."""
+    res = search(model, structure, budget=args.node_budget)
     results = {
         "num_strategies": res.num_strategies,
         "optimal_cost": res.optimal_cost,
@@ -470,8 +463,8 @@ def _emit(report: dict, args) -> None:
 _HANDLERS = {
     "solve-manager": _cmd_solve_manager,
     "solve-member": _cmd_solve_member,
-    "oracle-centralized": _cmd_oracle_centralized,
-    "oracle-decentralized": _cmd_oracle_decentralized,
+    "oracle-centralized": partial(_cmd_oracle, enumerate_centralized),
+    "oracle-decentralized": partial(_cmd_oracle, enumerate_decentralized),
     "compare": _cmd_compare,
     "simulate": _cmd_simulate,
 }

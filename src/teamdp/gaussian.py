@@ -94,11 +94,8 @@ def closed_form(instance: GaussianInstance) -> GaussianSolution:
 
 def expected_cost(instance: GaussianInstance, strategy: LinearStrategy) -> float:
     """Exact expected cost of a linear strategy via second moments."""
-    ess, esx, exx = instance.second_moments
     a, b, d = strategy.first_gain, strategy.pooled_gain, strategy.correction_gain
-    gap = (1.0 - b) ** 2 * ess - 2.0 * (1.0 - b) * (a + d) * esx + (a + d) ** 2 * exx
-    move = b * b * ess + 2.0 * b * d * esx + d * d * exx
-    return 0.5 * (gap + move)
+    return float(_cost_grid(instance, a, b, d))
 
 
 # Points of the product grid that linear_search evaluates at once.

@@ -357,31 +357,23 @@ def _periodic_boundary(t: int, period: int) -> int:
     return ((t - 1) // period) * period
 
 
-def _arrival(structure: InformationStructure, s: int, member: int) -> int:
-    """Time at which member ``member``'s datum from time s enters the pool."""
-    if structure.variant in _DELAYED_VARIANTS:
-        return s + structure.delays[member]
-    if structure.variant == "periodic_sharing":
-        w = structure.period
-        m = max(1, math.ceil(s / w))
-        return m * w + 1
-    raise ValueError("no common pool under no_sharing")
-
-
 def _common_slots(structure: InformationStructure, K: int, t: int) -> tuple[Slot, ...]:
     v = structure.variant
     slots: list[tuple[int, int, int, str]] = []  # (arrival, time, kind_order, member) carrier
     if v == "no_sharing":
         return ()
     if v == "periodic_sharing":
-        b = _periodic_boundary(t, structure.period)
+        w = structure.period
+        b = _periodic_boundary(t, w)
         if b == 0:
             return ()
         for j in range(K):
+            # a datum from time s enters the pool just after the first
+            # period boundary at or past it (boundaries w, 2w, ...)
             for s in _obs_times(1, b):
-                slots.append((_arrival(structure, s, j), s, 0, j))
+                slots.append((max(1, math.ceil(s / w)) * w + 1, s, 0, j))
             for s in _act_times(0, b):
-                slots.append((_arrival(structure, s, j), s, 1, j))
+                slots.append((max(1, math.ceil(s / w)) * w + 1, s, 1, j))
     else:
         share_obs = v in ("delayed_sharing", "delayed_observation_sharing")
         share_act = v in ("delayed_sharing", "delayed_control_sharing")

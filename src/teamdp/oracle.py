@@ -5,12 +5,15 @@ tree with plain dicts and loops, independently of the belief-filter and
 dynamic-programming code, so it can serve as the trusted side of every
 cross-check.  Use it at desk scale only.
 
-The decentralized search enumerates profiles stage by stage and scores
-each one in the same pass, from the occupancies it already carries,
-through the node expansion :func:`exact_cost` uses; the last stage is
-scored without building children.  The winner is then re-scored by
-:func:`exact_cost` through its member tables, and the two must agree to
-the bit.
+Both strategy searches, centralized and decentralized, share one count
+walk and one scorer; the caller picks the class through the slot function
+it passes (one slot per full history, or one per member view).  The count
+comes first, so an over-budget input is refused before anything is
+scored.  The scorer enumerates profiles stage by stage and scores each one
+in the same pass, from the occupancies it already carries, through the
+node expansion :func:`exact_cost` uses; the last stage is scored without
+building children.  Each winner is then re-scored by :func:`exact_cost`
+through its tables, and the two must agree to the bit.
 
 Occupancy bookkeeping: an "occupancy" is an unnormalized map
 state -> probability mass of reaching this history node in this state.
@@ -21,6 +24,7 @@ observation branches enumerates the full expectation exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -260,7 +264,13 @@ def exact_posterior(model: TeamModel, strategy, view: HistoryView) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# exhaustive strategy search, centralized class
+# exhaustive strategy search, both classes
+#
+# A search walks the positive-probability nodes stage by stage.  At each
+# stage a slot function lays out the decision slots: it returns (slots,
+# node_terms) with ``slots[j] = (key, choices)`` and ``node_terms[i]`` a
+# list of (j, flat) pairs, so node i plays the flat joint action
+# ``sum(flat[c])`` over its pairs when slot j takes its c-th choice.
 
 
 def _capped_add(a: int, b: int, cap: int) -> int:
@@ -273,48 +283,154 @@ def _capped_mul(a: int, b: int, cap: int) -> int:
     return m if m <= cap else cap + 1
 
 
-def _count_centralized(model: TeamModel, occ, t: int, cap: int) -> int:
-    """Number of centralized strategy tables on positive-probability
-    histories from this node on (capped at cap+1)."""
-    T = model.horizon
-    if t == T - 1:
-        return model.num_joint_actions if model.num_joint_actions <= cap else cap + 1
+def _history_slots(model, nodes, t):
+    """Centralized class: one slot per node, keyed by its full history,
+    whose choices are the joint actions in tie-break order."""
+    choices = tiebreak_joint_actions(model)
+    flat = [model.flat_action(u) for u in choices]
+    slots = [(history_key(act_seq, obs_seq), choices) for obs_seq, act_seq, _ in nodes]
+    return slots, [[(i, flat)] for i in range(len(nodes))]
+
+
+def _view_slots(structure, model, nodes, t):
+    """Decentralized class: one slot per (member, view key), whose choices
+    are the member's actions; member by member, and each member's views
+    in first-seen order."""
+    K = model.num_members
+    seen: list[dict[str, None]] = [{} for _ in range(K)]
+    node_keys: list[tuple[str, ...]] = []
+    for obs_seq, act_seq, _ in nodes:
+        keys = tuple(view_key(prefix_view(structure, K, obs_seq, act_seq, t, k)) for k in range(K))
+        for k, vk in enumerate(keys):
+            seen[k].setdefault(vk)
+        node_keys.append(keys)
+    sizes = model.action_sizes
+    slots = [((k, vk), range(sizes[k])) for k in range(K) for vk in seen[k]]
+    index = {key: j for j, (key, _) in enumerate(slots)}
+    flat = [[a * prod(sizes[k + 1:]) for a in range(sizes[k])] for k in range(K)]
+    return slots, [[(index[k, vk], flat[k]) for k, vk in enumerate(keys)] for keys in node_keys]
+
+
+def _assignments(slots, node_terms):
+    """Iterate all joint assignments of choices to the slots.
+
+    Yields (one choice index per slot, flat joint action of every node).
+    Deterministic order: the last slot varies fastest, choices in order."""
+    for combo in product(*(range(len(choices)) for _, choices in slots)):
+        yield combo, [sum(flat[combo[j]] for j, flat in terms) for terms in node_terms]
+
+
+def _expand(model, node, t, a, last):
+    """A node under flat joint action ``a``: (stage cost, child nodes in
+    observation order) or, at the last stage, its whole cost-to-go.
+    :func:`exact_cost` and the searches all score with it."""
+    obs_seq, act_seq, occ = node
+    total = sum(w * model.stage_cost[t, x, a] for x, w in occ.items())
+    occp = _predict_occ(model, occ, a)
+    if last:
+        return total + sum(w * model.terminal_cost[x] for x, w in occp.items())
+    u = model.joint_actions[a]
+    return total, [
+        (obs_seq + (y,), act_seq + (u,), occy) for y, occy in _split_by_obs(model, occp)
+    ]
+
+
+def _count_profiles(model, slots_at, nodes, t, cap) -> int:
+    """Number of profiles of the stages t..T-1 on ``nodes``, capped at
+    cap+1.
+
+    Every assignment of the last stage is one profile, so that stage
+    builds no children.  Earlier stages count each assignment's subtree on
+    its own: which nodes are reached, and so how the next stage's slots
+    fall, can depend on the actions."""
+    slots, node_terms = slots_at(model, nodes, t)
+    if t + 1 == model.horizon:
+        count = 1
+        for _, choices in slots:
+            count = _capped_mul(count, len(choices), cap)
+        return count
     total = 0
-    for u in tiebreak_joint_actions(model):
-        occp = _predict_occ(model, occ, model.flat_action(u))
-        prod_count = 1
-        for _, occy in _split_by_obs(model, occp):
-            prod_count = _capped_mul(prod_count, _count_centralized(model, occy, t + 1, cap), cap)
-            if prod_count > cap:
-                break
-        total = _capped_add(total, prod_count, cap)
+    for _, actions in _assignments(slots, node_terms):
+        children = [c for n, a in zip(nodes, actions) for c in _expand(model, n, t, a, False)[1]]
+        total = _capped_add(total, _count_profiles(model, slots_at, children, t + 1, cap), cap)
         if total > cap:
             return total
     return total
 
 
-def _centralized_tables(model: TeamModel, pending: tuple):
-    """Yield every complete centralized table, depth first, earlier nodes
-    varying slowest and actions in tie-break order."""
-    if not pending:
-        yield {}
-        return
-    obs_seq, act_seq, occ, t = pending[0]
-    rest = pending[1:]
-    key = history_key(act_seq, obs_seq)
-    T = model.horizon
-    for u in tiebreak_joint_actions(model):
-        children = ()
-        if t + 1 < T:
-            occp = _predict_occ(model, occ, model.flat_action(u))
-            children = tuple(
-                (obs_seq + (y,), act_seq + (u,), occy, t + 1)
-                for y, occy in _split_by_obs(model, occp)
-            )
-        for sub in _centralized_tables(model, rest + children):
-            table = {key: u}
-            table.update(sub)
-            yield table
+def _scored_profiles(model, slots_at, nodes, t):
+    """Yield (path, costs) for every profile of the stages t..T-1 on
+    ``nodes``, in enumeration order.
+
+    ``path`` holds one (slots, one choice index per slot) pair per stage
+    and ``costs[i]`` is the occupancy-weighted cost from ``nodes[i]`` on,
+    added up as ``_cost_from`` adds it: the stage cost, then each child's
+    cost in observation order.  Each node is expanded once per joint
+    action."""
+    slots, node_terms = slots_at(model, nodes, t)
+    last = t + 1 == model.horizon
+    memo: list[dict] = [{} for _ in nodes]
+    for combo, actions in _assignments(slots, node_terms):
+        step = ((slots, combo),)
+        parts = []
+        for node, a, m in zip(nodes, actions, memo):
+            if a not in m:
+                m[a] = _expand(model, node, t, a, last)
+            parts.append(m[a])
+        if last:
+            yield step, parts
+            continue
+        children = [c for _, cs in parts for c in cs]
+        for path, child_costs in _scored_profiles(model, slots_at, children, t + 1):
+            costs = []
+            j = 0
+            for total, cs in parts:
+                for c in child_costs[j:j + len(cs)]:
+                    total += c
+                j += len(cs)
+                costs.append(total)
+            yield step + path, costs
+
+
+def _search(model, slots_at, budget, what):
+    """Count, then score, every profile laid out by ``slots_at``.
+
+    Returns (count, first minimal cost, its table: slot key -> choice).
+    BudgetExceededError carries the capped count when it exceeds
+    ``budget``; InvariantError is raised if the scorer yields a different
+    number of profiles than the count."""
+    occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
+    root = [((), (), occ0)]
+    count = _count_profiles(model, slots_at, root, 0, budget)
+    if count > budget:
+        raise BudgetExceededError(
+            f"{what} count exceeds budget {budget}", budget=budget, observed=count
+        )
+    scored = 0
+    best_cost = None
+    best_path = None
+    for path, (cost,) in _scored_profiles(model, slots_at, root, 0):
+        scored += 1
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_path = path
+    if scored != count:
+        raise InvariantError(f"scored {scored} {what}s, counted {count}")
+    table = {
+        key: choices[c] for slots, combo in best_path for (key, choices), c in zip(slots, combo)
+    }
+    return count, best_cost, table
+
+
+def _rechecked(model, structure, count, cost, strategy) -> EnumerationResult:
+    """The search's result, once :func:`exact_cost` of the winning
+    strategy has reproduced its one-pass cost to the bit."""
+    rescored = exact_cost(model, structure, strategy)
+    if float(rescored).hex() != float(cost).hex():
+        raise InvariantError(
+            f"one-pass optimum {float(cost)!r} differs from exact_cost {float(rescored)!r}"
+        )
+    return EnumerationResult(count, cost, strategy)
 
 
 def enumerate_centralized(
@@ -327,136 +443,12 @@ def enumerate_centralized(
 
     The candidate count is computed first; if it exceeds ``budget`` a
     BudgetExceededError carries the (capped) count.  Ties go to the first
-    minimizer in enumeration order.
+    minimizer in enumeration order: earlier stages and nodes vary slowest,
+    actions in tie-break order.  The winner is re-scored as in
+    :func:`enumerate_decentralized`.
     """
-    occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
-    count = _count_centralized(model, occ0, 0, budget)
-    if count > budget:
-        raise BudgetExceededError(
-            f"centralized strategy count exceeds budget {budget}", budget=budget, observed=count
-        )
-    best_cost = None
-    best_table = None
-    for table in _centralized_tables(model, (((), (), occ0, 0),)):
-        cost = exact_cost(model, structure, CentralizedTableStrategy(model, table))
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_table = table
-    return EnumerationResult(count, best_cost, CentralizedTableStrategy(model, best_table))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive strategy search, decentralized class
-
-
-def _member_views(model, structure, nodes, t):
-    """Distinct member views over the node list.
-
-    Returns (the (member, view key) slots, member by member and each
-    member's views in first-seen order; per-node tuple of per-member view
-    keys)."""
-    K = model.num_members
-    seen: list[dict[str, None]] = [{} for _ in range(K)]
-    node_keys: list[tuple[str, ...]] = []
-    for obs_seq, act_seq, _ in nodes:
-        keys = tuple(view_key(prefix_view(structure, K, obs_seq, act_seq, t, k)) for k in range(K))
-        for k, vk in enumerate(keys):
-            seen[k].setdefault(vk)
-        node_keys.append(keys)
-    return [(k, vk) for k in range(K) for vk in seen[k]], node_keys
-
-
-def _assignments(model, slots, node_keys):
-    """Iterate all joint assignments of actions to the slots.
-
-    Yields (one action per slot, flat joint action of every node).
-    Deterministic order: the last slot varies fastest, actions ascending."""
-    K = model.num_members
-    strides = [prod(model.action_sizes[k + 1:]) for k in range(K)]
-    index = {slot: j for j, slot in enumerate(slots)}
-    node_slots = [[(index[k, vk], strides[k]) for k, vk in enumerate(keys)] for keys in node_keys]
-    for combo in product(*(range(model.action_sizes[k]) for k, _ in slots)):
-        yield combo, [sum(combo[j] * s for j, s in pairs) for pairs in node_slots]
-
-
-def _expand(model, node, t, a, last):
-    """A node under flat joint action ``a``: (stage cost, child nodes in
-    observation order) or, at the last stage, its whole cost-to-go.
-    :func:`exact_cost` and the decentralized search both score with it."""
-    obs_seq, act_seq, occ = node
-    total = sum(w * model.stage_cost[t, x, a] for x, w in occ.items())
-    occp = _predict_occ(model, occ, a)
-    if last:
-        return total + sum(w * model.terminal_cost[x] for x, w in occp.items())
-    u = model.joint_actions[a]
-    return total, [
-        (obs_seq + (y,), act_seq + (u,), occy) for y, occy in _split_by_obs(model, occp)
-    ]
-
-
-def _next_nodes(model, nodes, t, actions):
-    """The next stage's nodes when ``nodes[i]`` plays ``actions[i]``."""
-    return [c for node, a in zip(nodes, actions) for c in _expand(model, node, t, a, False)[1]]
-
-
-def _count_decentralized(model, structure, nodes, t, cap, positive) -> int:
-    """Leaf count of the decentralized profile tree, capped at cap+1.
-
-    Every assignment of the last stage is one leaf, so that stage builds
-    no children.  With ``positive`` kernels the supports do not depend on
-    actions: every assignment spawns child sets with identical view
-    partitions, so the count factorizes."""
-    slots, node_keys = _member_views(model, structure, nodes, t)
-    per_stage = 1
-    for k, _ in slots:
-        per_stage = _capped_mul(per_stage, model.action_sizes[k], cap)
-    if t + 1 == model.horizon:
-        return per_stage
-    if positive:
-        children = _next_nodes(model, nodes, t, [0] * len(nodes))
-        rest = _count_decentralized(model, structure, children, t + 1, cap, positive)
-        return _capped_mul(per_stage, rest, cap)
-    total = 0
-    for _, actions in _assignments(model, slots, node_keys):
-        children = _next_nodes(model, nodes, t, actions)
-        rest = _count_decentralized(model, structure, children, t + 1, cap, positive)
-        total = _capped_add(total, rest, cap)
-        if total > cap:
-            return total
-    return total
-
-
-def _scored_profiles(model, structure, nodes, t):
-    """Yield (path, costs) for every profile of the stages t..T-1 on
-    ``nodes``, in enumeration order.
-
-    ``path`` holds one (slots, one action per slot) pair per stage and ``costs[i]`` is
-    the occupancy-weighted cost from ``nodes[i]`` on, added up as
-    ``_cost_from`` adds it: the stage cost, then each child's cost in
-    observation order.  Each node is expanded once per joint action."""
-    slots, node_keys = _member_views(model, structure, nodes, t)
-    last = t + 1 == model.horizon
-    memo: list[dict] = [{} for _ in nodes]
-    for combo, actions in _assignments(model, slots, node_keys):
-        step = ((slots, combo),)
-        parts = []
-        for node, a, m in zip(nodes, actions, memo):
-            if a not in m:
-                m[a] = _expand(model, node, t, a, last)
-            parts.append(m[a])
-        if last:
-            yield step, parts
-            continue
-        children = [c for _, cs in parts for c in cs]
-        for path, child_costs in _scored_profiles(model, structure, children, t + 1):
-            costs = []
-            j = 0
-            for total, cs in parts:
-                for c in child_costs[j:j + len(cs)]:
-                    total += c
-                j += len(cs)
-                costs.append(total)
-            yield step + path, costs
+    count, cost, table = _search(model, _history_slots, budget, "centralized strategy")
+    return _rechecked(model, structure, count, cost, CentralizedTableStrategy(model, table))
 
 
 def enumerate_decentralized(
@@ -474,31 +466,19 @@ def enumerate_decentralized(
     exact_cost through its member tables, and InvariantError is raised
     unless both give the same bits.
     """
-    occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
-    root = [((), (), occ0)]
-    positive = np.all(model.transition > 0.0) and all(
-        np.all(k > 0.0) for k in model.observation_kernels
+    count, cost, table = _search(
+        model, partial(_view_slots, structure), budget, "decentralized profile"
     )
-    count = _count_decentralized(model, structure, root, 0, budget, positive)
-    if count > budget:
-        raise BudgetExceededError(
-            f"decentralized profile count exceeds budget {budget}", budget=budget, observed=count
-        )
-    scored = 0
-    best_cost = None
-    best_path = None
-    for path, (cost,) in _scored_profiles(model, structure, root, 0):
-        scored += 1
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_path = path
-    if scored != count:
-        raise InvariantError(f"scored {scored} decentralized profiles, counted {count}")
+    return _rechecked(model, structure, count, cost, _member_profile(model, structure, table))
+
+
+def _member_profile(model, structure, table) -> DecentralizedStrategy:
+    """The profile in which member k plays ``table[k, view key]``, and
+    action 0 at views the table leaves out."""
     tables: list[dict[str, int]] = [{} for _ in range(model.num_members)]
-    for slots, combo in best_path:
-        for (k, vk), act in zip(slots, combo):
-            tables[k][vk] = act
-    strategy = DecentralizedStrategy(
+    for (k, vk), act in table.items():
+        tables[k][vk] = act
+    return DecentralizedStrategy(
         model,
         structure,
         [
@@ -506,9 +486,3 @@ def enumerate_decentralized(
             for k in range(model.num_members)
         ],
     )
-    rescored = exact_cost(model, structure, strategy)
-    if float(rescored).hex() != float(best_cost).hex():
-        raise InvariantError(
-            f"one-pass optimum {float(best_cost)!r} differs from exact_cost {float(rescored)!r}"
-        )
-    return EnumerationResult(count, best_cost, strategy)

@@ -7,6 +7,7 @@ from trajectory tables, never against the solvers they certify.
 
 import ast
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import HashedCentralizedStrategy, HashedMemberStrategy, random_mod
 
 from teamdp import (
     BudgetExceededError,
+    CentralizedTableStrategy,
     DecentralizedStrategy,
     InformationStructure,
     InvariantError,
@@ -425,8 +427,8 @@ def count_scored_profiles(monkeypatch) -> list:
     scored = []
     real = oracle._scored_profiles
 
-    def counting(model, structure, nodes, t):
-        for item in real(model, structure, nodes, t):
+    def counting(model, slots_at, nodes, t):
+        for item in real(model, slots_at, nodes, t):
             if t == 0:
                 scored.append(item)
             yield item
@@ -437,18 +439,30 @@ def count_scored_profiles(monkeypatch) -> list:
 
 @pytest.mark.parametrize(
     "name, count",
-    [("toy2", 64), ("zero_entry", 44), ("zero_entry_uneven_actions", 186)],
+    [
+        ("toy2", 64),
+        ("zero_entry", 44),
+        ("zero_entry_uneven_actions", 186),
+        ("delayed_control", 1536),
+    ],
 )
 def test_decentralized_budget_pinned(name, count, toy2, monkeypatch):
     """Budget errors carry the observed counts recorded before the search
-    stopped building last-stage children; the zero-entry kernels make the
-    count depend on the actions, so it cannot factorize."""
+    stopped building last-stage children.  The count depends on the
+    actions with zero-entry kernels, and under delayed control sharing,
+    where a member sees a co-member's action without the observation
+    behind it (that count once factorized to 1,024 and the search stopped
+    on its own check)."""
     model, structure = {
         "toy2": toy2,
         "zero_entry": (random_model(162, positive=False), POOLED_VARIANTS[2]),
         "zero_entry_uneven_actions": (
             random_model(321, positive=False, action_sizes=(3, 2)),
             POOLED_VARIANTS[1],
+        ),
+        "delayed_control": (
+            random_model(0, num_states=2, horizon=3, obs_sizes=(1, 2)),
+            POOLED_VARIANTS[3],
         ),
     }[name]
     for budget, observed in ((1, 2), (count - 1, count)):
@@ -528,9 +542,71 @@ def test_decentralized_search_checks_itself(toy2, monkeypatch):
     with pytest.raises(InvariantError, match="differs from exact_cost"):
         oracle.enumerate_decentralized(model, structure)
     monkeypatch.setattr(oracle, "exact_cost", exact_cost)
-    monkeypatch.setattr(oracle, "_count_decentralized", lambda *args: 63)
+    monkeypatch.setattr(oracle, "_count_profiles", lambda *args: 63)
     with pytest.raises(InvariantError, match="scored 64"):
         oracle.enumerate_decentralized(model, structure)
+
+
+def test_centralized_search_checks_itself(toy2, monkeypatch):
+    """The centralized twin: the winning table's exact_cost must reproduce
+    the one-pass optimum to the bit, and the tables scored must match the
+    count."""
+    model, structure = toy2
+    exact_cost = oracle.exact_cost
+    monkeypatch.setattr(
+        oracle, "exact_cost", lambda *args: np.nextafter(exact_cost(*args), np.inf)
+    )
+    with pytest.raises(InvariantError, match="differs from exact_cost"):
+        oracle.enumerate_centralized(model, structure)
+    monkeypatch.setattr(oracle, "exact_cost", exact_cost)
+    monkeypatch.setattr(oracle, "_count_profiles", lambda *args: 1023)
+    with pytest.raises(InvariantError, match="scored 1024"):
+        oracle.enumerate_centralized(model, structure)
+
+
+@pytest.mark.parametrize("centralized", [True, False], ids=["centralized", "decentralized"])
+@pytest.mark.parametrize("name, counts", [("toy2", (1024, 64)), ("zero_entry", (532, 44))])
+def test_every_scored_profile_costs_its_exact_cost(centralized, name, counts, toy2):
+    """The one-pass scorer agrees to the bit with exact_cost walking each
+    profile's own tables, for every profile of both classes."""
+    model, structure = {
+        "toy2": toy2,
+        "zero_entry": (random_model(162, positive=False), POOLED_VARIANTS[2]),
+    }[name]
+    slots_at = oracle._history_slots if centralized else partial(oracle._view_slots, structure)
+    occ0 = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
+    scored = 0
+    for path, (cost,) in oracle._scored_profiles(model, slots_at, [((), (), occ0)], 0):
+        table = {
+            key: choices[c] for slots, combo in path for (key, choices), c in zip(slots, combo)
+        }
+        if centralized:
+            strategy = CentralizedTableStrategy(model, table)
+        else:
+            strategy = oracle._member_profile(model, structure, table)
+        assert float(cost).hex() == float(oracle.exact_cost(model, structure, strategy)).hex()
+        scored += 1
+    assert scored == counts[not centralized]
+
+
+def test_budget_counts_delayed_control_sharing_before_scoring(monkeypatch):
+    """The budget guard sees all 139,264 profiles (once counted as 16,384)
+    and refuses before anything is scored."""
+    model = random_model(0, num_states=3, horizon=3)
+    structure = InformationStructure("delayed_control_sharing", delays=(1, 2))
+    calls = []
+
+    def not_scored(*args):
+        calls.append(args)
+        return iter(())
+
+    monkeypatch.setattr(oracle, "_scored_profiles", not_scored)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle.enumerate_decentralized(model, structure, budget=139_263)
+    assert (info.value.budget, info.value.observed) == (139_263, 139_264)
+    assert calls == []
+    with pytest.raises(InvariantError, match="scored 0 decentralized profiles, counted 139264"):
+        oracle.enumerate_decentralized(model, structure, budget=139_264)
 
 
 def test_decentralized_ties_go_to_the_first_profile():
