@@ -1,11 +1,22 @@
 """Rollout and Monte Carlo estimator tests: reproducibility, per-sample
-seeding, and agreement with the exact outcome law."""
+seeding, agreement with the exact outcome law, the inverse-CDF sampler
+against ``Generator.choice``, and the per-history action memo."""
+
+import dataclasses
+from bisect import bisect_right
 
 import numpy as np
-from conftest import HashedCentralizedStrategy, HashedMemberStrategy
+import pytest
+from conftest import (
+    HashedCentralizedStrategy,
+    HashedMemberStrategy,
+    flip_transition,
+    random_model,
+    symmetric_kernel,
+)
 
-from teamdp import DecentralizedStrategy, SimConfig, estimate_cost, rollout
-from teamdp import oracle
+from teamdp import DecentralizedStrategy, InformationStructure, SimConfig, estimate_cost, rollout
+from teamdp import oracle, sim
 
 
 def test_rollout_reproducible(toy2):
@@ -79,3 +90,107 @@ def test_seed_wraps_at_uint64(toy2):
         rollout(model, g, seed=0).cost,
     ]
     assert est.mean == float(np.sum(wrapped) / 2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("initial_dist", np.array([1.2, -0.2]), "Probabilities are not non-negative"),
+        ("initial_dist", np.array([0.6, 0.5]), "Probabilities do not sum to 1"),
+        ("initial_dist", np.array([np.nan, 1.0]), "Probabilities contain NaN"),
+        ("transition", flip_transition(-0.1, 4), "Probabilities are not non-negative"),
+        ("observation_kernels", (np.array([[0.8, 0.3], [0.3, 0.8]]),) * 2,
+         "Probabilities do not sum to 1"),
+    ],
+)
+def test_rollout_rejects_rows_that_choice_rejects(toy2, field, value, message):
+    """An unvalidated model with a bad row raises numpy's ValueError.  Every
+    row of the field is bad, so the first draw from it fails either way."""
+    model, structure = toy2
+    bad = dataclasses.replace(model, **{field: value})
+    g = HashedCentralizedStrategy(bad, salt=1)
+    with pytest.raises(ValueError, match=message):
+        rollout(bad, g, seed=0)
+
+
+def _sampler_rows():
+    r = np.random.default_rng(31)
+    rows = [r.dirichlet(np.ones(n)) for n in (2, 3, 4, 5, 6) for _ in range(30)]
+    rows += [
+        np.array([0.0, 0.3, 0.7]),  # leading zero
+        np.array([0.4, 0.0, 0.6]),  # interior zero
+        np.array([0.5, 0.5, 0.0]),  # trailing zero
+        np.array([0.0, 0.0, 1.0, 0.0]),
+        np.array([0.2, 0.0, 0.0, 0.3, 0.0, 0.5]),
+        np.array([0.3, 0.7 + 1e-9]),  # off 1 by less than choice's tolerance
+        np.array([1.0]),  # single entry
+    ]
+    for n in (3, 5):  # random rows with random zeros
+        for _ in range(22):
+            p = r.dirichlet(np.ones(n)) * (r.uniform(size=n) < 0.6)
+            p[r.integers(n)] += 0.5
+            rows.append(p / p.sum())
+    return rows
+
+
+def test_inverse_cdf_draw_matches_generator_choice():
+    """bisect_right over a table row takes the same index from the same
+    stream position as ``Generator.choice(n, p=row)``, and never an index
+    of probability zero."""
+    draws = 0
+    for j, row in enumerate(_sampler_rows()):
+        n = len(row)
+        cdf = sim._cdf(row, n)
+        ours, theirs = np.random.default_rng(1000 + j), np.random.default_rng(1000 + j)
+        for _ in range(200):
+            idx = bisect_right(cdf, ours.random())
+            assert idx == theirs.choice(n, p=row)
+            assert row[idx] > 0.0
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            draws += 1
+    assert draws >= 40_000
+
+
+class _CountingProfile(DecentralizedStrategy):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def joint_action(self, obs_seq, act_seq, t):
+        self.calls += 1
+        return super().joint_action(obs_seq, act_seq, t)
+
+
+def _zero_entry_model():
+    model = random_model(5, num_states=3, horizon=3, obs_sizes=(2, 3), positive=False)
+    return model, InformationStructure("delayed_sharing", delays=(1, 1))
+
+
+@pytest.mark.parametrize("case", ["toy2", "zero_entry"])
+def test_memoized_estimate_equals_plain_rollouts(case, request):
+    """The strategy is asked once per distinct realized observation path,
+    and the estimate is, to the bit, the mean of fresh per-sample rollouts."""
+    model, structure = request.getfixturevalue("toy2") if case == "toy2" else _zero_entry_model()
+    assert case == "toy2" or (model.transition == 0).any()
+    members = [HashedMemberStrategy(model, structure, k, salt=3 + k) for k in range(2)]
+    profile = _CountingProfile(model, structure, members)
+    n, seed = 400, 77
+    est = estimate_cost(model, profile, SimConfig(samples=n, seed=seed))
+    fresh = DecentralizedStrategy(model, structure, members)
+    outs = [rollout(model, fresh, seed=seed + i) for i in range(n)]
+    singles = [o.cost for o in outs]
+    assert est.mean == float(np.sum(singles) / n)
+    paths = {o.trajectory.observations[:t] for o in outs for t in range(model.horizon)}
+    assert profile.calls == len(paths) < n * model.horizon
+
+
+def test_estimate_bits_are_pinned():
+    """Mean and standard error of one seeded zero-entry scenario, as the
+    per-draw ``Generator.choice`` sampler gave them."""
+    model, structure = _zero_entry_model()
+    profile = DecentralizedStrategy(
+        model, structure, [HashedMemberStrategy(model, structure, k, salt=3 + k) for k in range(2)]
+    )
+    est = estimate_cost(model, profile, SimConfig(samples=2000, seed=2024))
+    assert est.mean.hex() == "0x1.18254a3c64347p+1"
+    assert est.std_error.hex() == "0x1.0bb928b663521p-7"
