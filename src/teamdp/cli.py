@@ -12,7 +12,18 @@ and gives the same bytes as ``json.dumps(report, indent=2,
 sort_keys=True)``.  The ``json`` module indents only in pure Python,
 which took longer than the manager solve on large trees; ``_encode``
 writes each list of finite floats or plain ints with one ``str.join``.
-The CSV export formats each value with the same ``_scalar``.
+The manager value function is written straight from its stage arrays by
+``_write_value_function``: per stage, one row template with ``%s`` slots
+for the encoded key, the argmin text (one precomputed text per joint
+action, ``null`` at the horizon), each belief float and the value; the
+rows go out in sorted-key order, ``_BLOCK_ROWS`` per ``%`` over the
+template repeated, and a block holding a non-finite number formats its
+floats through ``_float`` as the json module does.  The CSV export
+flattens the value function's reference form, ``to_json_dict()``, and
+formats each value with the same ``_scalar``.
+
+``--out`` is opened before any scenario work; one that cannot be opened
+is a usage error, reported on stdout.
 
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
 undefined problem, e.g. pooled solves under no_sharing, or a broken
@@ -36,6 +47,7 @@ import numpy as np
 from . import __version__
 from .dp import (
     DEFAULT_NODE_BUDGET,
+    ValueFunction,
     compare_solutions,
     solve_manager,
     solve_member,
@@ -221,7 +233,7 @@ def _cmd_solve_manager(model, structure, args):
     sol = solve_manager(model, structure, node_budget=args.node_budget)
     results = {
         "root_value": sol.root_value,
-        "value_function": sol.value_function.to_json_dict(),
+        "value_function": sol.value_function,
         "strategy": sol.strategy.to_json_dict(),
     }
     return results, {"node_counts": list(sol.node_counts)}, EXIT_OK
@@ -406,11 +418,64 @@ def _encode(obj, indent: str, write, _exact=_EXACT.get) -> None:
                 write(lead + fmt(v))
             lead = sep
         write(indent + "]")
+    elif isinstance(obj, ValueFunction):
+        _write_value_function(obj, indent, write)
     else:
         write(_scalar(obj))
 
 
+# rows of a value-function stage written by one ``%`` of the row template
+_BLOCK_ROWS = 4096
+
+
+def _write_value_function(vf: ValueFunction, indent: str, write) -> None:
+    """Write ``vf.to_json_dict()`` as ``_encode`` does, from the stage
+    arrays: each stage's rows in sorted-key order, ``_BLOCK_ROWS`` of them
+    per ``%`` over the stage's row template repeated, whose arguments are
+    the encoded key, the argmin text and the float texts."""
+    i1 = indent + "  "
+    i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
+    i5 = i4 + "  "
+    forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
+    write("{" + i1 + '"horizon": ' + _scalar(vf.horizon) + "," + i1 + '"stages": [')
+    lead = i2
+    for t, (keys, beliefs, values) in enumerate(zip(vf.keys, vf.beliefs, vf.values)):
+        write(lead)
+        lead = "," + i2
+        n, S = beliefs.shape
+        if not n:
+            write("{}")
+            continue
+        row = (
+            i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
+            + i5 + ("%s," + i5) * (S - 1) + "%s" + i4 + "]," + i4 + '"value": %s' + i3 + "}"
+        )
+        width = S + 3
+        argmins = vf.argmins[t] if t < vf.horizon else None
+        order = sorted(range(n), key=keys.__getitem__)
+        write("{")
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = order[lo : lo + _BLOCK_ROWS]
+            b, v = beliefs[rows], values[rows]
+            fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
+            args = [None] * (len(rows) * width)
+            args[0::width] = map(encode_basestring_ascii, map(keys.__getitem__, rows))
+            args[1::width] = (
+                ["null"] * len(rows)
+                if argmins is None
+                else map(forms.__getitem__, argmins[rows].tolist())
+            )
+            for x in range(S):
+                args[2 + x :: width] = map(fmt, b[:, x].tolist())
+            args[width - 1 :: width] = map(fmt, v.tolist())
+            write(("," if lo else "") + ",".join([row] * len(rows)) % tuple(args))
+        write(i2 + "}")
+    write(i1 + "]" + indent + "}")
+
+
 def _flatten(prefix: str, value, rows: list):
+    if isinstance(value, ValueFunction):
+        value = value.to_json_dict()
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
@@ -448,16 +513,14 @@ def _csv_text(report: dict, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, args) -> None:
-    """Write the report to ``--out`` or stdout; ``args`` is None when the
-    command line did not parse."""
-    out = getattr(args, "out", None)
-    with (open(out, "w") if out else contextlib.nullcontext(sys.stdout)) as f:
-        if getattr(args, "format", "json") == "csv":
-            f.write(_csv_text(report, args))
-        else:
-            _encode(report, "\n", f.write)
-            f.write("\n")
+def _emit(report: dict, args, f) -> None:
+    """Write the report to the open output ``f``; ``args`` is None when
+    the command line did not parse."""
+    if getattr(args, "format", "json") == "csv":
+        f.write(_csv_text(report, args))
+    else:
+        _encode(report, "\n", f.write)
+        f.write("\n")
 
 
 _HANDLERS = {
@@ -480,18 +543,31 @@ def _error_report(metadata: dict, kind: str, message: str, **details) -> dict:
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, emit exactly one report.  Returns the
-    process exit status (see the module docstring for the contract)."""
+    """Parse arguments, open ``--out``, dispatch, emit exactly one report.
+    Returns the process exit status (see the module docstring for the
+    contract)."""
     started = time.perf_counter()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
         metadata = {"command": "usage", "version": __version__}
-        _emit(_error_report(metadata, "UsageError", str(e)), None)
+        _emit(_error_report(metadata, "UsageError", str(e)), None, sys.stdout)
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        message = f"cannot open --out: {e}"
+        report = _error_report(_metadata(args.command, args, None), "UsageError", message)
+        _emit(report, args, sys.stdout)
+        print(f"usage error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    with out as f:
+        return _dispatch(args, f, started)
 
+
+def _dispatch(args, f, started: float) -> int:
     digest = None
     try:
         if args.command == "gaussian-example":
@@ -507,7 +583,7 @@ def run(argv=None) -> int:
             if args.command != "validate" and code == EXIT_OK:
                 results, diagnostics, code = _HANDLERS[args.command](model, structure, args)
     except _UsageError as e:
-        _emit(_error_report(_metadata(args.command, args, digest), "UsageError", str(e)), args)
+        _emit(_error_report(_metadata(args.command, args, digest), "UsageError", str(e)), args, f)
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TeamDPError as e:
@@ -515,13 +591,13 @@ def run(argv=None) -> int:
         if isinstance(e, BudgetExceededError):
             details = {"budget": e.budget, "observed": e.observed}
         metadata = _metadata(args.command, args, digest)
-        _emit(_error_report(metadata, type(e).__name__, str(e), **details), args)
+        _emit(_error_report(metadata, type(e).__name__, str(e), **details), args, f)
         return _ERROR_EXITS.get(type(e), EXIT_VALIDATION)
 
     diagnostics = dict(diagnostics)
     diagnostics["wall_time_s"] = time.perf_counter() - started
     report = {"metadata": metadata, "results": results, "diagnostics": diagnostics}
-    _emit(report, args)
+    _emit(report, args, f)
     return code
 
 

@@ -26,6 +26,10 @@ for ``solve_manager``, ``backup`` and ``evaluate_value``; sums over the
 state run in a fixed order with elementwise operations, so a node's
 numbers do not depend on how many nodes share its stage.  History keys
 are built only at the edge, for the value function and strategy table.
+The value function keeps the solved stage arrays themselves (keys in row
+order, beliefs, values, argmin action indices); ``stages[t]`` reads a
+stage as a read-only mapping that makes a :class:`NodeValue` only when a
+key is looked up, and the report writer reads the arrays directly.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -50,6 +54,7 @@ tuples of :class:`MemberNode` are built only at the edge.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -204,18 +209,70 @@ class NodeValue:
         }
 
 
-@dataclass
+class _StageNodes(Mapping):
+    """One stage of a :class:`ValueFunction` read as a map from history
+    key to :class:`NodeValue`, in row order.  A NodeValue is made on each
+    lookup, from a key -> row dict built on first use."""
+
+    __slots__ = ("_keys", "_beliefs", "_values", "_argmins", "_actions", "_rows")
+
+    def __init__(self, keys, beliefs, values, argmins, actions):
+        self._keys = keys
+        self._beliefs = beliefs
+        self._values = values
+        self._argmins = argmins  # None at the horizon
+        self._actions = actions
+        self._rows = None
+
+    def _index(self) -> dict:
+        if self._rows is None:
+            self._rows = dict(zip(self._keys, range(len(self._keys))))
+        return self._rows
+
+    def __getitem__(self, key) -> NodeValue:
+        row = self._index()[key]
+        argmin = None if self._argmins is None else self._actions[self._argmins[row]]
+        return NodeValue(self._beliefs[row], float(self._values[row]), argmin)
+
+    def __contains__(self, key) -> bool:
+        return key in self._index()
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+@dataclass(eq=False)
 class ValueFunction:
-    """Per-stage maps from canonical history keys to :class:`NodeValue`."""
+    """The manager's value function, held as the solver's stage arrays.
+
+    For t = 0..horizon: ``keys[t]``, the history keys in row order;
+    ``beliefs[t]`` ``(N, S)``; ``values[t]`` ``(N,)``; and for t < horizon
+    ``argmins[t]`` ``(N,)``, indices into ``actions`` (the joint actions
+    in tie-break order).  ``stages[t]`` reads stage t as a read-only
+    ``Mapping[str, NodeValue]``."""
 
     horizon: int
-    stages: tuple[dict[str, NodeValue], ...]
+    actions: list[tuple[int, ...]]
+    keys: tuple[list[str], ...]
+    beliefs: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    argmins: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        self.stages = tuple(
+            _StageNodes(k, b, v, a, self.actions)
+            for k, b, v, a in zip(self.keys, self.beliefs, self.values, self.argmins + (None,))
+        )
 
     @property
     def root(self) -> NodeValue:
         return self.stages[0][""]
 
     def to_json_dict(self) -> dict:
+        """Reference form of the report's ``value_function``."""
         return {
             "horizon": self.horizon,
             "stages": [
@@ -287,24 +344,15 @@ def solve_manager(
     T = model.horizon
     beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0, node_budget)
     joint = tiebreak_joint_actions(model)
-    keys = [""]
-    value_stages: list[dict[str, NodeValue]] = []
-    for t in range(T + 1):
-        acts = [joint[a] for a in argmins[t].tolist()] if t < T else [None] * len(keys)
-        value_stages.append(
-            {
-                key: NodeValue(belief=b, value=v, argmin=a)
-                for key, b, v, a in zip(keys, beliefs[t], values[t].tolist(), acts)
-            }
-        )
-        if t < T:
-            keys = _child_keys(model, keys, steps[t][2], t)
-
-    vf = ValueFunction(horizon=T, stages=tuple(value_stages))
-    table = {k: nv.argmin for stage in value_stages[:T] for k, nv in stage.items()}
-    strategy = SeparatedTeamStrategy(model, table)
+    keys = [[""]]
+    for t in range(T):
+        keys.append(_child_keys(model, keys[t], steps[t][2], t))
+    table = {}
+    for stage_keys, best in zip(keys, argmins):
+        table.update(zip(stage_keys, map(joint.__getitem__, best.tolist())))
+    vf = ValueFunction(T, joint, tuple(keys), tuple(beliefs), tuple(values), tuple(argmins))
     counts = tuple(len(b) for b in beliefs)
-    return ManagerSolution(vf, strategy, float(vf.root.value), counts)
+    return ManagerSolution(vf, SeparatedTeamStrategy(model, table), float(values[0][0]), counts)
 
 
 def evaluate_value(model: TeamModel, t: int, belief) -> float:

@@ -1,6 +1,9 @@
 """Command-line interface tests: every subcommand, the full exit-code
 contract, report schema conformance, and byte-level determinism."""
 
+import dataclasses
+import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -9,11 +12,12 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from conftest import random_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamdp import load_schema, scenario_to_dict
-from teamdp.cli import MAX_GRID_POINTS, _encode, run
+from teamdp import load_schema, scenario_to_dict, solve_manager
+from teamdp.cli import _BLOCK_ROWS, MAX_GRID_POINTS, _encode, run
 
 WALL_TIME = re.compile(r'^\s*"wall_time_s": [0-9.eE+-]+,?\n', re.MULTILINE)
 
@@ -334,6 +338,65 @@ def test_encode_rejects_what_json_dumps_rejects(obj):
         _encoded(obj)
 
 
+# models whose value functions the stage writer must write as json.dumps
+# writes their reference form, each with a text that reference must hold
+_VALUE_FUNCTION_MODELS = {
+    "toy2": (lambda toy2: toy2[0], ""),
+    # pruned branches leave gaps in the row order
+    "zero_entry": (lambda toy2: random_model(310, num_states=3, horizon=3, positive=False), ""),
+    # "y1=10" sorts before "y1=2"
+    "eleven_obs": (
+        lambda toy2: random_model(330, num_states=2, horizon=2, obs_sizes=(11, 2)),
+        "y1=10,1",
+    ),
+    "horizon_1": (lambda toy2: random_model(331, horizon=1), ""),
+    # stage 3 has 13,824 rows, more than one block
+    "past_block": (lambda toy2: random_model(332, horizon=3, obs_sizes=(2, 3)), ""),
+    # unvalidated: non-finite terminal costs spread through every stage
+    "inf": (
+        lambda toy2: dataclasses.replace(toy2[0], terminal_cost=np.array([np.inf, 1.0])),
+        "Infinity",
+    ),
+    "-inf": (
+        lambda toy2: dataclasses.replace(toy2[0], terminal_cost=np.array([-np.inf, 1.0])),
+        "-Infinity",
+    ),
+    "nan": (
+        lambda toy2: dataclasses.replace(toy2[0], terminal_cost=np.array([np.nan, 1.0])),
+        "NaN",
+    ),
+    # unvalidated: all-zero observation kernel, so no branch has positive
+    # weight and stages 1 and 2 are empty
+    "empty_stages": (
+        lambda toy2: dataclasses.replace(
+            toy2[0], observation_kernels=(np.zeros((2, 2)), toy2[0].observation_kernels[1])
+        ),
+        "{}",
+    ),
+}
+
+
+def _first_difference(text: str, expected: str):
+    """(line number, line, expected line) where two texts first differ, or
+    None; a megabyte-long string diff would take pytest minutes."""
+    pairs = itertools.zip_longest(text.splitlines(), expected.splitlines())
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+@pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
+def test_value_function_writer_matches_json_dumps(toy2, case):
+    build, must_hold = _VALUE_FUNCTION_MODELS[case]
+    vf = solve_manager(build(toy2), toy2[1]).value_function
+    ref = vf.to_json_dict()
+    expected = json.dumps(ref, indent=2, sort_keys=True)
+    assert must_hold in expected
+    assert _first_difference(_encoded(vf), expected) is None
+    nested = json.dumps({"results": {"value_function": ref}}, indent=2, sort_keys=True)
+    assert _first_difference(_encoded({"results": {"value_function": vf}}), nested) is None
+    if case == "past_block":
+        assert max(map(len, vf.keys)) > _BLOCK_ROWS
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -380,6 +443,56 @@ def test_out_file_matches_stdout(capsys, scenario_path, tmp_path):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert WALL_TIME.sub("", out.read_text()) == WALL_TIME.sub("", stdout_text)
+
+
+# lines left out of a pinned report: the run time and the scenario path
+_UNPINNED = re.compile(
+    r'^(\s*"wall_time_s": |\s*"scenario": '
+    r"|diagnostics\.wall_time_s,|metadata\.arguments\.scenario,)"
+)
+
+# sha256 of the pinned lines of solve-manager reports, taken from the
+# reports written before the value function was emitted from its stage
+# arrays
+_PINNED_REPORTS = {
+    ("toy2", "json"): "7f63df11cf5d5fe5c65c68a81bc22309a0e82eca717f3a6ca7e0f40f008486e1",
+    ("toy2", "csv"): "eaaf724b259c5d5ef41c0a27cc691e2feb3e60625b552d2ccbfb8e6834b2f08f",
+    ("zero_entry", "json"): "f8c609d24038b1b4c54961c67884858a547602edd0f3e07a7bfd1fba7390a605",
+    ("zero_entry", "csv"): "241963d2172c9d37ef302cdb31dc76813af0e912d54354e7710c30d744bc12e1",
+}
+
+
+@pytest.mark.parametrize("instance, fmt", sorted(_PINNED_REPORTS))
+def test_solve_manager_report_bytes_are_pinned(
+    capsys, scenario_path, toy2, tmp_path, instance, fmt
+):
+    path = scenario_path
+    if instance == "zero_entry":
+        model = random_model(310, num_states=3, horizon=2, positive=False)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(scenario_to_dict(model, toy2[1])))
+    assert run(["solve-manager", "--scenario", str(path), "--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    pinned = "".join(line for line in lines if not _UNPINNED.match(line))
+    assert len(lines) - pinned.count("\n") == 2
+    assert hashlib.sha256(pinned.encode()).hexdigest() == _PINNED_REPORTS[instance, fmt]
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_is_a_usage_error(capsys, scenario_path, tmp_path, target):
+    """An --out that cannot be opened is refused before the scenario is
+    read: one report on stdout, one usage line on stderr, exit 64."""
+    out = tmp_path / "missing" / "r.json" if target == "missing_directory" else tmp_path
+    code = run(["solve-manager", "--scenario", scenario_path, "--out", str(out)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    jsonschema.validate(report, load_schema("report"))
+    assert code == 64
+    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["message"].startswith("cannot open --out: ")
+    assert report["metadata"]["scenario_sha256"] is None
+    assert captured.err == f"usage error: {report['error']['message']}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_csv_format(capsys, scenario_path):

@@ -114,6 +114,59 @@ def test_manager_node_budget_is_checked_per_stage(toy2):
         assert (info.value.budget, info.value.observed) == (budget, budget + 1)
 
 
+def _eager_stages(model):
+    """The value function's stages as dicts of NodeValue built node by node
+    from the solver's stage arrays, in row order: the form solve_manager
+    kept before its stages became lazy mappings."""
+    from teamdp.dp import NodeValue, _child_keys, _solve_tree
+
+    T = model.horizon
+    beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0)
+    joint = tiebreak_joint_actions(model)
+    keys, stages = [""], []
+    for t in range(T + 1):
+        acts = [joint[a] for a in argmins[t].tolist()] if t < T else [None] * len(keys)
+        stages.append(
+            {
+                key: NodeValue(belief=b, value=v, argmin=a)
+                for key, b, v, a in zip(keys, beliefs[t], values[t].tolist(), acts)
+            }
+        )
+        if t < T:
+            keys = _child_keys(model, keys, steps[t][2], t)
+    return stages
+
+
+@pytest.mark.parametrize("instance", ["toy2", "zero_entry"])
+def test_stage_mappings_match_eager_dicts(instance, toy2):
+    """``value_function.stages[t]`` reads like the eager dict: same length,
+    iteration order and membership, equal belief bytes, bit-equal values,
+    the same argmin tuples (None at the horizon), KeyError off the tree."""
+    if instance == "toy2":
+        model, structure = toy2
+    else:
+        model, structure = random_model(310, num_states=3, horizon=3, positive=False), toy2[1]
+    vf = solve_manager(model, structure).value_function
+    eager = _eager_stages(model)
+    assert len(vf.stages) == len(eager) == model.horizon + 1
+    for t, (lazy, ref) in enumerate(zip(vf.stages, eager)):
+        assert len(lazy) == len(ref)
+        assert list(lazy) == list(ref)
+        assert [k for k, _ in lazy.items()] == list(ref)
+        for key, node in ref.items():
+            assert key in lazy
+            got = lazy[key]
+            assert got.belief.tobytes() == node.belief.tobytes()
+            assert type(got.value) is float and got.value.hex() == node.value.hex()
+            assert got.argmin == node.argmin
+            assert (got.argmin is None) == (t == model.horizon)
+        for unknown in ("u0=9,9;y1=9,9", "", 0) if t else ("u0=0,0;y1=0,0", 0):
+            assert unknown not in lazy
+            with pytest.raises(KeyError):
+                lazy[unknown]
+    assert vf.root.belief.tobytes() == eager[0][""].belief.tobytes()
+
+
 def _oracle_prefixes(model):
     """Positive-probability full-history prefixes per stage, as
     (obs_seq, act_seq), found by the oracle's own occupancy propagation
