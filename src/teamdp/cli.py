@@ -22,8 +22,21 @@ floats through ``_float`` as the json module does.  The CSV export
 flattens the value function's reference form, ``to_json_dict()``, and
 formats each value with the same ``_scalar``.
 
-``--out`` is opened before any scenario work; one that cannot be opened
-is a usage error, reported on stdout.
+``--out`` is opened before any scenario work; one that cannot be opened,
+or that names the ``--scenario`` file (which opening would destroy), is a
+usage error, reported on stdout.  The scenario file is read once: the
+bytes parsed are the bytes hashed into ``metadata.scenario_sha256``.
+
+Start-up pays only for what a subcommand runs.  This module imports
+``errors``, ``model`` and ``scenario`` (and with them numpy); each handler
+imports the rest when it runs: ``validate`` nothing more,
+``solve-manager`` ``dp`` (which brings ``filters`` and ``strategies``),
+``solve-member`` ``dp`` and ``strategies``, ``oracle-centralized`` and
+``oracle-decentralized`` ``oracle`` (with ``strategies``), ``compare``
+``dp`` (whose ``compare_solutions`` imports ``oracle``), ``simulate``
+``dp``, ``oracle`` and ``sim``, and ``gaussian-example`` ``gaussian``.
+``_encode`` and ``_flatten`` recognise a ``dp.ValueFunction`` only when
+``dp`` is already imported, as it must be for one to exist.
 
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
 undefined problem, e.g. pooled solves under no_sharing, or a broken
@@ -37,6 +50,7 @@ import argparse
 import contextlib
 import hashlib
 import math
+import os
 import sys
 import time
 from functools import partial
@@ -45,36 +59,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .dp import (
-    DEFAULT_NODE_BUDGET,
-    ValueFunction,
-    compare_solutions,
-    solve_manager,
-    solve_member,
-)
 from .errors import (
     BudgetExceededError,
     ScenarioFormatError,
     TeamDPError,
 )
-from .gaussian import (
-    GaussianInstance,
-    closed_form,
-    dp_walkthrough,
-    expected_cost,
-    linear_search,
-    mc_estimate,
-)
-from .model import validate_model
-from .oracle import (
-    DEFAULT_STRATEGY_BUDGET,
-    enumerate_centralized,
-    enumerate_decentralized,
-    exact_cost,
-)
-from .scenario import load_scenario
-from .sim import SimConfig, estimate_cost
-from .strategies import ManagerProjectionStrategy
+from .model import DEFAULT_NODE_BUDGET, DEFAULT_STRATEGY_BUDGET, validate_model
+from .scenario import read_scenario, scenario_from_bytes
 
 __all__ = ["run", "main"]
 
@@ -170,11 +161,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _scenario_digest(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
 def _metadata(command: str, args, digest: str | None) -> dict:
     arguments = {
         k: v
@@ -230,6 +216,8 @@ def _validation(model, structure):
 
 
 def _cmd_solve_manager(model, structure, args):
+    from .dp import solve_manager
+
     sol = solve_manager(model, structure, node_budget=args.node_budget)
     results = {
         "root_value": sol.root_value,
@@ -240,6 +228,9 @@ def _cmd_solve_manager(model, structure, args):
 
 
 def _cmd_solve_member(model, structure, args):
+    from .dp import solve_manager, solve_member
+    from .strategies import ManagerProjectionStrategy
+
     mgr = solve_manager(model, structure, node_budget=args.node_budget)
     others = {
         j: ManagerProjectionStrategy(j, mgr.strategy)
@@ -261,9 +252,11 @@ def _cmd_solve_member(model, structure, args):
 
 
 def _cmd_oracle(search, model, structure, args):
-    """oracle-centralized and oracle-decentralized: ``search`` is the
+    """oracle-centralized and oracle-decentralized: ``search`` names the
     oracle's enumeration for the class."""
-    res = search(model, structure, budget=args.node_budget)
+    from . import oracle
+
+    res = getattr(oracle, search)(model, structure, budget=args.node_budget)
     results = {
         "num_strategies": res.num_strategies,
         "optimal_cost": res.optimal_cost,
@@ -273,11 +266,17 @@ def _cmd_oracle(search, model, structure, args):
 
 
 def _cmd_compare(model, structure, args):
+    from .dp import compare_solutions
+
     report = compare_solutions(model, structure, node_budget=args.node_budget)
     return report.to_json_dict(), {}, EXIT_OK
 
 
 def _cmd_simulate(model, structure, args):
+    from .dp import solve_manager
+    from .oracle import exact_cost
+    from .sim import SimConfig, estimate_cost
+
     mgr = solve_manager(model, structure, node_budget=args.node_budget)
     est = estimate_cost(model, mgr.strategy, SimConfig(samples=args.samples, seed=args.seed))
     exact = exact_cost(model, structure, mgr.strategy)
@@ -293,6 +292,8 @@ def _cmd_simulate(model, structure, args):
 
 
 def _cmd_gaussian(args):
+    from .gaussian import GaussianInstance, closed_form, dp_walkthrough, linear_search, mc_estimate
+
     inst = GaussianInstance(args.covariance)
     sol = closed_form(inst)
     companion = closed_form(GaussianInstance(-args.covariance))
@@ -418,21 +419,29 @@ def _encode(obj, indent: str, write, _exact=_EXACT.get) -> None:
                 write(lead + fmt(v))
             lead = sep
         write(indent + "]")
-    elif isinstance(obj, ValueFunction):
+    elif _is_value_function(obj):
         _write_value_function(obj, indent, write)
     else:
         write(_scalar(obj))
+
+
+def _is_value_function(obj) -> bool:
+    """Whether ``obj`` is a ``dp.ValueFunction``; one can exist only once
+    ``dp`` is imported, so a report without one imports nothing."""
+    dp = sys.modules.get(f"{__package__}.dp")
+    return dp is not None and isinstance(obj, dp.ValueFunction)
 
 
 # rows of a value-function stage written by one ``%`` of the row template
 _BLOCK_ROWS = 4096
 
 
-def _write_value_function(vf: ValueFunction, indent: str, write) -> None:
-    """Write ``vf.to_json_dict()`` as ``_encode`` does, from the stage
-    arrays: each stage's rows in sorted-key order, ``_BLOCK_ROWS`` of them
-    per ``%`` over the stage's row template repeated, whose arguments are
-    the encoded key, the argmin text and the float texts."""
+def _write_value_function(vf, indent: str, write) -> None:
+    """Write ``vf.to_json_dict()`` (``vf`` a ``dp.ValueFunction``) as
+    ``_encode`` does, from the stage arrays: each stage's rows in
+    sorted-key order, ``_BLOCK_ROWS`` of them per ``%`` over the stage's
+    row template repeated, whose arguments are the encoded key, the argmin
+    text and the float texts."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
     i5 = i4 + "  "
@@ -474,7 +483,7 @@ def _write_value_function(vf: ValueFunction, indent: str, write) -> None:
 
 
 def _flatten(prefix: str, value, rows: list):
-    if isinstance(value, ValueFunction):
+    if _is_value_function(value):
         value = value.to_json_dict()
     if isinstance(value, dict):
         for k in sorted(value):
@@ -490,6 +499,8 @@ def _csv_text(report: dict, args) -> str:
     command = report["metadata"]["command"]
     lines = []
     if command == "gaussian-example" and "error" not in report:
+        from .gaussian import GaussianInstance, closed_form, expected_cost
+
         # plot-ready sections: cost along the first-move gain axis with the
         # other two gains pinned at each sign's closed-form optimum
         lines.append("covariance,first_gain,cost")
@@ -526,8 +537,8 @@ def _emit(report: dict, args, f) -> None:
 _HANDLERS = {
     "solve-manager": _cmd_solve_manager,
     "solve-member": _cmd_solve_member,
-    "oracle-centralized": partial(_cmd_oracle, enumerate_centralized),
-    "oracle-decentralized": partial(_cmd_oracle, enumerate_decentralized),
+    "oracle-centralized": partial(_cmd_oracle, "enumerate_centralized"),
+    "oracle-decentralized": partial(_cmd_oracle, "enumerate_decentralized"),
     "compare": _cmd_compare,
     "simulate": _cmd_simulate,
 }
@@ -555,16 +566,32 @@ def run(argv=None) -> int:
         _emit(_error_report(metadata, "UsageError", str(e)), None, sys.stdout)
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as e:
-        message = f"cannot open --out: {e}"
+    message = None
+    if args.out and _same_file(args.out, getattr(args, "scenario", None)):
+        message = "--out names the --scenario file"
+    else:
+        try:
+            out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as e:
+            message = f"cannot open --out: {e}"
+    if message is not None:
         report = _error_report(_metadata(args.command, args, None), "UsageError", message)
         _emit(report, args, sys.stdout)
         print(f"usage error: {message}", file=sys.stderr)
         return EXIT_USAGE
     with out as f:
         return _dispatch(args, f, started)
+
+
+def _same_file(out: str, scenario: str | None) -> bool:
+    """Whether ``out`` names the existing file ``scenario``: opening it
+    for writing would destroy the scenario before it is read."""
+    if scenario is None:
+        return False
+    try:
+        return os.path.samefile(out, scenario)
+    except OSError:  # either one missing or unreadable
+        return False
 
 
 def _dispatch(args, f, started: float) -> int:
@@ -574,8 +601,9 @@ def _dispatch(args, f, started: float) -> int:
             metadata = _metadata(args.command, args, None)
             results, diagnostics, code = _cmd_gaussian(args)
         else:
-            model, structure = load_scenario(args.scenario)
-            digest = _scenario_digest(args.scenario)
+            raw = read_scenario(args.scenario)
+            model, structure = scenario_from_bytes(raw, args.scenario)
+            digest = hashlib.sha256(raw).hexdigest()
             metadata = _metadata(args.command, args, digest)
             if args.command == "solve-member" and not 0 <= args.member < model.num_members:
                 raise _UsageError(f"--member must be in 0..{model.num_members - 1}")

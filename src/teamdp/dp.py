@@ -74,6 +74,7 @@ from .filters import (
     _sequences,
 )
 from .model import (
+    DEFAULT_NODE_BUDGET,
     HistoryView,
     InformationStructure,
     TeamModel,
@@ -104,8 +105,6 @@ __all__ = [
     "compare_solutions",
     "DEFAULT_NODE_BUDGET",
 ]
-
-DEFAULT_NODE_BUDGET = 200_000
 
 
 def _as_vec(belief) -> np.ndarray:

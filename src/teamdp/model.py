@@ -48,7 +48,15 @@ __all__ = [
     "history_key",
     "view_key",
     "tiebreak_joint_actions",
+    "DEFAULT_NODE_BUDGET",
+    "DEFAULT_STRATEGY_BUDGET",
 ]
+
+# default caps: tree nodes per dynamic program (``dp``), and candidate
+# strategies per enumeration (``oracle``); defined here so that the command
+# line parser reads them without importing either module
+DEFAULT_NODE_BUDGET = 200_000
+DEFAULT_STRATEGY_BUDGET = 10_000_000
 
 STRUCTURE_VARIANTS = (
     "delayed_sharing",

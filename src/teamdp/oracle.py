@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantError, ZeroLikelihoodError
 from .model import (
+    DEFAULT_STRATEGY_BUDGET,
     HistoryView,
     InformationStructure,
     TeamModel,
@@ -55,8 +56,6 @@ __all__ = [
     "enumerate_decentralized",
     "DEFAULT_STRATEGY_BUDGET",
 ]
-
-DEFAULT_STRATEGY_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,38 @@ schema):
 Structural problems (bad JSON, schema violations, ragged arrays) raise
 :class:`ScenarioFormatError`; numeric invariants such as rows summing to
 one are the business of :func:`teamdp.model.validate_model`.
+
+The schema check is a small interpreter of the shipped schema file, which
+stays the single source of truth.  It knows exactly the keywords that file
+uses (``type`` over ``object``, ``array``, ``string``, ``number`` and
+``integer``, ``required``, ``additionalProperties: false``,
+``properties``, ``items``, ``minItems``, ``minimum``, ``enum`` and local
+``$ref``), skips the annotations ``$schema``, ``$id``, ``$defs`` and
+``title``, and refuses a schema holding anything else.  Like a JSON
+Schema 2020-12 validator it walks each schema's keywords in file order, so
+its violations come in the order ``jsonschema`` yields them, with
+``jsonschema``'s message texts and type rules (a bool is not a number; an
+integral float such as ``1.0`` is an integer).  The violation reported is
+the first one with the smallest instance path.  ``jsonschema`` itself is
+needed only by the tests, which hold the two to the same texts.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
-from .errors import ScenarioFormatError
+from .errors import InvariantError, ScenarioFormatError
 from .model import InformationStructure, TeamModel
 
 __all__ = [
     "load_schema",
     "load_scenario",
+    "read_scenario",
+    "scenario_from_bytes",
     "scenario_from_dict",
     "scenario_to_dict",
 ]
@@ -47,18 +63,150 @@ def load_schema(name: str) -> dict:
     return _SCHEMAS[name]
 
 
+# ---------------------------------------------------------------------------
+# the schema check
+
+
+def _is_number(o) -> bool:
+    return not isinstance(o, bool) and isinstance(o, numbers.Number)
+
+
+_TYPES = {
+    "object": lambda o: isinstance(o, dict),
+    "array": lambda o: isinstance(o, list),
+    "string": lambda o: isinstance(o, str),
+    "number": _is_number,
+    "integer": lambda o: (isinstance(o, int) and not isinstance(o, bool))
+    or (isinstance(o, float) and o.is_integer()),
+}
+
+
+def _type_names(types) -> list:
+    return [types] if isinstance(types, str) else types
+
+
+def _type(instance, types, schema, root, path):
+    types = _type_names(types)
+    if not any(_TYPES[t](instance) for t in types):
+        yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _required(instance, names, schema, root, path):
+    if isinstance(instance, dict):
+        for name in names:
+            if name not in instance:
+                yield path, f"{name!r} is a required property"
+
+
+def _additional_properties(instance, allowed, schema, root, path):
+    if isinstance(instance, dict):
+        extras = sorted((k for k in instance if k not in schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(map(repr, extras))
+            yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _properties(instance, properties, schema, root, path):
+    if isinstance(instance, dict):
+        for name, subschema in properties.items():
+            if name in instance:
+                yield from _errors(instance[name], subschema, root, path + (name,))
+
+
+def _items(instance, subschema, schema, root, path):
+    if isinstance(instance, list):
+        for i, item in enumerate(instance):
+            yield from _errors(item, subschema, root, path + (i,))
+
+
+def _min_items(instance, least, schema, root, path):
+    if isinstance(instance, list) and len(instance) < least:
+        yield path, f"{instance!r} {'should be non-empty' if least == 1 else 'is too short'}"
+
+
+def _minimum(instance, least, schema, root, path):
+    if _is_number(instance) and instance < least:
+        yield path, f"{instance!r} is less than the minimum of {least!r}"
+
+
+def _enum(instance, choices, schema, root, path):
+    if instance not in choices:
+        yield path, f"{instance!r} is not one of {choices!r}"
+
+
+def _ref(instance, ref, schema, root, path):
+    target = root
+    for part in ref[2:].split("/"):
+        target = target[part]
+    yield from _errors(instance, target, root, path)
+
+
+_KEYWORDS = {
+    "type": _type,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "properties": _properties,
+    "items": _items,
+    "minItems": _min_items,
+    "minimum": _minimum,
+    "enum": _enum,
+    "$ref": _ref,
+}
+_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title"})
+
+
+def _errors(instance, schema, root, path):
+    for keyword, value in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is not None:
+            yield from check(instance, value, schema, root, path)
+
+
+def _unsupported(schema):
+    """Keywords in ``schema`` and its subschemas that ``_errors`` cannot
+    check, each with the value it holds."""
+    for keyword, value in schema.items():
+        if keyword in ("properties", "$defs"):
+            for subschema in value.values():
+                yield from _unsupported(subschema)
+        elif keyword == "items":
+            yield from _unsupported(value)
+        elif (
+            (keyword == "type" and not set(_type_names(value)) <= _TYPES.keys())
+            or (keyword == "additionalProperties" and value is not False)
+            or (keyword == "$ref" and not value.startswith("#/"))
+            or (keyword not in _KEYWORDS and keyword not in _ANNOTATIONS)
+        ):
+            yield keyword, value
+
+
+def _schema_errors(instance, schema: dict):
+    """(instance path, message) of each way ``instance`` breaks ``schema``,
+    in the order ``jsonschema``'s Draft 2020-12 validator yields them.
+    Raises InvariantError, before checking anything, for a schema that
+    holds a keyword this interpreter does not know."""
+    unsupported = list(_unsupported(schema))
+    if unsupported:
+        raise InvariantError(f"unsupported schema keywords: {unsupported}")
+    return _errors(instance, schema, schema, ())
+
+
+# ---------------------------------------------------------------------------
+# scenario documents
+
+
 def scenario_from_dict(doc: dict) -> tuple[TeamModel, InformationStructure]:
     """Build the model and structure from a parsed scenario document.
 
     Raises ScenarioFormatError when the document does not match the
     scenario schema or its arrays are ragged.
     """
-    validator = jsonschema.Draft202012Validator(load_schema("scenario"))
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(doc, load_schema("scenario")), key=lambda e: e[0])
     if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ScenarioFormatError(f"scenario schema violation at {where}: {e.message}")
+        path, message = errors[0]
+        where = "/".join(map(str, path)) or "<root>"
+        raise ScenarioFormatError(f"scenario schema violation at {where}: {message}")
     try:
         model = TeamModel(
             num_members=int(doc["num_members"]),
@@ -85,17 +233,22 @@ def scenario_from_dict(doc: dict) -> tuple[TeamModel, InformationStructure]:
     return model, structure
 
 
-def load_scenario(path) -> tuple[TeamModel, InformationStructure]:
-    """Read and parse a scenario file.
-
-    Raises ScenarioFormatError for unreadable files, invalid JSON, or
-    schema violations.
-    """
+def read_scenario(path) -> bytes:
+    """The bytes of a scenario file; ScenarioFormatError when it cannot be
+    read."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            return f.read()
     except OSError as e:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {e}") from e
+
+
+def scenario_from_bytes(raw: bytes, path) -> tuple[TeamModel, InformationStructure]:
+    """Parse the bytes of the scenario file ``path`` (named in error
+    messages).
+
+    Raises ScenarioFormatError for invalid JSON or schema violations.
+    """
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -103,6 +256,15 @@ def load_scenario(path) -> tuple[TeamModel, InformationStructure]:
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"scenario file {path} must hold a JSON object")
     return scenario_from_dict(doc)
+
+
+def load_scenario(path) -> tuple[TeamModel, InformationStructure]:
+    """Read and parse a scenario file.
+
+    Raises ScenarioFormatError for unreadable files, invalid JSON, or
+    schema violations.
+    """
+    return scenario_from_bytes(read_scenario(path), path)
 
 
 def scenario_to_dict(

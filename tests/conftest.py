@@ -1,18 +1,21 @@
 """Shared fixtures: small hand-built models, random instance generators,
-and deterministic pseudo-random strategies.
+deterministic pseudo-random strategies, and mutated scenario documents.
 
 "Random" strategies hash their decision key, so a (salt, key) pair always
 produces the same action without storing tables; this keeps property
 tests reproducible without fixture files.
 """
 
+import copy
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from teamdp import InformationStructure, TeamModel
 from teamdp.model import history_key, prefix_view, view_key
+from teamdp.scenario import scenario_to_dict
 
 # ---------------------------------------------------------------------------
 # hand-built models
@@ -186,3 +189,93 @@ class HashedMemberStrategy:
         v = prefix_view(self.structure, self.model.num_members, obs_seq, act_seq, t, self.member)
         d = _digest(f"{self.salt}|{view_key(v)}")
         return d[0] % self.model.action_sizes[self.member]
+
+
+# ---------------------------------------------------------------------------
+# mutated scenario documents
+
+
+def _scenario_documents() -> list[dict]:
+    structures = (
+        InformationStructure("delayed_sharing", delays=(1, 2)),
+        InformationStructure("periodic_sharing", period=2),
+        InformationStructure("no_sharing"),
+    )
+    return [
+        scenario_to_dict(random_model(seed, horizon=2, num_states=2), structure, name="m")
+        for seed, structure in enumerate(structures)
+    ]
+
+
+SCENARIO_DOCUMENTS = _scenario_documents()
+
+# values put in place of a scenario's entries: bools where numbers go,
+# integral floats, NaN and infinities, empty and nested containers, and
+# labels that are, or nearly are, structure variants
+ODD_VALUES = st.one_of(
+    st.sampled_from(
+        [True, False, None, 0, -1, 1, 2, 1.0, 2.0, 0.5, -0.0, 10**20, 1e300,
+         float("nan"), float("inf"), -float("inf"), "", "x", "delayed_sharing",
+         "Delayed_sharing", [], {}, [[]], [1.5], [True], [0], [1.0, 2], ["a", 1],
+         [None], {"variant": "no_sharing"}, {"variant": "telepathy"}, {"": 1}]
+    ),
+    st.integers(-3, 3),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+def _paths(doc, prefix=(), out=None) -> list:
+    """Every (path, value) below ``doc``, containers before their items."""
+    out = [] if out is None else out
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((prefix + (key,), value))
+        _paths(value, prefix + (key,), out)
+    return out
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A valid scenario document with one to three entries deleted, added,
+    replaced by an odd value or emptied, at the root or at any depth, or
+    with an odd variant, delays or period."""
+
+    def pick(options):  # cheaper than sampled_from on a fresh list
+        return options[draw(st.integers(0, len(options) - 1))]
+
+    def odd():  # a copy: the pool's containers are shared
+        return copy.deepcopy(draw(ODD_VALUES))
+
+    doc = copy.deepcopy(pick(SCENARIO_DOCUMENTS))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths(doc)
+        op = pick(["delete", "add", "replace", "empty", "structure"])
+        if op == "structure":  # most paths are array entries: aim at the structure too
+            structure = doc.get("information_structure")
+            if isinstance(structure, dict):
+                structure[pick(["variant", "delays", "period"])] = odd()
+            continue
+        if op == "add":
+            target = pick([doc] + [v for _, v in paths if isinstance(v, dict)])
+            target[pick(["discount", "delays", "period", "zz", ""])] = odd()
+            continue
+        if op == "empty":
+            paths = [(p, v) for p, v in paths if isinstance(v, list)]
+        elif op == "delete":
+            paths = [(p, v) for p, v in paths if isinstance(_parent(doc, p), dict)]
+        if not paths:
+            continue
+        path, _ = pick(paths)
+        parent = _parent(doc, path)
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = [] if op == "empty" else odd()
+    return doc

@@ -1,10 +1,13 @@
 """Command-line interface tests: every subcommand, the full exit-code
 contract, report schema conformance, and byte-level determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,7 +15,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
-from conftest import random_model
+from conftest import SCENARIO_DOCUMENTS, mutated_scenarios, random_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +60,8 @@ def test_validate_ok(capsys, scenario_path):
     assert code == 0
     assert report["results"] == {"valid": True, "violations": []}
     assert report["metadata"]["command"] == "validate"
-    assert len(report["metadata"]["scenario_sha256"]) == 64
+    with open(scenario_path, "rb") as f:
+        assert report["metadata"]["scenario_sha256"] == hashlib.sha256(f.read()).hexdigest()
 
 
 def test_solve_manager(capsys, scenario_path):
@@ -493,6 +497,55 @@ def test_unwritable_out_is_a_usage_error(capsys, scenario_path, tmp_path, target
     assert report["metadata"]["scenario_sha256"] is None
     assert captured.err == f"usage error: {report['error']['message']}\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "hard_link"])
+def test_out_naming_the_scenario_is_a_usage_error(capsys, scenario_path, tmp_path, spelling):
+    """An --out that names the --scenario file, however spelled, is
+    refused before it is opened, so the scenario is left as it was."""
+    with open(scenario_path, "rb") as f:
+        before = f.read()
+    out = scenario_path
+    if spelling == "dotted":
+        out = os.path.join(os.path.dirname(scenario_path), ".", os.path.basename(scenario_path))
+    elif spelling == "hard_link":
+        out = str(tmp_path / "alias.json")
+        os.link(scenario_path, out)
+    code = run(["validate", "--scenario", scenario_path, "--out", out])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    jsonschema.validate(report, load_schema("report"))
+    assert code == 64
+    assert report["error"] == {"type": "UsageError", "message": "--out names the --scenario file"}
+    assert report["metadata"]["scenario_sha256"] is None
+    assert captured.err == "usage error: --out names the --scenario file\n"
+    with open(scenario_path, "rb") as f:
+        assert f.read() == before
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_scenarios() | st.sampled_from([[], "x", None, 3, [SCENARIO_DOCUMENTS[0]]]))
+def test_validate_on_mutated_scenarios(fuzz_dir, doc):
+    """Every mutated scenario gives one schema-valid report, a contracted
+    exit code, and nothing on stderr."""
+    path = fuzz_dir / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["validate", "--scenario", str(path)])
+    report = json.loads(out.getvalue())
+    jsonschema.validate(report, load_schema("report"))
+    assert code in (0, 2, 4)
+    assert err.getvalue() == ""
+    if code == 4:
+        assert report["error"]["type"] == "ScenarioFormatError"
+    else:
+        assert report["results"]["valid"] is (code == 0)
 
 
 def test_csv_format(capsys, scenario_path):

@@ -1,17 +1,25 @@
-"""Scenario document round-trips and failure modes."""
+"""Scenario document round-trips and failure modes, and the schema check
+against ``jsonschema``."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from conftest import SCENARIO_DOCUMENTS, mutated_scenarios
+from hypothesis import given, settings
+from jsonschema import Draft202012Validator
 
 from teamdp import (
+    InvariantError,
     ScenarioFormatError,
     load_scenario,
+    load_schema,
     scenario_from_dict,
     scenario_to_dict,
     validate_model,
 )
+from teamdp.scenario import _schema_errors
 
 
 def test_round_trip_preserves_everything(toy2, tmp_path):
@@ -95,3 +103,96 @@ def test_unreadable_and_malformed_files(tmp_path):
     arr.write_text("[1, 2, 3]")
     with pytest.raises(ScenarioFormatError):
         load_scenario(arr)
+
+
+# ---------------------------------------------------------------------------
+# the schema check against jsonschema, its reference
+
+
+_REFERENCE = Draft202012Validator(load_schema("scenario"))
+
+
+def _reference_errors(doc) -> list:
+    return [(tuple(e.absolute_path), e.message) for e in _REFERENCE.iter_errors(doc)]
+
+
+def _reference_text(doc):
+    """The ScenarioFormatError text of jsonschema's first error by path,
+    or None for a document jsonschema accepts."""
+    errors = sorted(_REFERENCE.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    where = "/".join(map(str, errors[0].absolute_path)) or "<root>"
+    return f"scenario schema violation at {where}: {errors[0].message}"
+
+
+def _schema_text(doc):
+    try:
+        scenario_from_dict(doc)
+    except ScenarioFormatError as e:
+        if str(e).startswith("scenario schema violation"):
+            return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_scenarios())
+def test_schema_check_matches_jsonschema(doc):
+    assert list(_schema_errors(doc, load_schema("scenario"))) == _reference_errors(doc)
+    assert _schema_text(doc) == _reference_text(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("transition"),
+        lambda d: d.update(discount=0.9, alpha=1),
+        lambda d: d["information_structure"].pop("variant"),
+        lambda d: d["information_structure"].update(delays=[1, 1], extra=True, more=None),
+        lambda d: d.update(horizon=True),
+        lambda d: d.update(horizon=2.0),
+        lambda d: d.update(num_members=0.5),
+        lambda d: d["initial_dist"].__setitem__(0, True),
+        lambda d: d["initial_dist"].__setitem__(0, float("nan")),
+        lambda d: d.update(terminal_cost=[]),
+        lambda d: d.update(states=[]),
+        lambda d: d["information_structure"].update(variant="telepathy"),
+        lambda d: d["information_structure"].update(delays=[1.5, 0]),
+        lambda d: d["information_structure"].update(delays=[1.0, 2]),
+        lambda d: d["information_structure"].update(period=0),
+        lambda d: d["actions"].__setitem__(1, [None, [1]]),
+        lambda d: d.update(name=1, description=None),
+        lambda d: None,
+    ],
+)
+def test_schema_check_matches_jsonschema_on_edge_cases(edit):
+    doc = copy.deepcopy(SCENARIO_DOCUMENTS[0])
+    edit(doc)
+    assert list(_schema_errors(doc, load_schema("scenario"))) == _reference_errors(doc)
+    assert _schema_text(doc) == _reference_text(doc)
+
+
+@pytest.mark.parametrize("doc", [[], [SCENARIO_DOCUMENTS[0]], "x", None, 3, 2.5, True])
+def test_schema_check_of_a_non_object(doc):
+    text = _reference_text(doc)
+    assert text.startswith("scenario schema violation at <root>: ")
+    with pytest.raises(ScenarioFormatError) as e:
+        scenario_from_dict(doc)
+    assert str(e.value) == text
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "maxItems": 3},
+        {"properties": {"a": {"items": {"pattern": "x"}}}},
+        {"$defs": {"v": {"uniqueItems": True}}},
+        {"additionalProperties": {"type": "string"}},
+        {"$ref": "other.json#/v"},
+        {"items": {"type": ["string", "boolean"]}},
+    ],
+)
+def test_schema_check_refuses_unknown_keywords(schema):
+    # refused before any instance is looked at, even where none reaches
+    with pytest.raises(InvariantError, match="unsupported schema keywords"):
+        _schema_errors({}, schema)
