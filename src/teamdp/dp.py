@@ -48,8 +48,13 @@ child node, its parent row, own action and branch weight.
 stage and then back up over the arrays with ``np.bincount`` in branch
 order (``_member_tree``); ``evaluate_member_value`` does so over the
 tree reachable from its conditional alone, so at a solved node it returns
-the node's value bit for bit.  View keys, node beliefs and the particle
-tuples of :class:`MemberNode` are built only at the edge.
+the node's value bit for bit.  A node's view key is formatted from its
+stage's ``(H, t, K)`` history arrays by slot column, one ``%`` on
+:func:`teamdp.model.view_key_format` per node, with no
+:class:`HistoryView` or string joins; the co-strategies format their
+lookup keys from the same format.  Node beliefs, the views and the
+particle tuples of :class:`MemberNode` are built only at the edge, the
+last two on first read.
 """
 
 from __future__ import annotations
@@ -66,13 +71,7 @@ from .errors import (
     InvariantError,
     UndefinedCoStrategyError,
 )
-from .filters import (
-    _likelihood_vec,
-    _member_stage,
-    _particle_stage,
-    _root_stage,
-    _sequences,
-)
+from .filters import _likelihood_vec, _member_stage, _particle_stage, _root_stage
 from .model import (
     DEFAULT_NODE_BUDGET,
     HistoryView,
@@ -81,7 +80,7 @@ from .model import (
     history_key,
     prefix_view,
     tiebreak_joint_actions,
-    view_key,
+    view_key_format,
 )
 from .strategies import (
     DecentralizedStrategy,
@@ -372,16 +371,27 @@ class MemberNode:
     there, and after the backward pass its value and minimizing action
     (None at the horizon).  The conditional lives in its stage's arrays;
     ``particles`` builds the ((state, obs_seq, act_seq, weight), ...)
-    tuples, weights summing to 1, on first use."""
+    tuples, weights summing to 1, on first use, and ``view`` the
+    :class:`HistoryView` from the node's first history on first read."""
 
-    __slots__ = ("view", "value", "argmin", "_stage", "_row")
+    __slots__ = ("value", "argmin", "_stage", "_row", "_structure", "_member", "_view")
 
-    def __init__(self, view: HistoryView, value: float, argmin: int | None, stage, row: int):
-        self.view = view
+    def __init__(self, value: float, argmin: int | None, stage, row: int, structure, member: int):
         self.value = value
         self.argmin = argmin
         self._stage = stage
         self._row = row
+        self._structure = structure
+        self._member = member
+        self._view = None
+
+    @property
+    def view(self) -> HistoryView:
+        if self._view is None:
+            stage, K = self._stage, self._stage.obs.shape[2]
+            obs_seq, act_seq = stage.sequences[stage.hist[stage.bounds[self._row]]]
+            self._view = prefix_view(self._structure, K, obs_seq, act_seq, stage.time, self._member)
+        return self._view
 
     @property
     def particles(self) -> tuple:
@@ -398,6 +408,18 @@ class MemberSolution:
     strategy: MemberSeparatedStrategy
     root_value: float
     node_counts: tuple[int, ...]
+
+
+def _view_keys(structure: InformationStructure, member: int, obs: np.ndarray, act: np.ndarray):
+    """Member ``member``'s view keys of the histories held in ``obs`` and
+    ``act`` (each ``(N, t, K)``), equal to ``view_key(prefix_view(...))``
+    of each: the values are taken by slot column and each key is one
+    ``%`` on :func:`teamdp.model.view_key_format`."""
+    N, t, K = obs.shape
+    fmt, slots = view_key_format(structure, K, t, member)
+    cols = [(s - 1) * K + j if kind == "obs" else (t + s) * K + j for s, j, kind in slots]
+    values = np.concatenate([obs.reshape(N, t * K), act.reshape(N, t * K)], axis=1)[:, cols]
+    return [fmt % row for row in map(tuple, values.tolist())]
 
 
 def _member_tree(model, structure, k, others, stage, node_budget=None):
@@ -440,8 +462,9 @@ def solve_member(
     co-strategies and every own action, each node carrying its joint
     conditional, then backs up values with ties going to the smallest own
     action index.  The tree is held as stages of arrays (see
-    :func:`teamdp.filters._member_stage`); view keys are built only for
-    the node dicts, the strategy table and the node beliefs.
+    :func:`teamdp.filters._member_stage`); view keys are formatted from
+    each stage's history arrays, for the node dicts, the strategy table
+    and the node beliefs.
     """
     k = member
     K, T = model.num_members, model.horizon
@@ -457,16 +480,14 @@ def solve_member(
     for t, stage in enumerate(stages):
         best = argmins[t].tolist() if t < T else [None] * stage.num_nodes
         first = stage.hist[stage.bounds[:-1]]
-        seqs = _sequences(stage.obs[first], stage.act[first])
+        keys = _view_keys(structure, k, stage.obs[first], stage.act[first])
         nodes: dict[str, MemberNode] = {}
-        for row, ((obs_seq, act_seq), v, a) in enumerate(zip(seqs, values[t].tolist(), best)):
-            view = prefix_view(structure, K, obs_seq, act_seq, t, k)
-            key = view_key(view)
+        for row, (key, v, a) in enumerate(zip(keys, values[t].tolist(), best)):
             # a view records the member's whole past, so no two
             # (parent, action, innovation) paths share a node
             if key in nodes:
                 raise InvariantError(f"two member-tree paths reach view {key!r}")
-            nodes[key] = MemberNode(view, v, a, stage, row)
+            nodes[key] = MemberNode(v, a, stage, row, structure, k)
             beliefs[key] = stage.marginals[row]
         node_stages.append(nodes)
 
@@ -616,10 +637,9 @@ def compare_solutions(
             )
         )
     profile = DecentralizedStrategy(model, structure, [s.strategy for s in member_solutions])
-    for s in member_solutions:
-        s.strategy.fallback_keys.clear()
     profile_cost = oracle.exact_cost(model, structure, profile)
-    fallbacks = sum(len(s.strategy.fallback_keys) for s in member_solutions)
+    # the member strategies were made above and first consulted by exact_cost
+    fallbacks = sum(s.strategy.fallbacks for s in member_solutions)
     dec = oracle.enumerate_decentralized(model, structure, budget=strategy_budget)
     return ComparisonReport(
         manager_root_value=mgr.root_value,

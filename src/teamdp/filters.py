@@ -204,9 +204,11 @@ def _check_view_layout(model, structure, view):
 
 def _co_action(others: dict, m: int, obs_seq, act_seq, s: int) -> int:
     try:
-        return others[m].member_action(obs_seq, act_seq, s)
+        strategy = others[m]
     except KeyError:
         raise UndefinedCoStrategyError(f"no strategy supplied for co-member {m}") from None
+    try:
+        return strategy.member_action(obs_seq, act_seq, s)
     except StrategyUndefinedError as e:
         raise UndefinedCoStrategyError(str(e)) from e
 

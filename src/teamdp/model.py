@@ -47,6 +47,7 @@ __all__ = [
     "view_known",
     "history_key",
     "view_key",
+    "view_key_format",
     "tiebreak_joint_actions",
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_STRATEGY_BUDGET",
@@ -542,3 +543,20 @@ def view_key(view: HistoryView) -> str:
         )
         who = "team"
     return f"t={view.time};k={who};c[{c}];p[{p}]"
+
+
+@cache
+def view_key_format(
+    structure: InformationStructure, num_members: int, t: int, member: int
+) -> tuple[str, tuple[Slot, ...]]:
+    """Member ``member``'s :func:`view_key` at time t as a ``%`` format.
+
+    Returns the key text with one ``%s`` in place of each slot value and
+    the slots in the order of those placeholders (common, then private).
+    ``fmt % values`` equals ``view_key`` of the view holding ``values``
+    (each rendered by ``str``), without building the view.
+    """
+    common, (private,) = view_slots(structure, num_members, t, member)
+    c = ",".join(f"{kind[0]}{s}^{j}:%s" for s, j, kind in common)
+    p = ",".join(f"{kind[0]}{s}:%s" for s, _, kind in private)
+    return f"t={t};k={member};c[{c}];p[{p}]", common + private

@@ -15,7 +15,10 @@ Forms:
   keyed by full-history tree nodes (the beliefs stay in the value
   function).
 * :class:`MemberTableStrategy` / :class:`MemberSeparatedStrategy` - tables
-  keyed by the member's own view; the feasible decentralized form.
+  keyed by the member's own view; the feasible decentralized form.  A
+  lookup formats the view key straight from the history prefixes with
+  :func:`teamdp.model.view_key_format`, without building the view, and
+  counts the lookups answered by the default action in ``fallbacks``.
 * :class:`ConstantMemberStrategy`, :class:`ManagerProjectionStrategy` -
   fixed co-strategies for member-side computations.
 * :class:`DecentralizedStrategy` - a profile of member strategies acting
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import StrategyUndefinedError
-from .model import InformationStructure, TeamModel, history_key, prefix_view, view_key
+from .model import InformationStructure, TeamModel, history_key, view_key_format
 
 __all__ = [
     "CentralizedTableStrategy",
@@ -92,16 +95,18 @@ class MemberTableStrategy:
         self.member = member
         self.table = dict(table)
         self.default = default
-        self.fallback_keys: list[str] = []
+        self.fallbacks = 0  # lookups answered with ``default``
 
     def member_action(self, obs_seq, act_seq, t) -> int:
-        view = prefix_view(self.structure, self.model.num_members, obs_seq, act_seq, t, self.member)
-        key = view_key(view)
+        fmt, slots = view_key_format(self.structure, self.model.num_members, t, self.member)
+        key = fmt % tuple(
+            obs_seq[s - 1][j] if kind == "obs" else act_seq[s][j] for s, j, kind in slots
+        )
         try:
             return self.table[key]
         except KeyError:
             if self.default is not None:
-                self.fallback_keys.append(key)
+                self.fallbacks += 1
                 return self.default
             raise StrategyUndefinedError(
                 f"member {self.member} has no action for view {key!r}"

@@ -150,6 +150,24 @@ def random_model(
     )
 
 
+@st.composite
+def sharing_structures(draw, num_members=2):
+    """Any of the five variants, with delays 1-3 per member or a period
+    1-3."""
+    variant = draw(
+        st.sampled_from(
+            ["delayed_sharing", "periodic_sharing", "delayed_observation_sharing",
+             "delayed_control_sharing", "no_sharing"]
+        )
+    )
+    if variant == "periodic_sharing":
+        return InformationStructure(variant, period=draw(st.integers(1, 3)))
+    if variant == "no_sharing":
+        return InformationStructure(variant)
+    delays = tuple(draw(st.integers(1, 3)) for _ in range(num_members))
+    return InformationStructure(variant, delays=delays)
+
+
 # ---------------------------------------------------------------------------
 # deterministic pseudo-random strategies
 

@@ -11,10 +11,18 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import HashedCentralizedStrategy, HashedMemberStrategy, random_model
+from conftest import (
+    HashedCentralizedStrategy,
+    HashedMemberStrategy,
+    random_model,
+    sharing_structures,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teamdp import (
     BudgetExceededError,
+    ConstantMemberStrategy,
     DecentralizedStrategy,
     IncompleteHistoryError,
     InformationStructure,
@@ -30,6 +38,7 @@ from teamdp import (
     solve_member,
 )
 from teamdp import oracle
+from teamdp.dp import _view_keys
 from teamdp.model import history_key, prefix_view, tiebreak_joint_actions, view_key, view_known
 
 POOLED_VARIANTS = [
@@ -612,6 +621,109 @@ def test_member_value_scaling_and_concavity(toy2):
 
 
 # ---------------------------------------------------------------------------
+# member view keys
+
+
+@st.composite
+def member_histories(draw):
+    """A structure for K = 2 or 3 members and N joint histories of length
+    T; values reach 12, so keys hold two-digit values."""
+    K = draw(st.sampled_from((2, 3)))
+    structure = draw(sharing_structures(K))
+    T = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, 12), min_size=N * T * K, max_size=N * T * K)
+    obs = np.array(draw(cells), dtype=np.intp).reshape(N, T, K)
+    act = np.array(draw(cells), dtype=np.intp).reshape(N, T, K)
+    return structure, obs, act
+
+
+KEY_MODELS = {K: random_model(0, num_members=K) for K in (2, 3)}
+
+
+@given(case=member_histories())
+@example(
+    case=(
+        InformationStructure("delayed_sharing", delays=(3, 1, 2)),
+        np.arange(10, 37, dtype=np.intp).reshape(3, 3, 3),
+        np.arange(37, 64, dtype=np.intp).reshape(3, 3, 3),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_view_key_format_matches_view_key(case):
+    """Keys formatted by slot column from history arrays (the member DP's
+    nodes) and from history tuples (a member table's lookups) equal
+    ``view_key(prefix_view(...))`` for every member and every t in 0..T,
+    the empty ``c[]``/``p[]`` of t = 0 included."""
+    structure, obs, act = case
+    N, T, K = obs.shape
+    for t in range(T + 1):
+        for k in range(K):
+            keys = _view_keys(structure, k, obs[:, :t], act[:, :t])
+            assert len(keys) == N
+            for row, key in enumerate(keys):
+                obs_seq = tuple(map(tuple, obs[row, :t].tolist()))
+                act_seq = tuple(map(tuple, act[row, :t].tolist()))
+                want = view_key(prefix_view(structure, K, obs_seq, act_seq, t, k))
+                assert key == want
+                table = MemberTableStrategy(KEY_MODELS[K], structure, k, {want: 1})
+                assert table.member_action(obs_seq, act_seq, t) == 1
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        InformationStructure("delayed_sharing", delays=(1, 3, 2)),
+        InformationStructure("periodic_sharing", period=2),
+        InformationStructure("delayed_observation_sharing", delays=(2, 1, 1)),
+        InformationStructure("delayed_control_sharing", delays=(3, 2, 1)),
+        InformationStructure("no_sharing"),
+    ],
+    ids=lambda s: s.variant,
+)
+def test_member_node_views_are_prefix_views(structure):
+    """A node's lazily built view is the prefix view of each of its
+    particles' histories, and its key is that view's key."""
+    model = random_model(41, num_members=3, positive=False)
+    co = {j: HashedMemberStrategy(model, structure, j, salt=9 + j) for j in (0, 2)}
+    sol = solve_member(model, structure, 1, co)
+    for t, stage in enumerate(sol.nodes):
+        for key, node in stage.items():
+            for _, obs_seq, act_seq, _ in node.particles:
+                assert node.view == prefix_view(structure, 3, obs_seq, act_seq, t, 1)
+            assert view_key(node.view) == key
+
+
+def test_member_path_builds_no_view(monkeypatch):
+    """Member solves and member-table lookups format their keys without
+    building a view: with ``prefix_view`` and ``view_key`` failing in the
+    ``dp`` and ``strategies`` namespaces, two best responses and the exact
+    cost of the profile they give run and reproduce the unpatched run."""
+    model = random_model(17, horizon=3)
+    structure = InformationStructure("delayed_sharing", delays=(2, 1))
+
+    def best_responses():
+        current = [ConstantMemberStrategy(k, 0) for k in range(2)]
+        roots = []
+        for k in (0, 1):
+            sol = solve_member(model, structure, k, {1 - k: current[1 - k]})
+            current[k] = sol.strategy
+            roots.append(sol.root_value)
+        profile = DecentralizedStrategy(model, structure, current)
+        return roots, [s.table for s in current], oracle.exact_cost(model, structure, profile)
+
+    want = best_responses()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a view was built on the member path")
+
+    for module in ("teamdp.dp", "teamdp.strategies"):
+        for name in ("prefix_view", "view_key"):
+            monkeypatch.setattr(f"{module}.{name}", fail, raising=False)
+    assert best_responses() == want
+
+
+# ---------------------------------------------------------------------------
 # side-by-side comparison
 
 
@@ -650,3 +762,22 @@ def test_compare_solutions_report_consistency(toy2):
         "decentralized_num_strategies",
         "members",
     }
+
+
+# profile_fallback_views and the member profile's exact cost of two
+# instances where the member profile reaches views its tables do not hold,
+# recorded when the fallback views were still kept as a list of keys
+PINNED_FALLBACKS = {
+    (10, (1, 2)): (4, "0x1.45bbdc5df583cp+0"),
+    (11, (1, 1)): (2, "0x1.f77a817c8b254p-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FALLBACKS), ids=str)
+def test_compare_solutions_counts_fallback_views(case):
+    seed, delays = case
+    model = random_model(seed, num_states=4, positive=False)
+    structure = InformationStructure("delayed_sharing", delays=delays)
+    report = compare_solutions(model, structure)
+    got = (report.profile_fallback_views, report.member_profile_cost.hex())
+    assert got == PINNED_FALLBACKS[case]

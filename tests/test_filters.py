@@ -342,6 +342,29 @@ def test_member_belief_missing_co_strategy(toy2):
         member_belief(model, structure, {}, view)
 
 
+class RaisingKeyError:
+    """Co-strategy whose lookup fails with a ``KeyError`` of its own."""
+
+    def member_action(self, obs_seq, act_seq, t):
+        raise KeyError("inside member_action")
+
+
+def test_co_strategy_key_error_propagates(toy2):
+    """Only a missing co-member is reported as one; a ``KeyError`` raised
+    inside a supplied co-strategy reaches the caller unchanged."""
+    from teamdp import solve_member
+
+    model, structure = toy2
+    traj = Trajectory(states=(0, 0, 0), observations=((0, 1), (1, 1)), actions=((0, 1), (1, 1)))
+    view = extract_views(structure, traj, 2, 0)
+    with pytest.raises(KeyError) as info:
+        member_belief(model, structure, {1: RaisingKeyError()}, view)
+    assert info.value.args == ("inside member_action",)
+    with pytest.raises(KeyError) as info:
+        solve_member(model, structure, 0, {1: RaisingKeyError()})
+    assert info.value.args == ("inside member_action",)
+
+
 def test_member_belief_zero_probability_view(toy2):
     model, structure = toy2
     co = {1: ConstantMemberStrategy(1, 0)}

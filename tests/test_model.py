@@ -21,7 +21,7 @@ from teamdp.model import (
     view_key,
 )
 
-from conftest import flip_transition, random_model, symmetric_kernel
+from conftest import flip_transition, random_model, sharing_structures, symmetric_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +182,6 @@ def trajectories(draw, num_members=2, horizon=3):
     )
     states = tuple(draw(st.integers(0, 1)) for _ in range(T + 1))
     return Trajectory(states=states, observations=obs, actions=acts)
-
-
-@st.composite
-def sharing_structures(draw, num_members=2):
-    variant = draw(
-        st.sampled_from(
-            ["delayed_sharing", "periodic_sharing", "delayed_observation_sharing",
-             "delayed_control_sharing", "no_sharing"]
-        )
-    )
-    if variant == "periodic_sharing":
-        return InformationStructure(variant, period=draw(st.integers(1, 3)))
-    if variant == "no_sharing":
-        return InformationStructure(variant)
-    delays = tuple(draw(st.integers(1, 3)) for _ in range(num_members))
-    return InformationStructure(variant, delays=delays)
 
 
 @given(traj=trajectories(), delays=st.tuples(st.integers(1, 3), st.integers(1, 3)),

@@ -651,16 +651,26 @@ def test_centralized_ties_go_to_the_first_table():
 
 def test_oracle_imports_no_solver_module():
     """The oracle is the trusted side: it must not reuse the filters, the
-    dynamic programs or the sampler it certifies."""
+    dynamic programs or the sampler it certifies, nor the key format the
+    member solver and member tables share; its view keys come from
+    ``view_key(prefix_view(...))``."""
     tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
     solvers = {"dp", "filters", "sim"}
     imported = set()
+    used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".")
             imported.update(parts)
+            used.update(alias.name for alias in node.names)
             if (node.level and not node.module) or parts == ["teamdp"]:
                 imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(p for alias in node.names for p in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     assert imported & solvers == set()
+    assert "view_key_format" not in used
+    assert {"prefix_view", "view_key"} <= used
