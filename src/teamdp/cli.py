@@ -79,6 +79,10 @@ EXIT_USAGE = 64
 # 201 * 101 * 101 = 2,050,401 points
 MAX_GRID_POINTS = 10**7
 
+# largest --samples of simulate and gaussian-example; both hold one float
+# per sample, so 10**7 samples are 80 MB
+MAX_SAMPLES = 10**7
+
 # exit codes of package errors; any other TeamDPError (an undefined problem,
 # e.g. a pooled solve under no_sharing, or degenerate data) is a
 # validation failure
@@ -99,6 +103,20 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def sample_count(text: str) -> int:
+    value = positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SAMPLES}, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -147,15 +165,15 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimate of the manager strategy's cost")
     common(sp)
-    sp.add_argument("--samples", type=positive_int, default=1000)
+    sp.add_argument("--samples", type=sample_count, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--node-budget", type=positive_int, default=DEFAULT_NODE_BUDGET)
 
     sp = sub.add_parser("gaussian-example", help="closed-form two-member Gaussian example")
     common(sp, scenario=False)
     sp.add_argument("--covariance", type=covariance, default=-0.5)
-    sp.add_argument("--samples", type=positive_int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=sample_count, default=1_000_000)
+    sp.add_argument("--seed", type=nonnegative_int, default=0)
     sp.add_argument("--grid", default="0:2:0.01,0:1:0.01,-1:0:0.01",
                     help="gain grids lo:hi:step for first, pooled, correction")
     return p

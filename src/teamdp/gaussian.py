@@ -98,7 +98,8 @@ def expected_cost(instance: GaussianInstance, strategy: LinearStrategy) -> float
     return float(_cost_grid(instance, a, b, d))
 
 
-# Points of the product grid that linear_search evaluates at once.
+# Points of the product grid that linear_search evaluates at once, and
+# samples that mc_estimate draws at once.
 SLAB_POINTS = 1 << 16
 
 
@@ -158,15 +159,25 @@ def mc_estimate(
     samples: int = 200_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte Carlo check of :func:`expected_cost`: (mean, standard error)."""
+    """Monte Carlo check of :func:`expected_cost`: (mean, standard error).
+
+    The pairs are drawn ``SLAB_POINTS`` at a time into one ``cost`` array,
+    so memory beyond that array does not grow with ``samples``.  Chunked
+    draws take the same normals from the stream, and each pair goes
+    through the same 2x2 product, as one draw of every pair; the sums run
+    over the whole array, so the result has the same bits.
+    """
     c = instance.covariance
     rng = np.random.default_rng(seed)
-    xs = rng.multivariate_normal([0.0, 0.0], [[1.0, c], [c, 1.0]], size=int(samples))
-    x1, x2 = xs[:, 0], xs[:, 1]
-    s = x1 + x2
-    u_first = strategy.first_gain * x2
-    u_second = strategy.pooled_gain * s + strategy.correction_gain * x2
-    cost = 0.5 * ((s - u_first - u_second) ** 2 + u_second**2)
+    cost = np.empty(int(samples))
+    for lo in range(0, len(cost), SLAB_POINTS):
+        size = min(SLAB_POINTS, len(cost) - lo)
+        xs = rng.multivariate_normal([0.0, 0.0], [[1.0, c], [c, 1.0]], size=size)
+        x1, x2 = xs[:, 0], xs[:, 1]
+        s = x1 + x2
+        u_first = strategy.first_gain * x2
+        u_second = strategy.pooled_gain * s + strategy.correction_gain * x2
+        cost[lo : lo + size] = 0.5 * ((s - u_first - u_second) ** 2 + u_second**2)
     mean = float(np.sum(cost) / len(cost))
     se = float(np.std(cost, ddof=1) / math.sqrt(len(cost)))
     return mean, se

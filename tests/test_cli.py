@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamdp import load_schema, scenario_to_dict, solve_manager
-from teamdp.cli import _BLOCK_ROWS, MAX_GRID_POINTS, _encode, run
+from teamdp.cli import _BLOCK_ROWS, MAX_GRID_POINTS, MAX_SAMPLES, _encode, run
 
 WALL_TIME = re.compile(r'^\s*"wall_time_s": [0-9.eE+-]+,?\n', re.MULTILINE)
 
@@ -225,6 +225,41 @@ def test_exit_usage_on_bad_numeric_arguments(capsys, scenario_path, argv):
     assert code == 64
     assert report["error"]["type"] == "UsageError"
     assert report["error"]["message"].startswith(f"argument {argv[-2]}:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "gaussian-example"])
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**13])
+def test_exit_usage_on_too_many_samples(capsys, scenario_path, command, samples):
+    """A sample count over the cap is refused while parsing, before any
+    array is made: one report, exit 64."""
+    argv = [command, "--samples", str(samples)]
+    if command == "simulate":
+        argv += ["--scenario", scenario_path]
+    code, report, _ = invoke(capsys, argv)
+    assert code == 64
+    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["message"] == (
+        f"argument --samples: must be <= {MAX_SAMPLES}, got {samples}"
+    )
+
+
+def test_exit_usage_on_negative_gaussian_seed(capsys):
+    code, report, _ = invoke(capsys, ["gaussian-example", "--seed", "-1"])
+    assert code == 64
+    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["message"] == "argument --seed: must be >= 0, got -1"
+
+
+def test_simulate_reduces_a_negative_seed(capsys, scenario_path):
+    """simulate seeds sample i with (seed + i) mod 2**64, so seed -1 runs
+    samples 2**64 - 1, 0, 1, ... and is reported as given."""
+    argv = ["simulate", "--scenario", scenario_path, "--samples", "50"]
+    code, report, _ = invoke(capsys, [*argv, "--seed", "-1"])
+    assert code == 0
+    assert report["metadata"]["seed"] == report["results"]["estimate"]["seed"] == -1
+    _, wrapped, _ = invoke(capsys, [*argv, "--seed", str(2**64 - 1)])
+    assert report["results"]["estimate"]["mean"] == wrapped["results"]["estimate"]["mean"]
+    assert report["results"]["estimate"]["std_error"] == wrapped["results"]["estimate"]["std_error"]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 covariance signs, grid and Monte Carlo cross-checks, and the optimality
 property over random linear strategies."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,38 @@ def test_mc_estimate_within_three_std_errors():
         sol = closed_form(inst)
         mean, se = mc_estimate(inst, sol.strategy, samples=200_000, seed=11)
         assert abs(mean - sol.optimal_cost) <= 3.0 * se
+
+
+def _mc_estimate_in_one_draw(instance, strategy, samples, seed):
+    """``mc_estimate`` drawing every pair in one ``multivariate_normal`` call."""
+    c = instance.covariance
+    xs = np.random.default_rng(seed).multivariate_normal(
+        [0.0, 0.0], [[1.0, c], [c, 1.0]], size=samples
+    )
+    x1, x2 = xs[:, 0], xs[:, 1]
+    s = x1 + x2
+    u_first = strategy.first_gain * x2
+    u_second = strategy.pooled_gain * s + strategy.correction_gain * x2
+    cost = 0.5 * ((s - u_first - u_second) ** 2 + u_second**2)
+    return float(np.sum(cost) / samples), float(np.std(cost, ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize(
+    "samples, chunk",
+    [(2, 7), (7, 7), (15, 7), (100, 7)]
+    + [(n, gaussian.SLAB_POINTS) for n in (7, 65_536, 65_537, 100_000, 2 * 65_536 + 3)],
+)
+def test_chunked_mc_estimate_keeps_the_bits(samples, chunk, monkeypatch):
+    """Chunks of ``SLAB_POINTS`` (the default, or 7) give the mean and
+    standard error of one draw of every pair, to the bit, at sizes below,
+    on and across chunk boundaries."""
+    monkeypatch.setattr(gaussian, "SLAB_POINTS", chunk)
+    for c, seed in ((-0.5, 0), (0.3, 5)):
+        inst = GaussianInstance(c)
+        strat = closed_form(inst).strategy
+        mean, se = mc_estimate(inst, strat, samples=samples, seed=seed)
+        ref_mean, ref_se = _mc_estimate_in_one_draw(inst, strat, samples, seed)
+        assert (mean.hex(), se.hex()) == (ref_mean.hex(), ref_se.hex())
 
 
 def test_mc_estimate_reproducible():

@@ -91,15 +91,27 @@ sys.exit(code)
             {"jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian"},
         ),
         ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian"}),
+        ("simulate", {"jsonschema", "teamdp.gaussian"}),
+        (
+            "gaussian-example",
+            {
+                "jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.filters",
+                "teamdp.strategies",
+            },
+        ),
     ],
 )
 def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):
     from teamdp import scenario_to_dict
 
-    path = tmp_path / "toy.json"
-    path.write_text(json.dumps(scenario_to_dict(*toy2)))
+    if command == "gaussian-example":
+        args = ["--samples", "100", "--grid", "0:2:0.5,0:1:0.5,-1:0:0.5"]
+    else:
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(scenario_to_dict(*toy2)))
+        args = ["--scenario", str(path)]
     out = tmp_path / "report.json"
-    code, modules = _fresh(_RUN, command, "--scenario", str(path), "--out", str(out))
+    code, modules = _fresh(_RUN, command, *args, "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["metadata"]["command"] == command
     assert "teamdp.model" in modules

@@ -1,8 +1,11 @@
 """Rollout and Monte Carlo estimator tests: reproducibility, per-sample
 seeding, agreement with the exact outcome law, the inverse-CDF sampler
-against ``Generator.choice``, and the per-history action memo."""
+against ``Generator.choice``, the per-history action memo, and the
+batched kernel: its uniforms against ``default_rng``, its blocks and its
+rows against single rollouts."""
 
 import dataclasses
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -14,6 +17,8 @@ from conftest import (
     random_model,
     symmetric_kernel,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamdp import DecentralizedStrategy, InformationStructure, SimConfig, estimate_cost, rollout
 from teamdp import oracle, sim
@@ -194,3 +199,109 @@ def test_estimate_bits_are_pinned():
     est = estimate_cost(model, profile, SimConfig(samples=2000, seed=2024))
     assert est.mean.hex() == "0x1.18254a3c64347p+1"
     assert est.std_error.hex() == "0x1.0bb928b663521p-7"
+
+
+def _default_rng_uniforms(seeds, m):
+    return np.array([np.random.default_rng(int(s)).random(m) for s in seeds])
+
+
+@pytest.mark.parametrize("m", [1, 10, 33])
+def test_uniforms_equal_default_rng(m):
+    """Seeds of one and two uint32 words, the word and sign boundaries,
+    and the block seeds of an estimate that wraps at 2**64."""
+    seeds = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    wrapped = np.uint64(2**64 - 3) + np.arange(6, dtype=np.uint64)
+    assert wrapped.tolist() == [(2**64 - 3 + i) % 2**64 for i in range(6)]
+    for block in (seeds, wrapped):
+        ours = sim._uniforms(block, m)
+        assert ours.dtype == np.float64 and ours.shape == (len(block), m)
+        assert (ours == _default_rng_uniforms(block, m)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), st.integers(1, 12))
+def test_uniforms_equal_default_rng_on_any_seeds(seeds, m):
+    block = np.array(seeds, dtype=np.uint64)
+    assert (sim._uniforms(block, m) == _default_rng_uniforms(seeds, m)).all()
+
+
+def test_draw_counts_cdf_entries_at_or_below_u():
+    """The count of entries ``<= u`` is ``bisect_right``, also when u is
+    exactly an entry of the row, as after a zero-probability index."""
+    r = np.random.default_rng(5)
+    for row in _sampler_rows():
+        cdf = sim._cdf(row, len(row))
+        u = np.concatenate([cdf[cdf < 1.0], r.random(20)])
+        assert sim._draw(cdf, u).tolist() == [bisect_right(cdf.tolist(), v) for v in u]
+
+
+def _blocked_estimate(monkeypatch, block):
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    model, structure = _zero_entry_model()
+    members = [HashedMemberStrategy(model, structure, k, salt=3 + k) for k in range(2)]
+    profile = _CountingProfile(model, structure, members)
+    est = estimate_cost(model, profile, SimConfig(samples=300, seed=2**64 - 100))
+    return est.mean.hex(), est.std_error.hex(), profile.calls
+
+
+def test_blocks_do_not_change_the_estimate(monkeypatch):
+    """Blocks of 1, 7 and the default size give the same bits from the
+    same number of strategy calls: the path trie is shared by blocks."""
+    default = _blocked_estimate(monkeypatch, sim._BLOCK)
+    assert _blocked_estimate(monkeypatch, 1) == default
+    assert _blocked_estimate(monkeypatch, 7) == default
+
+
+def _choice_rollout_cost(model, strategy, rng):
+    """One rollout's cost as a plain per-sample loop: every draw a
+    ``Generator.choice`` on the model row, the strategy asked at every
+    stage, the costs added in stage order."""
+    S = model.num_states
+    x = rng.choice(S, p=model.initial_dist)
+    obs_seq, act_seq, cost = (), (), 0.0
+    for t in range(model.horizon):
+        u = tuple(int(v) for v in strategy.joint_action(obs_seq, act_seq, t))
+        a = model.flat_action(u)
+        cost += float(model.stage_cost[t, x, a])
+        x = rng.choice(S, p=model.transition[x, a])
+        y = tuple(
+            int(rng.choice(n, p=k[x]))
+            for k, n in zip(model.observation_kernels, model.observation_sizes)
+        )
+        obs_seq, act_seq = obs_seq + (y,), act_seq + (u,)
+    return cost + float(model.terminal_cost[x])
+
+
+@pytest.mark.parametrize("case", ["toy2", "zero_entry"])
+def test_estimate_equals_a_choice_loop(case, request, monkeypatch):
+    """The batched estimate, over several blocks and across the 2**64
+    seed wrap, has the bits of the per-sample ``Generator.choice`` loop."""
+    model, structure = request.getfixturevalue("toy2") if case == "toy2" else _zero_entry_model()
+    members = [HashedMemberStrategy(model, structure, k, salt=3 + k) for k in range(2)]
+    profile = DecentralizedStrategy(model, structure, members)
+    monkeypatch.setattr(sim, "_BLOCK", 64)
+    n, seed = 300, 2**64 - 150
+    est = estimate_cost(model, profile, SimConfig(samples=n, seed=seed))
+    costs = np.array([
+        _choice_rollout_cost(model, profile, np.random.default_rng((seed + i) % 2**64))
+        for i in range(n)
+    ])
+    assert est.mean.hex() == float(np.sum(costs) / n).hex()
+    assert est.std_error.hex() == float(np.std(costs, ddof=1) / math.sqrt(n)).hex()
+
+
+@pytest.mark.parametrize("case", ["toy2", "zero_entry"])
+def test_rollout_is_a_kernel_row(case, request):
+    """Row i of one kernel pass over a block equals ``rollout`` with the
+    seed of row i: cost, states, observations and actions."""
+    model, structure = request.getfixturevalue("toy2") if case == "toy2" else _zero_entry_model()
+    g = HashedCentralizedStrategy(model, salt=6)
+    seeds = np.arange(2**32 - 20, 2**32 + 20, dtype=np.uint64)
+    m = 1 + model.horizon * (1 + model.num_members)
+    paths = sim._Paths(model, g)
+    costs, states, nodes = sim._run(model, sim._tables(model), paths, sim._uniforms(seeds, m))
+    for i, seed in enumerate(seeds.tolist()):
+        one = rollout(model, g, seed=seed)
+        assert one.cost == costs[i]
+        assert one.trajectory.states == tuple(states[i].tolist())
+        assert (one.trajectory.observations, one.trajectory.actions) == paths.histories[nodes[i]]
