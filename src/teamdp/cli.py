@@ -12,19 +12,28 @@ and gives the same bytes as ``json.dumps(report, indent=2,
 sort_keys=True)``.  The ``json`` module indents only in pure Python,
 which took longer than the manager solve on large trees; ``_encode``
 writes each list of finite floats or plain ints with one ``str.join``.
-The manager value function is written straight from its stage arrays by
-``_write_value_function``: per stage, one row template with ``%s`` slots
-for the encoded key, the argmin text (one precomputed text per joint
-action, ``null`` at the horizon), each belief float and the value; the
-rows go out in sorted-key order, ``_BLOCK_ROWS`` per ``%`` over the
-template repeated, and a block holding a non-finite number formats its
-floats through ``_float`` as the json module does.  The CSV export
-flattens the value function's reference form, ``to_json_dict()``, and
-formats each value with the same ``_scalar``.
+The CSV export is streamed the same way: ``_flatten`` writes one
+``key,value`` line per leaf in the same sorted walk, each value spelled
+by the same ``_scalar``.
+
+Only this module knows how a manager value function looks in a report,
+and both formats write it straight from its stage arrays.  One walk,
+``_stage_blocks``, reads a stage's rows in sorted-key order,
+``_BLOCK_ROWS`` at a time, and hands each block's row indices, belief and
+value slices, argmin action indices and float formatter (``_float``, as
+the json module spells non-finite numbers, only for a block that holds
+one) to the writer of the format.  ``_write_value_function`` (JSON) and
+``_flatten_value_function`` (CSV) each fill their own per-stage row
+template, one ``%`` over the template repeated per block: the JSON row
+has slots for the encoded key, the argmin text (one precomputed text per
+joint action, ``null`` at the horizon), each belief float and the value;
+the CSV row has one line per leaf, each with slots for the key and the
+leaf's text.  So the largest write is one block, whatever the tree size.
 
 ``--out`` is opened before any scenario work; one that cannot be opened,
 or that names the ``--scenario`` file (which opening would destroy), is a
-usage error, reported on stdout.  The scenario file is read once: the
+usage error, reported on stdout, and so is one whose write or close
+fails (a full disk).  The scenario file is read once: the
 bytes parsed are the bytes hashed into ``metadata.scenario_sha256``.
 
 Start-up pays only for what a subcommand runs.  This module imports
@@ -36,7 +45,8 @@ imports the rest when it runs: ``validate`` nothing more,
 ``dp`` (whose ``compare_solutions`` imports ``oracle``), ``simulate``
 ``dp``, ``oracle`` and ``sim``, and ``gaussian-example`` ``gaussian``.
 ``_encode`` and ``_flatten`` recognise a ``dp.ValueFunction`` only when
-``dp`` is already imported, as it must be for one to exist.
+``dp`` is already imported, as it must be for one to exist, so writing a
+report, in either format, imports no solver.
 
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
 undefined problem, e.g. pooled solves under no_sharing, or a broken
@@ -211,7 +221,12 @@ def _parse_grid(spec: str):
             raise _UsageError(f"bad grid range {part!r}, need finite numbers")
         if step <= 0 or hi < lo:
             raise _UsageError(f"bad grid range {part!r}, need step > 0 and hi >= lo")
-        ranges.append((lo, hi, int(round((hi - lo) / step)) + 1))
+        steps = (hi - lo) / step
+        if not math.isfinite(steps):
+            raise _UsageError(
+                f"bad grid range {part!r}, more points than the limit of {MAX_GRID_POINTS}"
+            )
+        ranges.append((lo, hi, int(round(steps)) + 1))
     points = math.prod(n for _, _, n in ranges)
     if points > MAX_GRID_POINTS:
         raise _UsageError(f"--grid has {points} points, more than the limit of {MAX_GRID_POINTS}")
@@ -454,11 +469,27 @@ def _is_value_function(obj) -> bool:
 _BLOCK_ROWS = 4096
 
 
+def _stage_blocks(vf, t: int):
+    """Stage ``t`` of ``vf`` (a ``dp.ValueFunction``) in sorted-key order,
+    ``_BLOCK_ROWS`` rows at a time: per block the row indices, the belief
+    ``(n, S)`` and value ``(n,)`` slices, the argmin action indices (None
+    at the horizon) and the float formatter, which spells non-finite
+    numbers as the json module does only when the block holds one."""
+    keys, beliefs, values = vf.keys[t], vf.beliefs[t], vf.values[t]
+    argmins = vf.argmins[t] if t < vf.horizon else None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for lo in range(0, len(order), _BLOCK_ROWS):
+        rows = order[lo : lo + _BLOCK_ROWS]
+        b, v = beliefs[rows], values[rows]
+        fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
+        yield rows, b, v, None if argmins is None else argmins[rows].tolist(), fmt
+
+
 def _write_value_function(vf, indent: str, write) -> None:
-    """Write ``vf.to_json_dict()`` (``vf`` a ``dp.ValueFunction``) as
-    ``_encode`` does, from the stage arrays: each stage's rows in
-    sorted-key order, ``_BLOCK_ROWS`` of them per ``%`` over the stage's
-    row template repeated, whose arguments are the encoded key, the argmin
+    """Write the value function ``vf`` as ``_encode`` writes its reference
+    form ``{"horizon", "stages": [{key: {"argmin", "belief", "value"}}]}``:
+    each block of ``_stage_blocks`` is one ``%`` over the stage's row
+    template repeated, whose arguments are the encoded key, the argmin
     text and the float texts."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
@@ -466,62 +497,90 @@ def _write_value_function(vf, indent: str, write) -> None:
     forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
     write("{" + i1 + '"horizon": ' + _scalar(vf.horizon) + "," + i1 + '"stages": [')
     lead = i2
-    for t, (keys, beliefs, values) in enumerate(zip(vf.keys, vf.beliefs, vf.values)):
+    for t, keys in enumerate(vf.keys):
         write(lead)
         lead = "," + i2
-        n, S = beliefs.shape
-        if not n:
+        if not keys:
             write("{}")
             continue
+        S = vf.beliefs[t].shape[1]
         row = (
             i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
             + i5 + ("%s," + i5) * (S - 1) + "%s" + i4 + "]," + i4 + '"value": %s' + i3 + "}"
         )
         width = S + 3
-        argmins = vf.argmins[t] if t < vf.horizon else None
-        order = sorted(range(n), key=keys.__getitem__)
-        write("{")
-        for lo in range(0, n, _BLOCK_ROWS):
-            rows = order[lo : lo + _BLOCK_ROWS]
-            b, v = beliefs[rows], values[rows]
-            fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
+        sep = "{"
+        for rows, b, v, argmins, fmt in _stage_blocks(vf, t):
             args = [None] * (len(rows) * width)
             args[0::width] = map(encode_basestring_ascii, map(keys.__getitem__, rows))
             args[1::width] = (
-                ["null"] * len(rows)
-                if argmins is None
-                else map(forms.__getitem__, argmins[rows].tolist())
+                ["null"] * len(rows) if argmins is None else map(forms.__getitem__, argmins)
             )
             for x in range(S):
                 args[2 + x :: width] = map(fmt, b[:, x].tolist())
             args[width - 1 :: width] = map(fmt, v.tolist())
-            write(("," if lo else "") + ",".join([row] * len(rows)) % tuple(args))
+            write(sep + ",".join([row] * len(rows)) % tuple(args))
+            sep = ","
         write(i2 + "}")
     write(i1 + "]" + indent + "}")
 
 
-def _flatten(prefix: str, value, rows: list):
-    if _is_value_function(value):
-        value = value.to_json_dict()
+def _flatten_value_function(prefix: str, vf, write) -> None:
+    """Write the CSV rows of the value function ``vf`` as ``_flatten``
+    writes its reference form: each block of ``_stage_blocks`` is one
+    ``%`` over the stage's row template repeated, one line per leaf
+    (``<key>.argmin[k]``, or ``<key>.argmin,null`` at the horizon, then
+    ``<key>.belief[x]`` and ``<key>.value``), whose arguments are the key
+    and the leaf's text, pair by pair."""
+    lead = prefix + "." if prefix else ""
+    write(f"{lead}horizon,{vf.horizon}\n")
+    digits = [[int.__repr__(a) for a in column] for column in zip(*vf.actions)]
+    for t, keys in enumerate(vf.keys):
+        S = vf.beliefs[t].shape[1]
+        argmin = [f"argmin[{k}]" for k in range(len(digits))] if t < vf.horizon else ["argmin"]
+        leaves = [*argmin, *(f"belief[{x}]" for x in range(S)), "value"]
+        stage = f"{lead}stages[{t}].".replace("%", "%%")
+        row = "".join(f"{stage}%s.{leaf},%s\n" for leaf in leaves)
+        width = 2 * len(leaves)
+        first = 2 * len(argmin) + 1  # the argument of belief[0]
+        for rows, b, v, argmins, fmt in _stage_blocks(vf, t):
+            args = [None] * (len(rows) * width)
+            names = list(map(keys.__getitem__, rows))
+            for j in range(0, width, 2):
+                args[j::width] = names
+            if argmins is None:
+                args[1::width] = ["null"] * len(rows)
+            else:
+                for k, texts in enumerate(digits):
+                    args[2 * k + 1 :: width] = map(texts.__getitem__, argmins)
+            for x in range(S):
+                args[first + 2 * x :: width] = map(fmt, b[:, x].tolist())
+            args[width - 1 :: width] = map(fmt, v.tolist())
+            write(row * len(rows) % tuple(args))
+
+
+def _flatten(prefix: str, value, write) -> None:
+    """Write one ``key,value`` line per leaf of ``value``, dict keys in
+    sorted order, each value as ``_scalar`` spells it."""
     if isinstance(value, dict):
         for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
+            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], write)
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, rows)
+            _flatten(f"{prefix}[{i}]", v, write)
+    elif _is_value_function(value):
+        _flatten_value_function(prefix, value, write)
     else:
-        rows.append((prefix, value))
+        write(f"{prefix},{_scalar(value)}\n")
 
 
-def _csv_text(report: dict, args) -> str:
-    command = report["metadata"]["command"]
-    lines = []
-    if command == "gaussian-example" and "error" not in report:
+def _write_csv(report: dict, args, write) -> None:
+    if report["metadata"]["command"] == "gaussian-example" and "error" not in report:
         from .gaussian import GaussianInstance, closed_form, expected_cost
 
         # plot-ready sections: cost along the first-move gain axis with the
         # other two gains pinned at each sign's closed-form optimum
-        lines.append("covariance,first_gain,cost")
+        write("covariance,first_gain,cost\n")
         first_grid = _parse_grid(args.grid)[0]
         for c in (args.covariance, -args.covariance):
             best = closed_form(GaussianInstance(c))
@@ -532,21 +591,17 @@ def _csv_text(report: dict, args) -> str:
                     correction_gain=best.strategy.correction_gain,
                 )
                 j = expected_cost(GaussianInstance(c), probe)
-                lines.append(f"{c!r},{float(a)!r},{j!r}")
+                write(f"{c!r},{float(a)!r},{j!r}\n")
     else:
-        lines.append("key,value")
-        rows: list = []
-        _flatten("", report, rows)
-        for key, value in rows:
-            lines.append(f"{key},{_scalar(value)}")
-    return "\n".join(lines) + "\n"
+        write("key,value\n")
+        _flatten("", report, write)
 
 
 def _emit(report: dict, args, f) -> None:
     """Write the report to the open output ``f``; ``args`` is None when
     the command line did not parse."""
     if getattr(args, "format", "json") == "csv":
-        f.write(_csv_text(report, args))
+        _write_csv(report, args, f.write)
     else:
         _encode(report, "\n", f.write)
         f.write("\n")
@@ -592,13 +647,20 @@ def run(argv=None) -> int:
             out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
         except OSError as e:
             message = f"cannot open --out: {e}"
-    if message is not None:
-        report = _error_report(_metadata(args.command, args, None), "UsageError", message)
-        _emit(report, args, sys.stdout)
-        print(f"usage error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-    with out as f:
-        return _dispatch(args, f, started)
+    if message is None:
+        try:
+            with out as f:
+                return _dispatch(args, f, started)
+        # read_scenario raises ScenarioFormatError for an unreadable
+        # scenario, so an OSError here is a failed write or close of out
+        except OSError as e:
+            if not args.out:
+                raise
+            message = f"cannot write --out: {e}"
+    report = _error_report(_metadata(args.command, args, None), "UsageError", message)
+    _emit(report, args, sys.stdout)
+    print(f"usage error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _same_file(out: str, scenario: str | None) -> bool:

@@ -29,7 +29,8 @@ are built only at the edge, for the value function and strategy table.
 The value function keeps the solved stage arrays themselves (keys in row
 order, beliefs, values, argmin action indices); ``stages[t]`` reads a
 stage as a read-only mapping that makes a :class:`NodeValue` only when a
-key is looked up, and the report writer reads the arrays directly.
+key is looked up.  The value function has no report form here: both
+report formats are written by ``teamdp.cli`` from the stage arrays.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -199,13 +200,6 @@ class NodeValue:
     value: float | None = None
     argmin: tuple[int, ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "belief": self.belief.tolist(),
-            "value": None if self.value is None else float(self.value),
-            "argmin": None if self.argmin is None else list(self.argmin),
-        }
-
 
 class _StageNodes(Mapping):
     """One stage of a :class:`ValueFunction` read as a map from history
@@ -268,15 +262,6 @@ class ValueFunction:
     @property
     def root(self) -> NodeValue:
         return self.stages[0][""]
-
-    def to_json_dict(self) -> dict:
-        """Reference form of the report's ``value_function``."""
-        return {
-            "horizon": self.horizon,
-            "stages": [
-                {k: nv.to_json_dict() for k, nv in sorted(stage.items())} for stage in self.stages
-            ],
-        }
 
 
 @dataclass

@@ -169,6 +169,31 @@ def sharing_structures(draw, num_members=2):
 
 
 # ---------------------------------------------------------------------------
+# reference form of a report's value function
+
+
+def value_function_reference(vf) -> dict:
+    """The ``value_function`` of a solve-manager report as plain data,
+    built node by node from the ``stages[t]`` mappings: the writers of
+    both report formats must write exactly what ``json.dumps`` and the
+    generic CSV walk write for it."""
+    return {
+        "horizon": vf.horizon,
+        "stages": [
+            {
+                key: {
+                    "argmin": None if node.argmin is None else list(node.argmin),
+                    "belief": node.belief.tolist(),
+                    "value": float(node.value),
+                }
+                for key, node in sorted(stage.items())
+            }
+            for stage in vf.stages
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
 # deterministic pseudo-random strategies
 
 

@@ -1,8 +1,10 @@
 """Command-line interface tests: every subcommand, the full exit-code
 contract, report schema conformance, and byte-level determinism."""
 
+import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -11,16 +13,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
-from conftest import SCENARIO_DOCUMENTS, mutated_scenarios, random_model
+from conftest import (
+    SCENARIO_DOCUMENTS,
+    mutated_scenarios,
+    random_model,
+    value_function_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamdp import load_schema, scenario_to_dict, solve_manager
-from teamdp.cli import _BLOCK_ROWS, MAX_GRID_POINTS, MAX_SAMPLES, _encode, run
+from teamdp.cli import _BLOCK_ROWS, MAX_GRID_POINTS, MAX_SAMPLES, _emit, _encode, _flatten, run
 
 WALL_TIME = re.compile(r'^\s*"wall_time_s": [0-9.eE+-]+,?\n', re.MULTILINE)
 
@@ -275,10 +283,14 @@ def test_simulate_reduces_a_negative_seed(capsys, scenario_path):
         ),
         ("nan:1:0.1,0:1:0.1,0:1:0.1", "need finite numbers"),
         ("0:inf:0.1,0:1:0.1,0:1:0.1", "need finite numbers"),
+        # (hi - lo) / step overflows to inf
+        ("0:1e308:1e-308,0:1:0.1,0:1:0.1", f"more points than the limit of {MAX_GRID_POINTS}"),
+        ("-1e308:1e308:1,0:1:0.1,0:1:0.1", f"more points than the limit of {MAX_GRID_POINTS}"),
+        ("0:1:5e-324,0:1:0.1,0:1:0.1", f"more points than the limit of {MAX_GRID_POINTS}"),
     ],
 )
 def test_exit_usage_on_unbounded_grid(capsys, grid, message):
-    code, report, _ = invoke(capsys, ["gaussian-example", "--grid", grid])
+    code, report, _ = invoke(capsys, ["gaussian-example", f"--grid={grid}"])
     assert code == 64
     assert report["error"]["type"] == "UsageError"
     assert message in report["error"]["message"]
@@ -415,6 +427,12 @@ _VALUE_FUNCTION_MODELS = {
 }
 
 
+def _flattened(obj) -> str:
+    chunks = []
+    _flatten("", obj, chunks.append)
+    return "".join(chunks)
+
+
 def _first_difference(text: str, expected: str):
     """(line number, line, expected line) where two texts first differ, or
     None; a megabyte-long string diff would take pytest minutes."""
@@ -426,14 +444,46 @@ def _first_difference(text: str, expected: str):
 def test_value_function_writer_matches_json_dumps(toy2, case):
     build, must_hold = _VALUE_FUNCTION_MODELS[case]
     vf = solve_manager(build(toy2), toy2[1]).value_function
-    ref = vf.to_json_dict()
+    ref = value_function_reference(vf)
     expected = json.dumps(ref, indent=2, sort_keys=True)
     assert must_hold in expected
     assert _first_difference(_encoded(vf), expected) is None
     nested = json.dumps({"results": {"value_function": ref}}, indent=2, sort_keys=True)
     assert _first_difference(_encoded({"results": {"value_function": vf}}), nested) is None
+    csv = _flattened({"results": {"value_function": ref}})
+    assert _first_difference(_flattened({"results": {"value_function": vf}}), csv) is None
     if case == "past_block":
         assert max(map(len, vf.keys)) > _BLOCK_ROWS
+
+
+class _Sink:
+    """An output that keeps only the length and line count of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> None:
+        self.writes.append((len(text), text.count("\n")))
+
+
+def test_csv_value_function_is_written_block_by_block(toy2):
+    """The CSV of a value function larger than one block goes out one
+    block at a time, so the memory it takes stays below its own size."""
+    vf = solve_manager(random_model(332, horizon=3, obs_sizes=(2, 3)), toy2[1]).value_function
+    report = {"metadata": {"command": "solve-manager"}, "results": {"value_function": vf}}
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        _emit(report, argparse.Namespace(format="csv"), sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = sum(size for size, _ in sink.writes)
+    # one line per leaf: the argmin components, the belief and the value
+    leaves = len(vf.actions[0]) + vf.beliefs[0].shape[1] + 1
+    assert len(sink.writes) > 1
+    assert max(lines for _, lines in sink.writes) <= _BLOCK_ROWS * leaves
+    assert peak < written
 
 
 @pytest.mark.parametrize(
@@ -532,6 +582,62 @@ def test_unwritable_out_is_a_usage_error(capsys, scenario_path, tmp_path, target
     assert report["metadata"]["scenario_sha256"] is None
     assert captured.err == f"usage error: {report['error']['message']}\n"
     assert not (tmp_path / "missing").exists()
+
+
+class _FullDisk(io.StringIO):
+    """An --out file on a full disk: ``write`` or ``close`` fails with ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            self._full()
+        return super().write(text)
+
+    def close(self) -> None:
+        super().close()
+        if self.failing == "close":
+            self._full()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_failed_out_write_is_a_usage_error(
+    capsys, monkeypatch, scenario_path, tmp_path, fmt, failing
+):
+    """An --out whose write or close fails gives one usage-error report
+    on stdout, one usage line on stderr and exit 64."""
+    monkeypatch.setattr("teamdp.cli.open", lambda path, mode: _FullDisk(failing), raising=False)
+    out = str(tmp_path / "r.txt")
+    code = run(["solve-manager", "--scenario", scenario_path, "--out", out, "--format", fmt])
+    captured = capsys.readouterr()
+    message = f"cannot write --out: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert code == 64
+    assert captured.err == f"usage error: {message}\n"
+    if fmt == "json":
+        report = json.loads(captured.out)
+        jsonschema.validate(report, load_schema("report"))
+        assert report["error"] == {"type": "UsageError", "message": message}
+    else:
+        lines = captured.out.splitlines()
+        assert lines[0] == "key,value"
+        assert 'error.type,"UsageError"' in lines
+        assert f"error.message,{json.dumps(message)}" in lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_out_on_a_full_device_is_a_usage_error(capsys, scenario_path):
+    code = run(["solve-manager", "--scenario", scenario_path, "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 64
+    assert report["error"]["message"].startswith("cannot write --out: ")
+    assert captured.err == f"usage error: {report['error']['message']}\n"
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "hard_link"])

@@ -99,11 +99,16 @@ sys.exit(code)
                 "teamdp.strategies",
             },
         ),
+        (
+            "solve-manager --format csv",
+            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian"},
+        ),
     ],
 )
 def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):
     from teamdp import scenario_to_dict
 
+    command, *options = command.split()
     if command == "gaussian-example":
         args = ["--samples", "100", "--grid", "0:2:0.5,0:1:0.5,-1:0:0.5"]
     else:
@@ -111,8 +116,11 @@ def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):
         path.write_text(json.dumps(scenario_to_dict(*toy2)))
         args = ["--scenario", str(path)]
     out = tmp_path / "report.json"
-    code, modules = _fresh(_RUN, command, *args, "--out", str(out))
+    code, modules = _fresh(_RUN, command, *args, *options, "--out", str(out))
     assert code == 0
-    assert json.loads(out.read_text())["metadata"]["command"] == command
+    if options:
+        assert f'metadata.command,"{command}"' in out.read_text().splitlines()
+    else:
+        assert json.loads(out.read_text())["metadata"]["command"] == command
     assert "teamdp.model" in modules
     assert absent & set(modules) == set()
