@@ -33,7 +33,9 @@ leaf's text.  So the largest write is one block, whatever the tree size.
 ``--out`` is opened before any scenario work; one that cannot be opened,
 or that names the ``--scenario`` file (which opening would destroy), is a
 usage error, reported on stdout, and so is one whose write or close
-fails (a full disk).  The scenario file is read once: the
+fails (a full disk).  A stdout that cannot be written (a full disk, a
+closed pipe) is a usage error too, told by one line on stderr, since no
+report can be written.  The scenario file is read once: the
 bytes parsed are the bytes hashed into ``metadata.scenario_sha256``.
 
 Start-up pays only for what a subcommand runs.  This module imports
@@ -57,7 +59,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import math
 import os
@@ -635,32 +636,59 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
-        metadata = {"command": "usage", "version": __version__}
-        _emit(_error_report(metadata, "UsageError", str(e)), None, sys.stdout)
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    message = None
-    if args.out and _same_file(args.out, getattr(args, "scenario", None)):
+        report = _error_report({"command": "usage", "version": __version__}, "UsageError", str(e))
+        return _to_stdout(partial(_usage_error, report, None, str(e)))
+    if not args.out:
+        return _to_stdout(partial(_dispatch, args, started=started))
+    if _same_file(args.out, getattr(args, "scenario", None)):
         message = "--out names the --scenario file"
     else:
         try:
-            out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+            out = open(args.out, "w")
         except OSError as e:
             message = f"cannot open --out: {e}"
-    if message is None:
-        try:
-            with out as f:
-                return _dispatch(args, f, started)
-        # read_scenario raises ScenarioFormatError for an unreadable
-        # scenario, so an OSError here is a failed write or close of out
-        except OSError as e:
-            if not args.out:
-                raise
-            message = f"cannot write --out: {e}"
+        else:
+            try:
+                with out as f:
+                    return _dispatch(args, f, started)
+            # read_scenario raises ScenarioFormatError for an unreadable
+            # scenario, so an OSError here is a failed write or close of out
+            except OSError as e:
+                message = f"cannot write --out: {e}"
     report = _error_report(_metadata(args.command, args, None), "UsageError", message)
-    _emit(report, args, sys.stdout)
+    return _to_stdout(partial(_usage_error, report, args, message))
+
+
+def _usage_error(report: dict, args, message: str, f) -> int:
+    """Write the usage-error ``report`` to ``f`` and, once it is flushed,
+    the usage line to stderr."""
+    _emit(report, args, f)
+    f.flush()
     print(f"usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _to_stdout(emit) -> int:
+    """Run ``emit(sys.stdout)``, which writes a report and returns the
+    exit status, and flush stdout.  A stdout that cannot be written (a
+    full disk, a pipe whose reader is gone) is a usage error told on
+    stderr alone; fd 1 is then pointed at ``os.devnull``, so that the
+    flush at interpreter exit has nothing left to fail on."""
+    try:
+        code = emit(sys.stdout)
+        sys.stdout.flush()
+        return code
+    except OSError as e:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no file descriptor, e.g. a captured stdout
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"usage error: cannot write stdout: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _same_file(out: str, scenario: str | None) -> bool:
@@ -691,9 +719,8 @@ def _dispatch(args, f, started: float) -> int:
             if args.command != "validate" and code == EXIT_OK:
                 results, diagnostics, code = _HANDLERS[args.command](model, structure, args)
     except _UsageError as e:
-        _emit(_error_report(_metadata(args.command, args, digest), "UsageError", str(e)), args, f)
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        report = _error_report(_metadata(args.command, args, digest), "UsageError", str(e))
+        return _usage_error(report, args, str(e), f)
     except TeamDPError as e:
         details = {}
         if isinstance(e, BudgetExceededError):

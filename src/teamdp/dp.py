@@ -61,7 +61,7 @@ last two on first read.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -390,6 +390,7 @@ class MemberNode:
 class MemberSolution:
     member: int
     nodes: tuple  # per stage: dict key -> MemberNode
+    stages: tuple  # per stage: the filters._MemberStage its nodes point to
     strategy: MemberSeparatedStrategy
     root_value: float
     node_counts: tuple[int, ...]
@@ -481,6 +482,7 @@ def solve_member(
     return MemberSolution(
         member=k,
         nodes=tuple(node_stages),
+        stages=tuple(stages),
         strategy=strategy,
         root_value=float(values[0][0]),
         node_counts=tuple(s.num_nodes for s in stages),
@@ -525,13 +527,7 @@ class MemberComparison:
     nodes: list  # per-node dicts
 
     def to_json_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "root_value": float(self.root_value),
-            "root_gap": float(self.root_gap),
-            "agreement_fraction": float(self.agreement_fraction),
-            "nodes": self.nodes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -545,22 +541,13 @@ class ComparisonReport:
     members: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "manager_root_value": float(self.manager_root_value),
-            "manager_cost": float(self.manager_cost),
-            "member_profile_cost": float(self.member_profile_cost),
-            "profile_fallback_views": int(self.profile_fallback_views),
-            "decentralized_optimal_cost": float(self.decentralized_optimal_cost),
-            "decentralized_num_strategies": int(self.decentralized_num_strategies),
-            "members": [m.to_json_dict() for m in self.members],
-        }
+        return asdict(self)
 
 
 def compare_solutions(
     model: TeamModel,
     structure: InformationStructure,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    strategy_budget: int | None = None,
 ) -> ComparisonReport:
     """Solve the manager problem, re-solve each member against the
     manager-induced co-strategies, and put the results side by side.
@@ -570,12 +557,17 @@ def compare_solutions(
     (c) the exhaustive decentralized optimum.  Agreement is information,
     not an assertion: for genuinely decentralized instances the member
     argmins need not reproduce the manager's.
+
+    The per-node figures are a join of the member stage arrays with the
+    manager's: the manager row of each distinct history of a member stage
+    is looked up once by its history key and spread to the particles,
+    then the manager's action weights and value mixture are summed per
+    node with ``np.bincount`` in particle order.
     """
     from . import oracle
 
-    if strategy_budget is None:
-        strategy_budget = oracle.DEFAULT_STRATEGY_BUDGET
     mgr = solve_manager(model, structure, node_budget=node_budget)
+    vf = mgr.value_function
     projections = {
         j: ManagerProjectionStrategy(j, mgr.strategy) for j in range(model.num_members)
     }
@@ -585,31 +577,33 @@ def compare_solutions(
         others = {j: projections[j] for j in range(model.num_members) if j != k}
         sol = solve_member(model, structure, k, others, node_budget=node_budget)
         member_solutions.append(sol)
+        own = np.array([u[k] for u in vf.actions], dtype=np.intp)
+        O = model.action_sizes[k]
         nodes_out = []
         agree_count = 0
-        decision_nodes = 0
         for t in range(model.horizon):
-            for key, node in sol.nodes[t].items():
-                mgr_weights: dict[int, float] = {}
-                mgr_value = 0.0
-                for _, obs_seq, act_seq, w in node.particles:
-                    mkey = history_key(act_seq, obs_seq)
-                    mnode = mgr.value_function.stages[t][mkey]
-                    mgr_weights[mnode.argmin[k]] = mgr_weights.get(mnode.argmin[k], 0.0) + w
-                    mgr_value += w * mnode.value
-                agree = set(mgr_weights) == {node.argmin}
+            stage, index = sol.stages[t], vf.stages[t]._index()
+            ids = [index[history_key(act_seq, obs_seq)] for obs_seq, act_seq in stage.sequences]
+            rows = np.array(ids, dtype=np.intp)[stage.hist]
+            cells = stage.node * O + own[vf.argmins[t][rows]]
+            size = stage.num_nodes * O
+            weights = np.bincount(cells, stage.w, minlength=size).reshape(-1, O).tolist()
+            occurs = np.bincount(cells, minlength=size).reshape(-1, O).tolist()
+            mixture = np.bincount(stage.node, stage.w * vf.values[t][rows]).tolist()
+            for row, (key, node) in enumerate(sol.nodes[t].items()):
+                actions = [a for a in range(O) if occurs[row][a]]
+                agree = actions == [node.argmin]
                 agree_count += agree
-                decision_nodes += 1
                 nodes_out.append(
                     {
                         "node": key,
                         "time": t,
-                        "member_argmin": int(node.argmin),
-                        "member_value": float(node.value),
-                        "manager_action_weights": {str(a): float(w) for a, w in sorted(mgr_weights.items())},
-                        "manager_value_mixture": float(mgr_value),
-                        "value_gap": float(node.value - mgr_value),
-                        "argmin_agrees": bool(agree),
+                        "member_argmin": node.argmin,
+                        "member_value": node.value,
+                        "manager_action_weights": {str(a): weights[row][a] for a in actions},
+                        "manager_value_mixture": mixture[row],
+                        "value_gap": node.value - mixture[row],
+                        "argmin_agrees": agree,
                     }
                 )
         comparisons.append(
@@ -617,7 +611,7 @@ def compare_solutions(
                 member=k,
                 root_value=sol.root_value,
                 root_gap=sol.root_value - mgr.root_value,
-                agreement_fraction=agree_count / max(decision_nodes, 1),
+                agreement_fraction=agree_count / max(len(nodes_out), 1),
                 nodes=nodes_out,
             )
         )
@@ -625,7 +619,7 @@ def compare_solutions(
     profile_cost = oracle.exact_cost(model, structure, profile)
     # the member strategies were made above and first consulted by exact_cost
     fallbacks = sum(s.strategy.fallbacks for s in member_solutions)
-    dec = oracle.enumerate_decentralized(model, structure, budget=strategy_budget)
+    dec = oracle.enumerate_decentralized(model, structure)
     return ComparisonReport(
         manager_root_value=mgr.root_value,
         manager_cost=oracle.exact_cost(model, structure, mgr.strategy),

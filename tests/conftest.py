@@ -169,7 +169,7 @@ def sharing_structures(draw, num_members=2):
 
 
 # ---------------------------------------------------------------------------
-# reference form of a report's value function
+# reference forms of report sections
 
 
 def value_function_reference(vf) -> dict:
@@ -191,6 +191,36 @@ def value_function_reference(vf) -> dict:
             for stage in vf.stages
         ],
     }
+
+
+def compare_nodes_reference(mgr, sol, k) -> list:
+    """The per-node rows of ``compare_solutions`` for member ``k``, built
+    particle by particle: each particle's full history is looked up in the
+    manager's ``value_function.stages[t]`` by its history key, and the
+    manager's action weights and value mixture are added in particle
+    order."""
+    rows = []
+    for t in range(mgr.value_function.horizon):
+        for key, node in sol.nodes[t].items():
+            weights: dict[int, float] = {}
+            mixture = 0.0
+            for _, obs_seq, act_seq, w in node.particles:
+                mnode = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
+                weights[mnode.argmin[k]] = weights.get(mnode.argmin[k], 0.0) + w
+                mixture += w * mnode.value
+            rows.append(
+                {
+                    "node": key,
+                    "time": t,
+                    "member_argmin": int(node.argmin),
+                    "member_value": float(node.value),
+                    "manager_action_weights": {str(a): w for a, w in sorted(weights.items())},
+                    "manager_value_mixture": mixture,
+                    "value_gap": float(node.value - mixture),
+                    "argmin_agrees": set(weights) == {node.argmin},
+                }
+            )
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -542,29 +542,42 @@ _UNPINNED = re.compile(
 
 # sha256 of the pinned lines of solve-manager reports, taken from the
 # reports written before the value function was emitted from its stage
-# arrays
+# arrays, and of compare reports, taken from the reports written before
+# compare_solutions joined the member and manager stage arrays
 _PINNED_REPORTS = {
-    ("toy2", "json"): "7f63df11cf5d5fe5c65c68a81bc22309a0e82eca717f3a6ca7e0f40f008486e1",
-    ("toy2", "csv"): "eaaf724b259c5d5ef41c0a27cc691e2feb3e60625b552d2ccbfb8e6834b2f08f",
-    ("zero_entry", "json"): "f8c609d24038b1b4c54961c67884858a547602edd0f3e07a7bfd1fba7390a605",
-    ("zero_entry", "csv"): "241963d2172c9d37ef302cdb31dc76813af0e912d54354e7710c30d744bc12e1",
+    ("solve-manager", "toy2", "json"): "7f63df11cf5d5fe5c65c68a81bc22309a0e82eca717f3a6ca7e0f40f008486e1",
+    ("solve-manager", "toy2", "csv"): "eaaf724b259c5d5ef41c0a27cc691e2feb3e60625b552d2ccbfb8e6834b2f08f",
+    ("solve-manager", "zero_entry", "json"): "f8c609d24038b1b4c54961c67884858a547602edd0f3e07a7bfd1fba7390a605",
+    ("solve-manager", "zero_entry", "csv"): "241963d2172c9d37ef302cdb31dc76813af0e912d54354e7710c30d744bc12e1",
+    ("compare", "toy2", "json"): "55a38d5fd625f9339d09def2974f0d3054edfd4b1da31d6f03a8d4f54c5e95b3",
+    ("compare", "toy2", "csv"): "18258d3997091f80b56d485090ea83d80d50ff6f226796a3d30a8a9ee1ed67d0",
+    ("compare", "zero_entry", "json"): "fbb0f55d82951f007f7d798b1a007a7ca9bb589988ec809eccc11521324f83d7",
+    ("compare", "zero_entry", "csv"): "ec40f3cbc2dfc00622b1f9b56a0d00dc205c1fefd7139dd14d1dcdbe585140d2",
 }
 
 
-@pytest.mark.parametrize("instance, fmt", sorted(_PINNED_REPORTS))
+# test ids: toy2-json for solve-manager, compare-toy2-json for compare
+_PINNED_IDS = [
+    "-".join(case[1:] if case[0] == "solve-manager" else case) for case in sorted(_PINNED_REPORTS)
+]
+
+
+@pytest.mark.parametrize("command, instance, fmt", sorted(_PINNED_REPORTS), ids=_PINNED_IDS)
 def test_solve_manager_report_bytes_are_pinned(
-    capsys, scenario_path, toy2, tmp_path, instance, fmt
+    capsys, scenario_path, toy2, tmp_path, command, instance, fmt
 ):
+    """The bytes of solve-manager and compare reports, both formats, but
+    for the run time and the scenario path."""
     path = scenario_path
     if instance == "zero_entry":
         model = random_model(310, num_states=3, horizon=2, positive=False)
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(scenario_to_dict(model, toy2[1])))
-    assert run(["solve-manager", "--scenario", str(path), "--format", fmt]) == 0
+    assert run([command, "--scenario", str(path), "--format", fmt]) == 0
     lines = capsys.readouterr().out.splitlines(keepends=True)
     pinned = "".join(line for line in lines if not _UNPINNED.match(line))
     assert len(lines) - pinned.count("\n") == 2
-    assert hashlib.sha256(pinned.encode()).hexdigest() == _PINNED_REPORTS[instance, fmt]
+    assert hashlib.sha256(pinned.encode()).hexdigest() == _PINNED_REPORTS[command, instance, fmt]
 
 
 @pytest.mark.parametrize("target", ["missing_directory", "directory"])
@@ -638,6 +651,42 @@ def test_out_on_a_full_device_is_a_usage_error(capsys, scenario_path):
     assert code == 64
     assert report["error"]["message"].startswith("cannot write --out: ")
     assert captured.err == f"usage error: {report['error']['message']}\n"
+
+
+def _unwritable_stdout(target: str):
+    """A write end for a child's stdout that fails, and the reason the
+    child should give: /dev/full, or a pipe whose read end is closed
+    before the child starts, so every write fails, with no race."""
+    if target == "full_device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs the /dev/full device")
+        return os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end, errno.EPIPE
+
+
+@pytest.mark.parametrize("report", ["normal", "unparsable", "out_error"])
+@pytest.mark.parametrize("target", ["full_device", "closed_pipe"])
+def test_unwritable_stdout_is_a_usage_error(scenario_path, tmp_path, target, report):
+    """A stdout that cannot be written gives exit 64 and one usage line
+    on stderr, with no traceback, whether the report is the normal one,
+    the usage-error report of an argv that does not parse, or that of an
+    --out that cannot be opened."""
+    argv = {
+        "normal": ["validate", "--scenario", scenario_path],
+        "unparsable": ["no-such-command"],
+        "out_error": ["validate", "--scenario", scenario_path, "--out", str(tmp_path / "no" / "r")],
+    }[report]
+    stdout, err = _unwritable_stdout(target)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "teamdp", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 64
+    assert proc.stderr == f"usage error: cannot write stdout: [Errno {err}] {os.strerror(err)}\n"
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "hard_link"])

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     HashedCentralizedStrategy,
     HashedMemberStrategy,
+    compare_nodes_reference,
     random_model,
     sharing_structures,
     value_function_reference,
@@ -726,6 +727,49 @@ def test_member_path_builds_no_view(monkeypatch):
     assert best_responses() == want
 
 
+def _member_solutions(model, structure):
+    """The manager solution, and each member's solution against the
+    manager's projections, as compare_solutions makes them."""
+    mgr = solve_manager(model, structure)
+    projections = {j: ManagerProjectionStrategy(j, mgr.strategy) for j in range(model.num_members)}
+    return mgr, [
+        solve_member(model, structure, k, {j: s for j, s in projections.items() if j != k})
+        for k in projections
+    ]
+
+
+def test_compare_joins_stage_arrays(monkeypatch, toy2):
+    """compare_solutions reads the member and manager stage arrays: with
+    ``NodeValue`` and the particle tuples failing, it reproduces the
+    unpatched reports and builds one history key per distinct member
+    history of each stage t < T."""
+    k3 = random_model(23, num_members=3, num_states=2, positive=False)
+    cases = [toy2, (k3, InformationStructure("delayed_sharing", delays=(1, 1, 1)))]
+    want = [compare_solutions(model, structure).to_json_dict() for model, structure in cases]
+    raised = []
+
+    def fail(*args, **kwargs):
+        raised.append(args)
+        raise AssertionError("a NodeValue or a particle tuple was built")
+
+    keys = []
+
+    def counted_key(actions, observations):
+        keys.append(actions)
+        return history_key(actions, observations)
+
+    monkeypatch.setattr("teamdp.dp.NodeValue", fail)
+    monkeypatch.setattr("teamdp.filters._MemberStage.particles", fail)
+    monkeypatch.setattr("teamdp.dp.history_key", counted_key)
+    for (model, structure), report in zip(cases, want):
+        keys.clear()
+        assert compare_solutions(model, structure).to_json_dict() == report
+        _, sols = _member_solutions(model, structure)
+        T = model.horizon
+        assert len(keys) == sum(len(stage.obs) for sol in sols for stage in sol.stages[:T])
+    assert raised == []
+
+
 # ---------------------------------------------------------------------------
 # side-by-side comparison
 
@@ -784,3 +828,49 @@ def test_compare_solutions_counts_fallback_views(case):
     report = compare_solutions(model, structure)
     got = (report.profile_fallback_views, report.member_profile_cost.hex())
     assert got == PINNED_FALLBACKS[case]
+
+
+def _hexed(obj):
+    """``obj`` with every float spelled by ``float.hex``."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {key: _hexed(v) for key, v in obj.items()}
+    if isinstance(obj, list):
+        return [_hexed(v) for v in obj]
+    return obj
+
+
+def _pooled(variant: str, K: int) -> InformationStructure:
+    if variant == "periodic_sharing":
+        return InformationStructure(variant, period=1)
+    return InformationStructure(variant, delays=(1,) * K)
+
+
+# (members, action sizes, states, positive kernels) of the per-node join
+# checks
+JOIN_SHAPES = [
+    (2, (2, 3), 3, True),
+    (2, (3, 2), 2, False),
+    (3, (2, 2, 2), 3, True),
+    (3, (2, 2, 2), 2, False),
+]
+
+
+@pytest.mark.parametrize("shape", JOIN_SHAPES, ids=str)
+@pytest.mark.parametrize("variant", [s.variant for s in POOLED_VARIANTS])
+def test_compare_nodes_match_the_particle_join(variant, shape):
+    """Every per-node row of compare_solutions, floats compared bit for
+    bit, equals the particle-by-particle join of the member nodes with
+    the manager's value function."""
+    K, action_sizes, num_states, positive = shape
+    model = random_model(
+        len(variant) + K, num_members=K, num_states=num_states,
+        action_sizes=action_sizes, positive=positive,
+    )
+    structure = _pooled(variant, K)
+    report = compare_solutions(model, structure)
+    mgr, sols = _member_solutions(model, structure)
+    for k, sol in enumerate(sols):
+        want = compare_nodes_reference(mgr, sol, k)
+        assert _hexed(report.members[k].nodes) == _hexed(want)
