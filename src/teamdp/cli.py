@@ -6,25 +6,29 @@ Every run emits a single JSON report {metadata, results, diagnostics}
 with identical inputs and seeds are byte-identical except for
 ``diagnostics.wall_time_s``.
 
-Reports are written by ``_encode``: it streams the text into the
-output's ``write`` method, so the whole text is never held in memory,
-and gives the same bytes as ``json.dumps(report, indent=2,
-sort_keys=True)``.  The ``json`` module indents only in pure Python,
-which took longer than the manager solve on large trees; ``_encode``
-writes each list of finite floats or plain ints with one ``str.join``.
-The CSV export is streamed the same way: ``_flatten`` writes one
-``key,value`` line per leaf in the same sorted walk, each value spelled
-by the same ``_scalar``.
+The ``json`` module writes every report: ``_encode`` writes each chunk
+of ``json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)`` into
+the output's ``write`` method as it comes, so the whole text is never
+held in memory and the bytes are those of ``json.dumps(report, indent=2,
+sort_keys=True)``.  The CSV export is streamed the same way:
+``_flatten`` writes one ``key,value`` line per leaf in the same sorted
+walk, each value spelled by ``json.dumps``.
 
-Only this module knows how a manager value function looks in a report,
-and both formats write it straight from its stage arrays.  One walk,
-``_stage_blocks``, reads a stage's rows in sorted-key order,
-``_BLOCK_ROWS`` at a time, and hands each block's row indices, belief and
-value slices, argmin action indices and float formatter (``_float``, as
-the json module spells non-finite numbers, only for a block that holds
-one) to the writer of the format.  ``_write_value_function`` (JSON) and
-``_flatten_value_function`` (CSV) each fill their own per-stage row
-template, one ``%`` over the template repeated per block: the JSON row
+A manager value function is the one thing the json module does not
+write: its report form would hold one dict per node, so both formats
+write it in place, straight from its stage arrays, with
+``_write_value_function`` (JSON) and ``_flatten_value_function`` (CSV).
+The encoder's ``default`` hook hands each ``dp.ValueFunction`` to
+``_write_value_function``, which writes it at the indent of the line the
+value starts on, in place of the ``null`` the encoder yields for the
+hook's ``None``.  Only this module knows how a value function looks in
+a report.  One walk, ``_stage_blocks``, reads a stage's rows in
+sorted-key order, ``_BLOCK_ROWS`` at a time, and hands each block's row
+indices, belief and value slices, argmin action indices and float
+formatter (``_float``, as the json module spells non-finite numbers, only
+for a block that holds one) to the writer of the format.  Each writer
+fills its own per-stage row template, one ``%`` over the template
+repeated per block: the JSON row
 has slots for the encoded key, the argmin text (one precomputed text per
 joint action, ``null`` at the horizon), each belief float and the value;
 the CSV row has one line per leaf, each with slots for the key and the
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import sys
@@ -193,7 +198,7 @@ def _build_parser() -> _Parser:
 def _metadata(command: str, args, digest: str | None) -> dict:
     arguments = {
         k: v
-        for k, v in sorted(vars(args).items())
+        for k, v in vars(args).items()
         if k not in ("command", "out", "format") and v is not None
     }
     return {
@@ -375,88 +380,30 @@ def _float(o, _repr=float.__repr__, _nonfinite=_NONFINITE.get) -> str:
     return _nonfinite(text, text)
 
 
-def _scalar(o) -> str:
-    """JSON text of a string, None, bool, int or float, or of a subclass
-    of one, as the json module writes it; TypeError for anything else."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+def _encode(obj, write) -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes it, one encoder chunk at a time, each ``dp.ValueFunction`` in
+    it written in place by ``_write_value_function``."""
+    line = ""  # the last chunk written that holds a newline
+    skip = False
 
+    def default(o):
+        nonlocal skip
+        if not _is_value_function(o):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        # the encoder writes no newline inside a string, so the text after
+        # the last one written is the value's line, led by its indent
+        tail = line.rpartition("\n")[2]
+        _write_value_function(o, "\n" + tail[: len(tail) - len(tail.lstrip(" "))], write)
+        skip = True  # the chunk the encoder yields next is the null of our None
 
-def _key(k) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if isinstance(k, (int, float)) or k is None:  # bool is an int
-        return '"' + _scalar(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-# text of the scalar types themselves; subclasses go through _scalar
-_EXACT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda o: "null",
-}
-
-
-def _encode(obj, indent: str, write, _exact=_EXACT.get) -> None:
-    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` does.
-    ``indent`` is a newline followed by the current nesting's spaces."""
-    if isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = indent + "  "
-        lead, sep = "{" + inner, "," + inner
-        for k, v in sorted(obj.items()):
-            key = encode_basestring_ascii(k) if type(k) is str else _key(k)
-            fmt = _exact(type(v))
-            if fmt is None:
-                write(lead + key + ": ")
-                _encode(v, inner, write)
-            else:
-                write(lead + key + ": " + fmt(v))
-            lead = sep
-        write(indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = indent + "  "
-        lead, sep = "[" + inner, "," + inner
-        first = type(obj[0])
-        if (first is float or first is int) and set(map(type, obj)) == {first}:
-            # one C-level join for a list of plain floats or plain ints;
-            # "nan" and "inf" hold an "n" that no finite float or int has
-            text = sep.join(map(first.__repr__, obj))
-            if "n" not in text:
-                write(lead + text + indent + "]")
-                return
-        for v in obj:
-            fmt = _exact(type(v))
-            if fmt is None:
-                write(lead)
-                _encode(v, inner, write)
-            else:
-                write(lead + fmt(v))
-            lead = sep
-        write(indent + "]")
-    elif _is_value_function(obj):
-        _write_value_function(obj, indent, write)
-    else:
-        write(_scalar(obj))
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(obj):
+        if skip:
+            skip = False
+            continue
+        write(chunk)
+        if "\n" in chunk:
+            line = chunk
 
 
 def _is_value_function(obj) -> bool:
@@ -487,16 +434,17 @@ def _stage_blocks(vf, t: int):
 
 
 def _write_value_function(vf, indent: str, write) -> None:
-    """Write the value function ``vf`` as ``_encode`` writes its reference
-    form ``{"horizon", "stages": [{key: {"argmin", "belief", "value"}}]}``:
-    each block of ``_stage_blocks`` is one ``%`` over the stage's row
-    template repeated, whose arguments are the encoded key, the argmin
-    text and the float texts."""
+    """Write the value function ``vf`` as ``json.dumps(indent=2,
+    sort_keys=True)`` writes its reference form ``{"horizon", "stages":
+    [{key: {"argmin", "belief", "value"}}]}`` on a line led by ``indent``
+    (a newline and the line's spaces): each block of ``_stage_blocks`` is
+    one ``%`` over the stage's row template repeated, whose arguments are
+    the encoded key, the argmin text and the float texts."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
     i5 = i4 + "  "
     forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
-    write("{" + i1 + '"horizon": ' + _scalar(vf.horizon) + "," + i1 + '"stages": [')
+    write("{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [')
     lead = i2
     for t, keys in enumerate(vf.keys):
         write(lead)
@@ -562,7 +510,7 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
 
 def _flatten(prefix: str, value, write) -> None:
     """Write one ``key,value`` line per leaf of ``value``, dict keys in
-    sorted order, each value as ``_scalar`` spells it."""
+    sorted order, each value as ``json.dumps`` spells it."""
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], write)
@@ -572,7 +520,7 @@ def _flatten(prefix: str, value, write) -> None:
     elif _is_value_function(value):
         _flatten_value_function(prefix, value, write)
     else:
-        write(f"{prefix},{_scalar(value)}\n")
+        write(f"{prefix},{json.dumps(value)}\n")
 
 
 def _write_csv(report: dict, args, write) -> None:
@@ -604,7 +552,7 @@ def _emit(report: dict, args, f) -> None:
     if getattr(args, "format", "json") == "csv":
         _write_csv(report, args, f.write)
     else:
-        _encode(report, "\n", f.write)
+        _encode(report, f.write)
         f.write("\n")
 
 

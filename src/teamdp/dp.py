@@ -526,9 +526,6 @@ class MemberComparison:
     agreement_fraction: float
     nodes: list  # per-node dicts
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ComparisonReport:

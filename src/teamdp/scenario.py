@@ -247,11 +247,13 @@ def scenario_from_bytes(raw: bytes, path) -> tuple[TeamModel, InformationStructu
     """Parse the bytes of the scenario file ``path`` (named in error
     messages).
 
-    Raises ScenarioFormatError for invalid JSON or schema violations.
+    Raises ScenarioFormatError for invalid JSON (including bytes that do
+    not decode, nesting too deep to parse and integers too long to
+    convert) or schema violations.
     """
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ScenarioFormatError(f"scenario file {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"scenario file {path} must hold a JSON object")

@@ -69,7 +69,7 @@ class CentralizedTableStrategy:
         return {
             "variant": self.variant,
             "scope": self.scope,
-            "table": {k: list(v) for k, v in sorted(self.table.items())},
+            "table": {k: list(v) for k, v in self.table.items()},
             "default": list(self.default) if self.default is not None else None,
         }
 
@@ -117,7 +117,7 @@ class MemberTableStrategy:
             "variant": self.variant,
             "scope": self.scope,
             "member": self.member,
-            "table": {k: int(v) for k, v in sorted(self.table.items())},
+            "table": {k: int(v) for k, v in self.table.items()},
             "default": self.default,
         }
 
@@ -136,7 +136,7 @@ class MemberSeparatedStrategy(MemberTableStrategy):
     def to_json_dict(self) -> dict:
         d = super().to_json_dict()
         if self.node_beliefs:
-            d["node_beliefs"] = {k: b.tolist() for k, b in sorted(self.node_beliefs.items())}
+            d["node_beliefs"] = {k: b.tolist() for k, b in self.node_beliefs.items()}
         return d
 
 

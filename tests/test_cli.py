@@ -27,8 +27,17 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamdp import load_schema, scenario_to_dict, solve_manager
-from teamdp.cli import _BLOCK_ROWS, MAX_GRID_POINTS, MAX_SAMPLES, _emit, _encode, _flatten, run
+from teamdp import InformationStructure, load_schema, scenario_to_dict, solve_manager
+from teamdp.cli import (
+    _BLOCK_ROWS,
+    MAX_GRID_POINTS,
+    MAX_SAMPLES,
+    _cmd_solve_manager,
+    _emit,
+    _encode,
+    _flatten,
+    run,
+)
 
 WALL_TIME = re.compile(r'^\s*"wall_time_s": [0-9.eE+-]+,?\n', re.MULTILINE)
 
@@ -203,6 +212,32 @@ def test_exit_malformed(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["validate", "solve-manager"])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"name": "\xe9"}',  # Latin-1, not UTF-8
+        b"\xff",
+        b"\xff\xfe\x00",  # taken for UTF-16 by its first bytes
+        b"[" * 2000 + b"]" * 2000,  # nested deeper than the parser recurses
+        b'{"num_members": ' + b"9" * 5000 + b"}",  # past the int digit limit
+    ],
+    ids=["latin1", "ff", "utf16_prefix", "deep_nesting", "long_int"],
+)
+def test_exit_malformed_on_unparsable_bytes(capsys, tmp_path, command, raw):
+    """Bytes that json.loads cannot turn into a document give one report,
+    exit 4 and nothing on stderr."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code = run([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    jsonschema.validate(report, load_schema("report"))
+    assert code == 4
+    assert report["error"]["type"] == "ScenarioFormatError"
+    assert captured.err == ""
+
+
 def test_exit_usage(capsys, scenario_path):
     code, report, _ = invoke(capsys, ["validate"])  # missing --scenario
     assert code == 64
@@ -312,8 +347,15 @@ def test_exit_validation_on_member_tree_invariant(capsys, scenario_path, monkeyp
 
 def _encoded(obj) -> str:
     chunks = []
-    _encode(obj, "\n", chunks.append)
+    _encode(obj, chunks.append)
     return "".join(chunks)
+
+
+def _first_difference(text: str, expected: str):
+    """(line number, line, expected line) where two texts first differ, or
+    None; a megabyte-long string diff would take pytest minutes."""
+    pairs = itertools.zip_longest(text.splitlines(), expected.splitlines())
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
 
 
 # every character, including control characters and lone surrogates
@@ -328,8 +370,8 @@ _scalars = (
     | _floats.map(np.float64)
     | _text
 )
-# lists that the one-join path takes or must refuse: plain floats with
-# nan and inf among them, ints with bools, and every mix of the two
+# numeric lists: plain floats with nan and inf among them, ints with
+# bools, and every mix of the two
 _numeric_lists = (
     st.lists(_floats, min_size=1, max_size=6)
     | st.lists(st.integers(-3, 3) | st.booleans(), min_size=1, max_size=6)
@@ -344,8 +386,21 @@ _keyed = st.one_of(
     st.dictionaries(st.booleans(), _scalars, max_size=2),
     st.dictionaries(st.none(), _scalars, max_size=1),
 )
+# value functions the writer splices into the encoder's text, solved once:
+# a zero-entry model's, whose pruned branches leave gaps in the row order,
+# and a horizon-1 model's
+_DELAYED = InformationStructure("delayed_sharing", delays=(1, 1))
+_SPLICED = [
+    solve_manager(model, _DELAYED).value_function
+    for model in (
+        random_model(310, num_states=3, horizon=2, positive=False),
+        random_model(331, horizon=1),
+    )
+]
+# value functions sit as dict values and list items, at any depth, and
+# after a first key or item as well as after a separator
 _documents = st.recursive(
-    _scalars | _numeric_lists | _keyed,
+    _scalars | _numeric_lists | _keyed | st.sampled_from(_SPLICED),
     lambda children: st.lists(children, max_size=5)
     | st.lists(children, max_size=5).map(tuple)
     | st.dictionaries(_text, children, max_size=5),
@@ -356,7 +411,10 @@ _documents = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(_documents)
 def test_encode_matches_json_dumps(obj):
-    assert _encoded(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    """The writer gives json.dumps' text, each value function in it
+    written as json.dumps writes its reference form at its place."""
+    expected = json.dumps(obj, indent=2, sort_keys=True, default=value_function_reference)
+    assert _first_difference(_encoded(obj), expected) is None
 
 
 @pytest.mark.parametrize(
@@ -433,13 +491,6 @@ def _flattened(obj) -> str:
     return "".join(chunks)
 
 
-def _first_difference(text: str, expected: str):
-    """(line number, line, expected line) where two texts first differ, or
-    None; a megabyte-long string diff would take pytest minutes."""
-    pairs = itertools.zip_longest(text.splitlines(), expected.splitlines())
-    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
-
-
 @pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
 def test_value_function_writer_matches_json_dumps(toy2, case):
     build, must_hold = _VALUE_FUNCTION_MODELS[case]
@@ -484,6 +535,39 @@ def test_csv_value_function_is_written_block_by_block(toy2):
     assert len(sink.writes) > 1
     assert max(lines for _, lines in sink.writes) <= _BLOCK_ROWS * leaves
     assert peak < written
+
+
+def test_json_report_is_written_chunk_by_chunk():
+    """The JSON report of a long chain (K = 1, S = 1, T = 1,000: 13.8 MB,
+    history keys up to 14 KB) goes out one encoder chunk or value-function
+    block at a time, so no write holds two history keys and the memory it
+    takes stays below a tenth of its own size (a writer that buffers the
+    strategy table peaks above the whole report)."""
+    model = random_model(
+        0, num_members=1, num_states=1, horizon=1000, obs_sizes=(1,), action_sizes=(1,)
+    )
+    structure = InformationStructure("delayed_sharing", delays=(1,))
+    results, diagnostics, _ = _cmd_solve_manager(
+        model, structure, argparse.Namespace(node_budget=2000)
+    )
+    report = {
+        "metadata": {"command": "solve-manager"},
+        "results": results,
+        "diagnostics": diagnostics,
+    }
+    longest_key = max(map(len, results["value_function"].keys[-1]))
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        _emit(report, argparse.Namespace(format="json"), sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = sum(size for size, _ in sink.writes)
+    assert written > 10**7
+    assert len(sink.writes) > 2 * model.horizon  # a table entry and a stage each
+    assert max(size for size, _ in sink.writes) < 2 * longest_key
+    assert peak < written / 10
 
 
 @pytest.mark.parametrize(
