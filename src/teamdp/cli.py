@@ -22,17 +22,32 @@ The encoder's ``default`` hook hands each ``dp.ValueFunction`` to
 ``_write_value_function``, which writes it at the indent of the line the
 value starts on, in place of the ``null`` the encoder yields for the
 hook's ``None``.  Only this module knows how a value function looks in
-a report.  One walk, ``_stage_blocks``, reads a stage's rows in
-sorted-key order, ``_BLOCK_ROWS`` at a time, and hands each block's row
-indices, belief and value slices, argmin action indices and float
+a report.  One walk, ``_stage_blocks``, sorts a stage's rows by key and
+makes one render job per ``_BLOCK_ROWS`` rows, which hands the block's
+row indices, belief and value slices, argmin action indices and float
 formatter (``_float``, as the json module spells non-finite numbers, only
-for a block that holds one) to the writer of the format.  Each writer
-fills its own per-stage row template, one ``%`` over the template
-repeated per block: the JSON row
-has slots for the encoded key, the argmin text (one precomputed text per
-joint action, ``null`` at the horizon), each belief float and the value;
-the CSV row has one line per leaf, each with slots for the key and the
-leaf's text.  So the largest write is one block, whatever the tree size.
+for a block that holds one) to the render function of the format.  Each
+fills its own row template, one ``%`` over the template repeated per
+block: the JSON row has slots for the encoded key, the argmin text (one
+precomputed text per joint action, ``null`` at the horizon), each belief
+float and the value; the CSV row has one line per leaf, each with slots
+for the key and the leaf's text.  So the largest write is one block,
+whatever the tree size.
+
+``_write_blocks`` writes a value function's texts and blocks in order,
+and spreads the rendering over the CPUs this process may run on
+(``os.sched_getaffinity``): block j, counted over the whole value
+function, goes to process j mod P, with P the CPU count but at most the
+block count.  Process 0 is this one, which writes every block.  The
+others are forked once every stage's rows are sorted, and each sends its
+blocks in order over its own pipe, as length-prefixed frames.  A value
+function of no more than ``_BLOCK_ROWS`` rows in all, or a platform
+without ``os.fork`` or ``os.sched_getaffinity``, is written by this
+process alone.  If a renderer dies (its frame comes short), this process
+renders that block and every later one itself, with the same render
+function, so the bytes depend neither on the CPU count nor on a fault.
+Every renderer is reaped before the writer returns, also when a write
+fails.
 
 ``--out`` is opened before any scenario work; one that cannot be opened,
 or that names the ``--scenario`` file (which opening would destroy), is a
@@ -63,6 +78,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import math
@@ -417,20 +433,26 @@ def _is_value_function(obj) -> bool:
 _BLOCK_ROWS = 4096
 
 
-def _stage_blocks(vf, t: int):
-    """Stage ``t`` of ``vf`` (a ``dp.ValueFunction``) in sorted-key order,
-    ``_BLOCK_ROWS`` rows at a time: per block the row indices, the belief
-    ``(n, S)`` and value ``(n,)`` slices, the argmin action indices (None
-    at the horizon) and the float formatter, which spells non-finite
-    numbers as the json module does only when the block holds one."""
-    keys, beliefs, values = vf.keys[t], vf.beliefs[t], vf.values[t]
-    argmins = vf.argmins[t] if t < vf.horizon else None
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for lo in range(0, len(order), _BLOCK_ROWS):
-        rows = order[lo : lo + _BLOCK_ROWS]
-        b, v = beliefs[rows], values[rows]
-        fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
-        yield rows, b, v, None if argmins is None else argmins[rows].tolist(), fmt
+def _stage_blocks(vf, t: int, render) -> list:
+    """The render jobs of stage ``t`` of ``vf`` (a ``dp.ValueFunction``):
+    its rows are sorted by key here, once, and each job returns
+    ``render(t, rows, b, v, argmins, fmt)`` for the next ``_BLOCK_ROWS``
+    rows in that order: their row indices, belief ``(n, S)`` and value
+    ``(n,)`` slices, argmin action indices (None at the horizon) and float
+    formatter, which spells non-finite numbers as the json module does
+    only when the block holds one.  A job slices its block when it runs,
+    in the process that runs it."""
+    keys = vf.keys[t]
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    return [partial(_block, render, vf, t, order, lo) for lo in range(0, len(order), _BLOCK_ROWS)]
+
+
+def _block(render, vf, t: int, order: np.ndarray, lo: int) -> str:
+    rows = order[lo : lo + _BLOCK_ROWS]
+    b, v = vf.beliefs[t][rows], vf.values[t][rows]
+    fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
+    argmins = None if t == vf.horizon else vf.argmins[t][rows].tolist()
+    return render(t, rows.tolist(), b, v, argmins, fmt)
 
 
 def _write_value_function(vf, indent: str, write) -> None:
@@ -438,40 +460,42 @@ def _write_value_function(vf, indent: str, write) -> None:
     sort_keys=True)`` writes its reference form ``{"horizon", "stages":
     [{key: {"argmin", "belief", "value"}}]}`` on a line led by ``indent``
     (a newline and the line's spaces): each block of ``_stage_blocks`` is
-    one ``%`` over the stage's row template repeated, whose arguments are
-    the encoded key, the argmin text and the float texts."""
+    one ``%`` over the row template repeated, whose arguments are the
+    encoded key, the argmin text and the float texts, rendered by
+    ``_write_blocks``."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
     i5 = i4 + "  "
     forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
-    write("{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [')
-    lead = i2
-    for t, keys in enumerate(vf.keys):
-        write(lead)
-        lead = "," + i2
-        if not keys:
-            write("{}")
-            continue
-        S = vf.beliefs[t].shape[1]
-        row = (
-            i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
-            + i5 + ("%s," + i5) * (S - 1) + "%s" + i4 + "]," + i4 + '"value": %s' + i3 + "}"
+    S = vf.beliefs[0].shape[1]
+    row = (
+        i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
+        + i5 + ("%s," + i5) * (S - 1) + "%s" + i4 + "]," + i4 + '"value": %s' + i3 + "}"
+    )
+    width = S + 3
+
+    def render(t, rows, b, v, argmins, fmt) -> str:
+        args = [None] * (len(rows) * width)
+        args[0::width] = map(encode_basestring_ascii, map(vf.keys[t].__getitem__, rows))
+        args[1::width] = (
+            ["null"] * len(rows) if argmins is None else map(forms.__getitem__, argmins)
         )
-        width = S + 3
-        sep = "{"
-        for rows, b, v, argmins, fmt in _stage_blocks(vf, t):
-            args = [None] * (len(rows) * width)
-            args[0::width] = map(encode_basestring_ascii, map(keys.__getitem__, rows))
-            args[1::width] = (
-                ["null"] * len(rows) if argmins is None else map(forms.__getitem__, argmins)
-            )
-            for x in range(S):
-                args[2 + x :: width] = map(fmt, b[:, x].tolist())
-            args[width - 1 :: width] = map(fmt, v.tolist())
-            write(sep + ",".join([row] * len(rows)) % tuple(args))
-            sep = ","
-        write(i2 + "}")
-    write(i1 + "]" + indent + "}")
+        for x in range(S):
+            args[2 + x :: width] = map(fmt, b[:, x].tolist())
+        args[width - 1 :: width] = map(fmt, v.tolist())
+        return ",".join([row] * len(rows)) % tuple(args)
+
+    pieces = ["{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [']
+    for t, keys in enumerate(vf.keys):
+        pieces.append("," + i2 if t else i2)
+        if not keys:
+            pieces.append("{}")
+            continue
+        for n, job in enumerate(_stage_blocks(vf, t, render)):
+            pieces += ["," if n else "{", job]
+        pieces.append(i2 + "}")
+    pieces.append(i1 + "]" + indent + "}")
+    _write_blocks(pieces, sum(map(len, vf.keys)), write)
 
 
 def _flatten_value_function(prefix: str, vf, write) -> None:
@@ -480,32 +504,162 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
     ``%`` over the stage's row template repeated, one line per leaf
     (``<key>.argmin[k]``, or ``<key>.argmin,null`` at the horizon, then
     ``<key>.belief[x]`` and ``<key>.value``), whose arguments are the key
-    and the leaf's text, pair by pair."""
+    and the leaf's text, pair by pair, rendered by ``_write_blocks``."""
     lead = prefix + "." if prefix else ""
-    write(f"{lead}horizon,{vf.horizon}\n")
     digits = [[int.__repr__(a) for a in column] for column in zip(*vf.actions)]
-    for t, keys in enumerate(vf.keys):
-        S = vf.beliefs[t].shape[1]
-        argmin = [f"argmin[{k}]" for k in range(len(digits))] if t < vf.horizon else ["argmin"]
+    S = vf.beliefs[0].shape[1]
+
+    def render(t, rows, b, v, argmins, fmt) -> str:
+        argmin = ["argmin"] if argmins is None else [f"argmin[{k}]" for k in range(len(digits))]
         leaves = [*argmin, *(f"belief[{x}]" for x in range(S)), "value"]
         stage = f"{lead}stages[{t}].".replace("%", "%%")
         row = "".join(f"{stage}%s.{leaf},%s\n" for leaf in leaves)
         width = 2 * len(leaves)
         first = 2 * len(argmin) + 1  # the argument of belief[0]
-        for rows, b, v, argmins, fmt in _stage_blocks(vf, t):
-            args = [None] * (len(rows) * width)
-            names = list(map(keys.__getitem__, rows))
-            for j in range(0, width, 2):
-                args[j::width] = names
-            if argmins is None:
-                args[1::width] = ["null"] * len(rows)
+        args = [None] * (len(rows) * width)
+        names = list(map(vf.keys[t].__getitem__, rows))
+        for j in range(0, width, 2):
+            args[j::width] = names
+        if argmins is None:
+            args[1::width] = ["null"] * len(rows)
+        else:
+            for k, texts in enumerate(digits):
+                args[2 * k + 1 :: width] = map(texts.__getitem__, argmins)
+        for x in range(S):
+            args[first + 2 * x :: width] = map(fmt, b[:, x].tolist())
+        args[width - 1 :: width] = map(fmt, v.tolist())
+        return row * len(rows) % tuple(args)
+
+    pieces = [f"{lead}horizon,{vf.horizon}\n"]
+    for t in range(len(vf.keys)):
+        pieces += _stage_blocks(vf, t, render)
+    _write_blocks(pieces, sum(map(len, vf.keys)), write)
+
+
+def _renderers(jobs: int, rows: int) -> int:
+    """How many processes render the ``jobs`` blocks of a value function
+    of ``rows`` rows: one per CPU this process may run on, but no more
+    than there are blocks, and this one alone for rows that fit in one
+    block or where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    if rows <= _BLOCK_ROWS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), jobs)
+
+
+def _write_blocks(pieces: list, rows: int, write) -> None:
+    """Write ``pieces`` in order: a str as it is, any other piece (a
+    render job: a function that returns the text of one block of a value
+    function of ``rows`` rows) as the text it returns.
+
+    Render job j goes to process j mod P, P from ``_renderers``.  Process
+    0 is this one, which writes every text; each other process is forked
+    once the jobs are listed and sends its texts in order over its own
+    pipe (``_fork_renderer``).  If a frame comes short (its renderer died)
+    or no renderer can be forked, this process renders that job and every
+    later one itself, so the bytes do not depend on P.  Every renderer is
+    reaped on every path: its pipe is closed first, so one blocked on a
+    full pipe gets EPIPE and exits."""
+    jobs = [piece for piece in pieces if not isinstance(piece, str)]
+    processes = _renderers(len(jobs), rows)
+    pids, readers = [], []
+    try:
+        try:
+            for c in range(1, processes):
+                pid, reader = _fork_renderer(jobs[c::processes], readers)
+                pids.append(pid)
+                readers.append(reader)
+        except OSError:  # no pipe or no process to be had
+            _close_all(readers)
+        j = 0
+        for piece in pieces:
+            if isinstance(piece, str):
+                write(piece)
             else:
-                for k, texts in enumerate(digits):
-                    args[2 * k + 1 :: width] = map(texts.__getitem__, argmins)
-            for x in range(S):
-                args[first + 2 * x :: width] = map(fmt, b[:, x].tolist())
-            args[width - 1 :: width] = map(fmt, v.tolist())
-            write(row * len(rows) % tuple(args))
+                write(_job_text(piece, j % processes, readers))
+                j += 1
+    finally:
+        _close_all(readers)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _job_text(job, c: int, readers: list) -> str:
+    """The text of ``job``, received from renderer ``c`` while renderers
+    run (``readers`` is not empty) and ``c`` is not 0, else rendered here.
+    A frame that comes short stops every renderer."""
+    if c and readers:
+        text = _receive(readers[c - 1])
+        if text is not None:
+            return text
+        _close_all(readers)
+    return job()
+
+
+def _close_all(readers: list) -> None:
+    for reader in readers:
+        reader.close()
+    readers.clear()
+
+
+def _fork_renderer(jobs: list, readers: list):
+    """Fork a process that renders ``jobs`` in order and sends each text
+    over its own pipe as one frame: the length of its UTF-8 bytes (lone
+    surrogates passed through) in 8 bytes, then the bytes.  ``readers``
+    are the read ends of the renderers forked before it, which it closes.
+    Returns its pid and the pipe's read end.  The pipe's capacity keeps
+    it at most one block ahead of the reader.  It ends in ``os._exit``, so
+    it runs no atexit handler and flushes none of the stdio buffers it
+    inherited."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            for reader in readers:
+                reader.close()
+            for job in jobs:
+                _send(w, job().encode("utf-8", "surrogatepass"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _send(fd: int, data: bytes) -> None:
+    for chunk in (len(data).to_bytes(8, "little"), data):
+        view = memoryview(chunk)
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+# bytes of a frame read and decoded at a time; a frame read whole before
+# its decoding would take a second block's worth of memory
+_FRAME_CHUNK = 1 << 16
+
+
+def _receive(reader) -> str | None:
+    """The text of the next frame on ``reader``, or None when the frame
+    comes short: its renderer died."""
+    head = reader.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    decode = codecs.getincrementaldecoder("utf-8")("surrogatepass").decode
+    texts = []
+    while size:
+        data = reader.read1(min(size, _FRAME_CHUNK))
+        if not data:
+            return None
+        size -= len(data)
+        texts.append(decode(data, not size))
+    return "".join(texts)
 
 
 def _flatten(prefix: str, value, write) -> None:

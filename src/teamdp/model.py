@@ -304,14 +304,30 @@ def validate_model(model: TeamModel, structure: InformationStructure | None = No
             else:
                 for x in range(S):
                     _check_dist(kern[x][None, :], f"observation_kernels[{k}][x={x}]", out)
+    largest = []  # the largest |cost| of each stage, then of the terminal cost
     if model.stage_cost.shape != (T, S, A):
         out.append(Violation("stage_cost", f"shape {model.stage_cost.shape}, expected {(T, S, A)}"))
     elif not np.all(np.isfinite(model.stage_cost)):
         out.append(Violation("stage_cost", "entries must be finite"))
+    else:
+        largest += np.abs(model.stage_cost).max(axis=(1, 2)).tolist()
     if model.terminal_cost.shape != (S,):
         out.append(Violation("terminal_cost", f"shape {model.terminal_cost.shape}, expected ({S},)"))
     elif not np.all(np.isfinite(model.terminal_cost)):
         out.append(Violation("terminal_cost", "entries must be finite"))
+    else:
+        largest.append(float(np.abs(model.terminal_cost).max()))
+    # every value is an expected sum of one stage cost per stage and a
+    # terminal cost, so this sum bounds them all; summed as Python floats,
+    # it overflows to inf without a numpy warning
+    if len(largest) == T + 1 and not math.isfinite(sum(largest)):
+        out.append(
+            Violation(
+                "stage_cost",
+                "costs too large: the largest |stage cost| of each stage plus the "
+                "largest |terminal cost| sum past the largest float",
+            )
+        )
 
     if structure is not None:
         out.extend(validate_structure(structure, K))

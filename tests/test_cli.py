@@ -27,6 +27,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teamdp.cli
 from teamdp import InformationStructure, load_schema, scenario_to_dict, solve_manager
 from teamdp.cli import (
     _BLOCK_ROWS,
@@ -188,6 +189,33 @@ def test_exit_validation_on_undefined_problem(capsys, toy2, tmp_path):
     code, report, _ = invoke(capsys, ["solve-manager", "--scenario", str(path)])
     assert code == 2
     assert report["error"]["type"] == "IncompleteHistoryError"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-manager"])
+def test_exit_validation_on_overflowing_costs(toy2, tmp_path, command):
+    """Stage costs that are each finite but whose sum over the stages is
+    not would make every value Infinity: one strict-JSON report, exit 2
+    and nothing on stderr (no numpy overflow warning)."""
+    model = random_model(1, horizon=2)
+    model = dataclasses.replace(model, stage_cost=np.full_like(model.stage_cost, 1e308))
+    path = tmp_path / "huge_costs.json"
+    path.write_text(json.dumps(scenario_to_dict(model, toy2[1])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "teamdp", command, "--scenario", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    report = json.loads(proc.stdout, parse_constant=_refuse_constant)
+    jsonschema.validate(report, load_schema("report"))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert report["results"]["valid"] is False
+    assert [v["path"] for v in report["results"]["violations"]] == ["stage_cost"]
 
 
 def test_exit_budget(capsys, scenario_path):
@@ -507,6 +535,106 @@ def test_value_function_writer_matches_json_dumps(toy2, case):
         assert max(map(len, vf.keys)) > _BLOCK_ROWS
 
 
+def _use_renderers(monkeypatch, processes: int) -> list:
+    """Make the CPU count ``processes``, so that ``processes`` processes
+    render a value function of more than one block; returns the pids of
+    the renderers forked from then on."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a CSV prefix of multi-byte characters, a lone surrogate and a "%", so
+# that frames cut characters wherever they are read
+_WIDE_PREFIX = "\u2603\u00e9%\ud800" * 8
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("case", ["past_block", "zero_entry"])
+def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, processes):
+    """Both formats of a value function are the same bytes whatever the
+    number of renderer processes.  zero_entry's 1,765 rows, pruned
+    branches leaving gaps in the row order, are cut into 64-row blocks,
+    so that they are more than one block's rows and go to renderers
+    too."""
+    build, _ = _VALUE_FUNCTION_MODELS[case]
+    vf = solve_manager(build(toy2), toy2[1]).value_function
+    if case == "zero_entry":
+        monkeypatch.setattr(teamdp.cli, "_BLOCK_ROWS", 64)
+    forked = _use_renderers(monkeypatch, processes)
+    ref = value_function_reference(vf)
+    expected = json.dumps(ref, indent=2, sort_keys=True)
+    assert _first_difference(_encoded(vf), expected) is None
+    csv = _flattened({_WIDE_PREFIX: ref})
+    assert _first_difference(_flattened({_WIDE_PREFIX: vf}), csv) is None
+    assert len(forked) == 2 * (processes - 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("death", ["after_first_frame", "mid_frame"])
+def test_a_dead_renderer_leaves_the_bytes_unchanged(toy2, monkeypatch, death):
+    """Renderers that die after their first frame, or 1,000 bytes into
+    it, leave the bytes as they were: this process renders that block and
+    every later one itself, and reaps every renderer."""
+    vf = solve_manager(random_model(332, horizon=3, obs_sizes=(2, 3)), toy2[1]).value_function
+    forked = _use_renderers(monkeypatch, 3)
+    send = teamdp.cli._send
+
+    def send_then_die(fd, data):
+        if death == "after_first_frame":
+            send(fd, data)
+        else:
+            os.write(fd, len(data).to_bytes(8, "little") + data[:1000])
+        os._exit(0)
+
+    monkeypatch.setattr(teamdp.cli, "_send", send_then_die)
+    ref = value_function_reference(vf)
+    expected = json.dumps(ref, indent=2, sort_keys=True)
+    assert _first_difference(_encoded(vf), expected) is None
+    csv = _flattened({"value_function": ref})
+    assert _first_difference(_flattened({"value_function": vf}), csv) is None
+    assert len(forked) == 4
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.EPIPE, os.strerror(errno.EPIPE)), ValueError("I/O operation on closed file.")],
+    ids=["broken_pipe", "closed_file"],
+)
+def test_a_failed_write_reaps_every_renderer(toy2, monkeypatch, error):
+    """A write that fails while renderers run, each blocked on a full
+    pipe by then, raises its error once every renderer is reaped."""
+    vf = solve_manager(random_model(332, horizon=3, obs_sizes=(2, 3)), toy2[1]).value_function
+    forked = _use_renderers(monkeypatch, 3)
+    blocks = []
+
+    def write(text):
+        if len(text) > 10**5:  # a block of stage 2 or 3
+            blocks.append(len(text))
+            if len(blocks) == 2:
+                raise error
+
+    with pytest.raises(type(error)):
+        _encode(vf, write)
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
 class _Sink:
     """An output that keeps only the length and line count of each write."""
 
@@ -750,27 +878,65 @@ def _unwritable_stdout(target: str):
     return write_end, errno.EPIPE
 
 
-@pytest.mark.parametrize("report", ["normal", "unparsable", "out_error"])
+def _past_block_scenario(toy2, tmp_path) -> str:
+    """A scenario whose value function is more than one block: stage 3
+    has 13,824 rows."""
+    path = tmp_path / "past_block.json"
+    model = random_model(332, horizon=3, obs_sizes=(2, 3))
+    path.write_text(json.dumps(scenario_to_dict(model, toy2[1])))
+    return str(path)
+
+
+@pytest.mark.parametrize("report", ["normal", "unparsable", "out_error", "multi_block"])
 @pytest.mark.parametrize("target", ["full_device", "closed_pipe"])
-def test_unwritable_stdout_is_a_usage_error(scenario_path, tmp_path, target, report):
+def test_unwritable_stdout_is_a_usage_error(toy2, scenario_path, tmp_path, target, report):
     """A stdout that cannot be written gives exit 64 and one usage line
-    on stderr, with no traceback, whether the report is the normal one,
-    the usage-error report of an argv that does not parse, or that of an
-    --out that cannot be opened."""
+    on stderr, with no traceback and no process left behind, whether the
+    report is the normal one, the usage-error report of an argv that does
+    not parse, that of an --out that cannot be opened, or a solve-manager
+    report whose value function is more than one block."""
     argv = {
         "normal": ["validate", "--scenario", scenario_path],
         "unparsable": ["no-such-command"],
         "out_error": ["validate", "--scenario", scenario_path, "--out", str(tmp_path / "no" / "r")],
+        "multi_block": ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)],
     }[report]
     stdout, err = _unwritable_stdout(target)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "teamdp", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True
+            [sys.executable, "-m", "teamdp", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
         )
     finally:
         os.close(stdout)
     assert proc.returncode == 64
     assert proc.stderr == f"usage error: cannot write stdout: [Errno {err}] {os.strerror(err)}\n"
+    _assert_no_child_left()
+
+
+def test_stdout_closed_mid_value_function_is_a_usage_error(toy2, tmp_path):
+    """A reader that goes away while the value function is being written,
+    renderers running, gives exit 64 and one usage line on stderr; the
+    stderr pipe reaches its end, so no renderer outlives the run."""
+    argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "teamdp", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        head = proc.stdout.read(2**20)  # of 4.1 MB; the value function starts at 46 KB
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert b'"value_function": {' in head
+    assert proc.returncode == 64
+    err = errno.EPIPE
+    assert stderr.decode() == f"usage error: cannot write stdout: [Errno {err}] {os.strerror(err)}\n"
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "hard_link"])

@@ -83,12 +83,17 @@ sys.exit(code)
 """
 
 
+# modules for starting processes, which the value-function renderers do
+# without: any of them would add to the start-up of every subcommand
+_POOLS = {"multiprocessing", "concurrent.futures", "subprocess"}
+
+
 @pytest.mark.parametrize(
     "command, absent",
     [
         (
             "validate",
-            {"jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian"},
+            {"jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS},
         ),
         ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian"}),
         ("simulate", {"jsonschema", "teamdp.gaussian"}),
@@ -101,8 +106,9 @@ sys.exit(code)
         ),
         (
             "solve-manager --format csv",
-            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian"},
+            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS},
         ),
+        ("solve-manager", {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS}),
     ],
 )
 def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):

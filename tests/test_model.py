@@ -1,5 +1,7 @@
 """Model validation, view extraction, and canonical-key behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,24 @@ def test_negative_costs_are_allowed(toy2):
         terminal_cost=model.terminal_cost,
     )
     assert validate_model(negative) == []
+
+
+@pytest.mark.parametrize(
+    "stage, terminal, valid",
+    [(1e307, 1e307, True), (1e308, 0.0, False), (-1e308, 0.0, False), (0.0, 1e308, True)],
+)
+def test_costs_whose_value_bound_overflows_are_a_violation(stage, terminal, valid):
+    """Every value is bounded by the sum over the stages of the largest
+    |stage cost| plus the largest |terminal cost|; costs each finite whose
+    bound is not are refused, so no value can overflow."""
+    model = random_model(1, horizon=2)
+    model = dataclasses.replace(
+        model,
+        stage_cost=np.full_like(model.stage_cost, stage),
+        terminal_cost=np.full_like(model.terminal_cost, terminal),
+    )
+    violations = validate_model(model)
+    assert [v.path for v in violations] == ([] if valid else ["stage_cost"])
 
 
 def test_structure_parameter_checks():
