@@ -24,15 +24,25 @@ value starts on, in place of the ``null`` the encoder yields for the
 hook's ``None``.  Only this module knows how a value function looks in
 a report.  One walk, ``_stage_blocks``, sorts a stage's rows by key and
 makes one render job per ``_BLOCK_ROWS`` rows, which hands the block's
-row indices, belief and value slices, argmin action indices and float
-formatter (``_float``, as the json module spells non-finite numbers, only
-for a block that holds one) to the render function of the format.  Each
-fills its own row template, one ``%`` over the template repeated per
-block: the JSON row has slots for the encoded key, the argmin text (one
-precomputed text per joint action, ``null`` at the horizon), each belief
-float and the value; the CSV row has one line per leaf, each with slots
-for the key and the leaf's text.  So the largest write is one block,
-whatever the tree size.
+row indices, argmin action indices and floats to the render function of
+the format.  Each fills its own row template, one ``%`` over the
+template repeated per block: the JSON row has slots for the encoded key,
+the argmin text (one precomputed text per joint action, ``null`` at the
+horizon), each belief float and the value; the CSV row has one line per
+leaf, each with slots for the key and the leaf's text.  So the largest
+write is one block, whatever the tree size.
+
+A float's text is always that of ``float.__repr__``.  Where ``repr``
+writes every float of a block in fixed notation, the digits come from
+``floattext``, which finds the shortest round-trip digits of a whole
+column at once with integer arithmetic in numpy; each float slot is then
+``floattext.SLOT``, whose four arguments (sign, integer part, the zeros
+that lead the fraction and the fraction's other digits) are ints and
+short strings, so the block's ``%`` formats no float.  A block that
+holds a value ``repr`` writes in exponent notation (0 < |x| < 1e-4 or
+|x| >= 1e16) or a non-finite one keeps one ``%s`` slot per float, filled
+with the text of ``repr``, or of ``_float`` (as the json module spells
+non-finite numbers) when the block holds a non-finite value.
 
 ``_write_blocks`` writes a value function's texts and blocks in order,
 and spreads the rendering over the CPUs this process may run on
@@ -65,6 +75,8 @@ imports the rest when it runs: ``validate`` nothing more,
 ``oracle-decentralized`` ``oracle`` (with ``strategies``), ``compare``
 ``dp`` (whose ``compare_solutions`` imports ``oracle``), ``simulate``
 ``dp``, ``oracle`` and ``sim``, and ``gaussian-example`` ``gaussian``.
+``floattext`` is imported only where a value function is written, before
+any renderer is forked.
 ``_encode`` and ``_flatten`` recognise a ``dp.ValueFunction`` only when
 ``dp`` is already imported, as it must be for one to exist, so writing a
 report, in either format, imports no solver.
@@ -436,23 +448,52 @@ _BLOCK_ROWS = 4096
 def _stage_blocks(vf, t: int, render) -> list:
     """The render jobs of stage ``t`` of ``vf`` (a ``dp.ValueFunction``):
     its rows are sorted by key here, once, and each job returns
-    ``render(t, rows, b, v, argmins, fmt)`` for the next ``_BLOCK_ROWS``
-    rows in that order: their row indices, belief ``(n, S)`` and value
-    ``(n,)`` slices, argmin action indices (None at the horizon) and float
-    formatter, which spells non-finite numbers as the json module does
-    only when the block holds one.  A job slices its block when it runs,
-    in the process that runs it."""
+    ``render(t, rows, argmins, slot, floats)`` for the next
+    ``_BLOCK_ROWS`` rows in that order: their row indices, argmin action
+    indices (None at the horizon), and the float slot and its argument
+    columns from ``_block``.  A job slices its block when it runs, in the
+    process that runs it.  ``floattext`` is imported here, before any
+    renderer is forked."""
+    from . import floattext  # noqa: F401
+
     keys = vf.keys[t]
     order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
     return [partial(_block, render, vf, t, order, lo) for lo in range(0, len(order), _BLOCK_ROWS)]
 
 
 def _block(render, vf, t: int, order: np.ndarray, lo: int) -> str:
+    """Render the ``_BLOCK_ROWS`` rows of ``order`` from ``lo`` on.  Each
+    float of a row, the belief components then the value, fills one slot
+    of the row template as ``float.__repr__`` spells it.  When ``repr``
+    writes every float of the block in fixed notation, the slot is
+    ``floattext.SLOT`` and its four arguments per float come from
+    ``floattext.fields``, the digits found for a whole column at once;
+    otherwise (a value that ``repr`` writes in exponent notation, 0 < |x|
+    < 1e-4 or |x| >= 1e16, or a non-finite one) the slot is ``%s`` and
+    its one argument the text of ``repr``, or of ``_float`` when the
+    block holds a non-finite value.  ``floats`` holds the list of
+    argument columns of each float slot."""
+    from . import floattext
+
     rows = order[lo : lo + _BLOCK_ROWS]
     b, v = vf.beliefs[t][rows], vf.values[t][rows]
-    fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
+    columns = [*b.T, v]
+    if floattext.fixed(b) and floattext.fixed(v):
+        slot, floats = floattext.SLOT, list(map(floattext.fields, columns))
+    else:
+        fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
+        slot, floats = "%s", [[list(map(fmt, c.tolist()))] for c in columns]
     argmins = None if t == vf.horizon else vf.argmins[t][rows].tolist()
-    return render(t, rows.tolist(), b, v, argmins, fmt)
+    return render(t, rows.tolist(), argmins, slot, floats)
+
+
+def _fill(args: list, first: int, step: int, width: int, floats: list) -> None:
+    """Put the argument columns ``floats`` of a block's float slots into
+    ``args``, rows of ``width`` arguments: slot x's arguments start at
+    ``first + step * x`` of each row."""
+    for x, columns in enumerate(floats):
+        for j, column in enumerate(columns, first + step * x):
+            args[j::width] = column
 
 
 def _write_value_function(vf, indent: str, write) -> None:
@@ -468,21 +509,21 @@ def _write_value_function(vf, indent: str, write) -> None:
     i5 = i4 + "  "
     forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
     S = vf.beliefs[0].shape[1]
-    row = (
-        i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
-        + i5 + ("%s," + i5) * (S - 1) + "%s" + i4 + "]," + i4 + '"value": %s' + i3 + "}"
-    )
-    width = S + 3
 
-    def render(t, rows, b, v, argmins, fmt) -> str:
+    def render(t, rows, argmins, slot, floats) -> str:
+        row = (
+            i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
+            + i5 + (slot + "," + i5) * (S - 1) + slot + i4 + "]," + i4 + '"value": ' + slot
+            + i3 + "}"
+        )
+        arity = len(floats[0])
+        width = 2 + arity * (S + 1)
         args = [None] * (len(rows) * width)
         args[0::width] = map(encode_basestring_ascii, map(vf.keys[t].__getitem__, rows))
         args[1::width] = (
             ["null"] * len(rows) if argmins is None else map(forms.__getitem__, argmins)
         )
-        for x in range(S):
-            args[2 + x :: width] = map(fmt, b[:, x].tolist())
-        args[width - 1 :: width] = map(fmt, v.tolist())
+        _fill(args, 2, arity, width, floats)
         return ",".join([row] * len(rows)) % tuple(args)
 
     pieces = ["{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [']
@@ -509,25 +550,25 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
     digits = [[int.__repr__(a) for a in column] for column in zip(*vf.actions)]
     S = vf.beliefs[0].shape[1]
 
-    def render(t, rows, b, v, argmins, fmt) -> str:
+    def render(t, rows, argmins, slot, floats) -> str:
         argmin = ["argmin"] if argmins is None else [f"argmin[{k}]" for k in range(len(digits))]
-        leaves = [*argmin, *(f"belief[{x}]" for x in range(S)), "value"]
         stage = f"{lead}stages[{t}].".replace("%", "%%")
-        row = "".join(f"{stage}%s.{leaf},%s\n" for leaf in leaves)
-        width = 2 * len(leaves)
-        first = 2 * len(argmin) + 1  # the argument of belief[0]
+        row = "".join(f"{stage}%s.{leaf},%s\n" for leaf in argmin) + "".join(
+            f"{stage}%s.{leaf},{slot}\n" for leaf in [*(f"belief[{x}]" for x in range(S)), "value"]
+        )
+        step = 1 + len(floats[0])  # the key and the float's arguments
+        first = 2 * len(argmin)  # the key of belief[0]
+        width = first + step * (S + 1)
         args = [None] * (len(rows) * width)
         names = list(map(vf.keys[t].__getitem__, rows))
-        for j in range(0, width, 2):
+        for j in [*range(0, first, 2), *range(first, width, step)]:
             args[j::width] = names
         if argmins is None:
             args[1::width] = ["null"] * len(rows)
         else:
             for k, texts in enumerate(digits):
                 args[2 * k + 1 :: width] = map(texts.__getitem__, argmins)
-        for x in range(S):
-            args[first + 2 * x :: width] = map(fmt, b[:, x].tolist())
-        args[width - 1 :: width] = map(fmt, v.tolist())
+        _fill(args, first + 1, step, width, floats)
         return row * len(rows) % tuple(args)
 
     pieces = [f"{lead}horizon,{vf.horizon}\n"]

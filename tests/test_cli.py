@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import jsonschema
 import numpy as np
@@ -510,6 +511,23 @@ _VALUE_FUNCTION_MODELS = {
         ),
         "{}",
     ),
+    # repr writes the root belief 1e-05 in exponent notation
+    "tiny_belief": (
+        lambda toy2: dataclasses.replace(toy2[0], initial_dist=np.array([1e-5, 1 - 1e-5])),
+        "1e-05",
+    ),
+    # values from 1e16 up are written in exponent notation, some below it
+    # in fixed notation
+    "huge_value": (
+        lambda toy2: dataclasses.replace(toy2[0], terminal_cost=np.array([1e17, 1.0])),
+        "e+16",
+    ),
+    "negative": (
+        lambda toy2: dataclasses.replace(
+            toy2[0], stage_cost=-toy2[0].stage_cost, terminal_cost=np.array([0.0, -1.0])
+        ),
+        '"value": -0.',
+    ),
 }
 
 
@@ -533,6 +551,28 @@ def test_value_function_writer_matches_json_dumps(toy2, case):
     assert _first_difference(_flattened({"results": {"value_function": vf}}), csv) is None
     if case == "past_block":
         assert max(map(len, vf.keys)) > _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
+def test_value_function_writers_raise_no_warning(toy2, case):
+    """The digit kernel's uint64 products wrap silently, and no other
+    step of either writer warns."""
+    build, _ = _VALUE_FUNCTION_MODELS[case]
+    vf = solve_manager(build(toy2), toy2[1]).value_function
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _encoded({"results": {"value_function": vf}})
+        _flattened({"results": {"value_function": vf}})
+
+
+def test_solve_manager_writes_nothing_on_stderr(toy2, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "teamdp", "solve-manager", "--scenario",
+         _past_block_scenario(toy2, tmp_path), "--out", str(tmp_path / "report.json")],
+        capture_output=True, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def _use_renderers(monkeypatch, processes: int) -> list:
@@ -563,18 +603,42 @@ def _assert_no_child_left():
 _WIDE_PREFIX = "\u2603\u00e9%\ud800" * 8
 
 
+# rows per block where a case's value function is cut smaller than
+# _BLOCK_ROWS, so that it is more than one block
+_SMALL_BLOCKS = {"zero_entry": 64, "huge_value": 1}
+
+
+def _block_notations(vf, rows: int) -> set:
+    """Whether repr writes every float of a block in fixed notation, for
+    each block of ``rows`` rows of ``vf`` in its sorted row order."""
+    from teamdp import floattext
+
+    found = set()
+    for t, keys in enumerate(vf.keys):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        for lo in range(0, len(order), rows):
+            block = order[lo : lo + rows]
+            b, v = vf.beliefs[t][block], vf.values[t][block]
+            found.add(floattext.fixed(b) and floattext.fixed(v))
+    return found
+
+
 @pytest.mark.parametrize("processes", [1, 2, 3])
-@pytest.mark.parametrize("case", ["past_block", "zero_entry"])
+@pytest.mark.parametrize("case", ["past_block", "zero_entry", "huge_value"])
 def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, processes):
     """Both formats of a value function are the same bytes whatever the
     number of renderer processes.  zero_entry's 1,765 rows, pruned
     branches leaving gaps in the row order, are cut into 64-row blocks,
     so that they are more than one block's rows and go to renderers
-    too."""
+    too; huge_value's 273 rows are cut into 1-row blocks, of which repr
+    writes 48 in fixed notation and the others with a value in exponent
+    notation, so that digit and repr blocks mix across renderers."""
     build, _ = _VALUE_FUNCTION_MODELS[case]
     vf = solve_manager(build(toy2), toy2[1]).value_function
-    if case == "zero_entry":
-        monkeypatch.setattr(teamdp.cli, "_BLOCK_ROWS", 64)
+    if case in _SMALL_BLOCKS:
+        monkeypatch.setattr(teamdp.cli, "_BLOCK_ROWS", _SMALL_BLOCKS[case])
+    if case == "huge_value":
+        assert _block_notations(vf, _SMALL_BLOCKS[case]) == {True, False}
     forked = _use_renderers(monkeypatch, processes)
     ref = value_function_reference(vf)
     expected = json.dumps(ref, indent=2, sort_keys=True)

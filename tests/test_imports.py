@@ -88,20 +88,27 @@ sys.exit(code)
 _POOLS = {"multiprocessing", "concurrent.futures", "subprocess"}
 
 
+# the digit kernel, which only a written value function runs
+_DIGITS = "teamdp.floattext"
+
+
 @pytest.mark.parametrize(
     "command, absent",
     [
         (
             "validate",
-            {"jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS},
+            {
+                "jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian",
+                _DIGITS, *_POOLS,
+            },
         ),
-        ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian"}),
-        ("simulate", {"jsonschema", "teamdp.gaussian"}),
+        ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian", _DIGITS}),
+        ("simulate", {"jsonschema", "teamdp.gaussian", _DIGITS}),
         (
             "gaussian-example",
             {
                 "jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.filters",
-                "teamdp.strategies",
+                "teamdp.strategies", _DIGITS,
             },
         ),
         (
@@ -130,3 +137,4 @@ def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):
         assert json.loads(out.read_text())["metadata"]["command"] == command
     assert "teamdp.model" in modules
     assert absent & set(modules) == set()
+    assert (_DIGITS in modules) == (command == "solve-manager")
