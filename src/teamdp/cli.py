@@ -22,15 +22,30 @@ The encoder's ``default`` hook hands each ``dp.ValueFunction`` to
 ``_write_value_function``, which writes it at the indent of the line the
 value starts on, in place of the ``null`` the encoder yields for the
 hook's ``None``.  Only this module knows how a value function looks in
-a report.  One walk, ``_stage_blocks``, sorts a stage's rows by key and
-makes one render job per ``_BLOCK_ROWS`` rows, which hands the block's
-row indices, argmin action indices and floats to the render function of
+a report.  One walk, ``_stage_blocks``, puts a stage's rows in key order
+and makes one render job per ``_BLOCK_ROWS`` rows, which hands the
+block's keys, argmin action indices and floats to the render function of
 the format.  Each fills its own row template, one ``%`` over the
-template repeated per block: the JSON row has slots for the encoded key,
-the argmin text (one precomputed text per joint action, ``null`` at the
+template repeated per block: the JSON row has slots for the key, the
+argmin text (one precomputed text per joint action, ``null`` at the
 horizon), each belief float and the value; the CSV row has one line per
 leaf, each with slots for the key and the leaf's text.  So the largest
 write is one block, whatever the tree size.
+
+The solver keeps key strings for the decision stages only; a key of
+stage t >= 1 is its parent's key plus the suffix ``;u{t-1}=..;y{t}=..``
+of its branch (``dp.ValueFunction.key_parts``).  So the rows are put in
+key order with ``np.lexsort`` on the parent's rank, then the suffix's,
+with parents ranked by their key plus ``;``, as a parent key can be a
+proper prefix of another (``...;y1=0,1`` and ``...;y1=0,10``, when the
+last member has 11 or more labels) and ``;`` sorts after the digits.  The
+JSON row takes a key as two ``%s`` arguments between quotes, the parent
+key and the suffix, unescaped: ``_cmd_solve_manager`` checks once per
+suffix table, before any of the report is written, that JSON writes the
+suffixes as they are (``_check_key_texts``), and raises InvariantError
+if not.  The CSV writer joins a block's keys once and frees them with
+the block.  Row counts come from the value arrays, so nothing on the
+write path builds the horizon keys.
 
 A float's text is always that of ``float.__repr__``.  Where ``repr``
 writes every float of a block in fixed notation, the digits come from
@@ -105,6 +120,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     BudgetExceededError,
+    InvariantError,
     ScenarioFormatError,
     TeamDPError,
 )
@@ -286,6 +302,7 @@ def _cmd_solve_manager(model, structure, args):
     from .dp import solve_manager
 
     sol = solve_manager(model, structure, node_budget=args.node_budget)
+    _check_key_texts(sol.value_function)
     results = {
         "root_value": sol.root_value,
         "value_function": sol.value_function,
@@ -445,24 +462,66 @@ def _is_value_function(obj) -> bool:
 _BLOCK_ROWS = 4096
 
 
+def _check_key_texts(vf) -> None:
+    """Raise InvariantError unless JSON writes every branch suffix of
+    ``vf`` (a ``dp.ValueFunction``) between quotes as it is, one check
+    per suffix table.  Every history key is a run of suffixes, and
+    ``_write_value_function`` puts each key's parent key and suffix
+    between quotes with no escaping, so a suffix that needs escaping
+    would make it write invalid JSON."""
+    for t, suffixes in enumerate(vf.suffixes):
+        text = "".join(suffixes)
+        if encode_basestring_ascii(text) != '"' + text + '"':
+            raise InvariantError(f"a history key suffix of stage {t} needs escaping in JSON")
+
+
+def _ranks(texts: list) -> np.ndarray:
+    """The position of each of ``texts`` in sorted order."""
+    ranks = np.empty(len(texts), dtype=np.intp)
+    ranks[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    return ranks
+
+
 def _stage_blocks(vf, t: int, render) -> list:
     """The render jobs of stage ``t`` of ``vf`` (a ``dp.ValueFunction``):
-    its rows are sorted by key here, once, and each job returns
-    ``render(t, rows, argmins, slot, floats)`` for the next
-    ``_BLOCK_ROWS`` rows in that order: their row indices, argmin action
-    indices (None at the horizon), and the float slot and its argument
-    columns from ``_block``.  A job slices its block when it runs, in the
-    process that runs it.  ``floattext`` is imported here, before any
-    renderer is forked."""
+    its rows are put in key order here, once, and each job returns
+    ``render(t, heads, tails, argmins, slot, floats)`` for the next
+    ``_BLOCK_ROWS`` rows in that order: their keys as parent keys and
+    branch suffixes, argmin action indices (None at the horizon), and the
+    float slot and its argument columns from ``_block``.  A job slices
+    its block when it runs, in the process that runs it.  ``floattext``
+    is imported here, before any renderer is forked.
+
+    A key is its parent's key plus its branch's suffix (the root's is ""
+    plus ""), so the rows are ordered by ``np.lexsort`` on the parent's
+    rank, then the suffix's, and no key is built.  Suffixes rank by their
+    text; at t >= 1 each starts with ``;``, so two keys of different
+    parents compare as their parent keys plus ``;`` do, which is how
+    parents rank.  That differs from the parent keys alone where one is a
+    proper prefix of another (``...;y1=0,1`` and ``...;y1=0,10``, when the
+    last member has 11 or more labels), since ``;`` sorts after the
+    digits."""
     from . import floattext  # noqa: F401
 
-    keys = vf.keys[t]
-    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
-    return [partial(_block, render, vf, t, order, lo) for lo in range(0, len(order), _BLOCK_ROWS)]
+    heads, tails, branches = vf.key_parts(t)
+    width = len(tails)
+    order = np.lexsort(
+        (_ranks(tails)[branches % width], _ranks([h + ";" for h in heads])[branches // width])
+    )
+    # one array per stage, the rows and their branches in key order, kept
+    # until its last block is written
+    ordered = np.stack((order, branches[order]))
+    return [
+        partial(_block, render, vf, t, heads, tails, ordered, lo)
+        for lo in range(0, len(order), _BLOCK_ROWS)
+    ]
 
 
-def _block(render, vf, t: int, order: np.ndarray, lo: int) -> str:
-    """Render the ``_BLOCK_ROWS`` rows of ``order`` from ``lo`` on.  Each
+def _block(render, vf, t: int, heads: list, tails: list, ordered: np.ndarray, lo: int) -> str:
+    """Render the ``_BLOCK_ROWS`` rows from ``lo`` on of ``ordered``:
+    stage ``t``'s rows in key order over their branches' flat positions
+    ``p * len(tails) + s``, the parent key ``heads[p]`` and the suffix
+    ``tails[s]`` (``dp.ValueFunction.key_parts``).  Each
     float of a row, the belief components then the value, fills one slot
     of the row template as ``float.__repr__`` spells it.  When ``repr``
     writes every float of the block in fixed notation, the slot is
@@ -475,7 +534,7 @@ def _block(render, vf, t: int, order: np.ndarray, lo: int) -> str:
     argument columns of each float slot."""
     from . import floattext
 
-    rows = order[lo : lo + _BLOCK_ROWS]
+    rows, branches = ordered[:, lo : lo + _BLOCK_ROWS]
     b, v = vf.beliefs[t][rows], vf.values[t][rows]
     columns = [*b.T, v]
     if floattext.fixed(b) and floattext.fixed(v):
@@ -484,7 +543,10 @@ def _block(render, vf, t: int, order: np.ndarray, lo: int) -> str:
         fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
         slot, floats = "%s", [[list(map(fmt, c.tolist()))] for c in columns]
     argmins = None if t == vf.horizon else vf.argmins[t][rows].tolist()
-    return render(t, rows.tolist(), argmins, slot, floats)
+    parent, suffix = np.divmod(branches, len(tails))
+    heads = list(map(heads.__getitem__, parent.tolist()))
+    tails = list(map(tails.__getitem__, suffix.tolist()))
+    return render(t, heads, tails, argmins, slot, floats)
 
 
 def _fill(args: list, first: int, step: int, width: int, floats: list) -> None:
@@ -502,41 +564,45 @@ def _write_value_function(vf, indent: str, write) -> None:
     [{key: {"argmin", "belief", "value"}}]}`` on a line led by ``indent``
     (a newline and the line's spaces): each block of ``_stage_blocks`` is
     one ``%`` over the row template repeated, whose arguments are the
-    encoded key, the argmin text and the float texts, rendered by
-    ``_write_blocks``."""
+    key's parent key and suffix, the argmin text and the float texts,
+    rendered by ``_write_blocks``.  The key goes between the quotes as it
+    is, which ``_check_key_texts`` makes sure is its JSON text."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
     i5 = i4 + "  "
     forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
     S = vf.beliefs[0].shape[1]
 
-    def render(t, rows, argmins, slot, floats) -> str:
+    def render(t, heads, tails, argmins, slot, floats) -> str:
         row = (
-            i3 + "%s: {" + i4 + '"argmin": %s,' + i4 + '"belief": ['
+            i3 + '"%s%s": {' + i4 + '"argmin": %s,' + i4 + '"belief": ['
             + i5 + (slot + "," + i5) * (S - 1) + slot + i4 + "]," + i4 + '"value": ' + slot
             + i3 + "}"
         )
         arity = len(floats[0])
-        width = 2 + arity * (S + 1)
-        args = [None] * (len(rows) * width)
-        args[0::width] = map(encode_basestring_ascii, map(vf.keys[t].__getitem__, rows))
-        args[1::width] = (
-            ["null"] * len(rows) if argmins is None else map(forms.__getitem__, argmins)
+        width = 3 + arity * (S + 1)
+        args = [None] * (len(heads) * width)
+        args[0::width] = heads
+        args[1::width] = tails
+        args[2::width] = (
+            ["null"] * len(heads) if argmins is None else map(forms.__getitem__, argmins)
         )
-        _fill(args, 2, arity, width, floats)
-        return ",".join([row] * len(rows)) % tuple(args)
+        _fill(args, 3, arity, width, floats)
+        return ",".join([row] * len(heads)) % tuple(args)
 
     pieces = ["{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [']
-    for t, keys in enumerate(vf.keys):
-        pieces.append("," + i2 if t else i2)
-        if not keys:
+    # one text each, shared by every stage
+    after, close = "," + i2, i2 + "}"
+    for t, values in enumerate(vf.values):
+        pieces.append(after if t else i2)
+        if not len(values):
             pieces.append("{}")
             continue
         for n, job in enumerate(_stage_blocks(vf, t, render)):
             pieces += ["," if n else "{", job]
-        pieces.append(i2 + "}")
+        pieces.append(close)
     pieces.append(i1 + "]" + indent + "}")
-    _write_blocks(pieces, sum(map(len, vf.keys)), write)
+    _write_blocks(pieces, sum(map(len, vf.values)), write)
 
 
 def _flatten_value_function(prefix: str, vf, write) -> None:
@@ -545,12 +611,14 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
     ``%`` over the stage's row template repeated, one line per leaf
     (``<key>.argmin[k]``, or ``<key>.argmin,null`` at the horizon, then
     ``<key>.belief[x]`` and ``<key>.value``), whose arguments are the key
-    and the leaf's text, pair by pair, rendered by ``_write_blocks``."""
+    and the leaf's text, pair by pair, rendered by ``_write_blocks``.  A
+    block's keys are joined from their parent keys and suffixes once, and
+    freed with the block."""
     lead = prefix + "." if prefix else ""
     digits = [[int.__repr__(a) for a in column] for column in zip(*vf.actions)]
     S = vf.beliefs[0].shape[1]
 
-    def render(t, rows, argmins, slot, floats) -> str:
+    def render(t, heads, tails, argmins, slot, floats) -> str:
         argmin = ["argmin"] if argmins is None else [f"argmin[{k}]" for k in range(len(digits))]
         stage = f"{lead}stages[{t}].".replace("%", "%%")
         row = "".join(f"{stage}%s.{leaf},%s\n" for leaf in argmin) + "".join(
@@ -559,22 +627,22 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
         step = 1 + len(floats[0])  # the key and the float's arguments
         first = 2 * len(argmin)  # the key of belief[0]
         width = first + step * (S + 1)
-        args = [None] * (len(rows) * width)
-        names = list(map(vf.keys[t].__getitem__, rows))
+        names = list(map(str.__add__, heads, tails))
+        args = [None] * (len(names) * width)
         for j in [*range(0, first, 2), *range(first, width, step)]:
             args[j::width] = names
         if argmins is None:
-            args[1::width] = ["null"] * len(rows)
+            args[1::width] = ["null"] * len(names)
         else:
             for k, texts in enumerate(digits):
                 args[2 * k + 1 :: width] = map(texts.__getitem__, argmins)
         _fill(args, first + 1, step, width, floats)
-        return row * len(rows) % tuple(args)
+        return row * len(names) % tuple(args)
 
     pieces = [f"{lead}horizon,{vf.horizon}\n"]
-    for t in range(len(vf.keys)):
+    for t in range(len(vf.values)):
         pieces += _stage_blocks(vf, t, render)
-    _write_blocks(pieces, sum(map(len, vf.keys)), write)
+    _write_blocks(pieces, sum(map(len, vf.values)), write)
 
 
 def _renderers(jobs: int, rows: int) -> int:

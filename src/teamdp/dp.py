@@ -24,13 +24,20 @@ holds a stage as arrays rather than as per-node objects: the beliefs
 stage (-1 for a zero-probability branch).  One stage kernel builds these
 for ``solve_manager``, ``backup`` and ``evaluate_value``; sums over the
 state run in a fixed order with elementwise operations, so a node's
-numbers do not depend on how many nodes share its stage.  History keys
-are built only at the edge, for the value function and strategy table.
-The value function keeps the solved stage arrays themselves (keys in row
-order, beliefs, values, argmin action indices); ``stages[t]`` reads a
+numbers do not depend on how many nodes share its stage.
+
+A history key is only the label a report prints for a node.  The solver
+builds key strings for the decision stages t < T alone, which the
+strategy table needs; a horizon node's key is its parent's key plus the
+suffix ``;u{T-1}=..;y{T}=..`` of its branch, and is built only when a
+caller asks for ``keys[T]`` or reads ``stages[T]`` by key.  The value
+function keeps the solved stage arrays themselves (decision keys in row
+order, beliefs, values, argmin action indices, and per decision stage
+the child index and its branch-suffix table); ``stages[t]`` reads a
 stage as a read-only mapping that makes a :class:`NodeValue` only when a
 key is looked up.  The value function has no report form here: both
-report formats are written by ``teamdp.cli`` from the stage arrays.
+report formats are written by ``teamdp.cli`` from the stage arrays, each
+key of stage t >= 1 as its parent's key and its branch suffix.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -60,7 +67,7 @@ last two on first read.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -201,15 +208,46 @@ class NodeValue:
     argmin: tuple[int, ...] | None = None
 
 
+class _HistoryKeys(Sequence):
+    """``ValueFunction.keys``: the history keys of each stage t = 0..T in
+    row order.  The decision stages' lists are stored; the horizon's list
+    is built on each read, by :meth:`horizon`."""
+
+    __slots__ = ("_decision", "_index", "_suffixes")
+
+    def __init__(self, decision, index, suffixes):
+        self._decision = decision
+        self._index = index
+        self._suffixes = suffixes
+
+    def __len__(self) -> int:
+        return len(self._decision) + 1
+
+    def __getitem__(self, t: int) -> list[str]:
+        if not -len(self) <= t < len(self):
+            raise IndexError("stage out of range")
+        t %= len(self)
+        return self._decision[t] if t < len(self._decision) else self.horizon()
+
+    def horizon(self) -> list[str]:
+        """The horizon stage's keys: each node's parent key plus the
+        suffix of its branch."""
+        if not self._decision:
+            return [""]
+        return _child_keys(self._decision[-1], self._index[-1], self._suffixes[-1])
+
+
 class _StageNodes(Mapping):
     """One stage of a :class:`ValueFunction` read as a map from history
     key to :class:`NodeValue`, in row order.  A NodeValue is made on each
-    lookup, from a key -> row dict built on first use."""
+    lookup, from a key -> row dict built on first use; the length is the
+    row count, so it builds no key."""
 
-    __slots__ = ("_keys", "_beliefs", "_values", "_argmins", "_actions", "_rows")
+    __slots__ = ("_keys", "_t", "_beliefs", "_values", "_argmins", "_actions", "_rows")
 
-    def __init__(self, keys, beliefs, values, argmins, actions):
-        self._keys = keys
+    def __init__(self, keys, t, beliefs, values, argmins, actions):
+        self._keys = keys  # the value function's _HistoryKeys
+        self._t = t
         self._beliefs = beliefs
         self._values = values
         self._argmins = argmins  # None at the horizon
@@ -218,7 +256,8 @@ class _StageNodes(Mapping):
 
     def _index(self) -> dict:
         if self._rows is None:
-            self._rows = dict(zip(self._keys, range(len(self._keys))))
+            keys = self._keys[self._t]
+            self._rows = dict(zip(keys, range(len(keys))))
         return self._rows
 
     def __getitem__(self, key) -> NodeValue:
@@ -230,38 +269,60 @@ class _StageNodes(Mapping):
         return key in self._index()
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._keys[self._t])
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._values)
 
 
 @dataclass(eq=False)
 class ValueFunction:
     """The manager's value function, held as the solver's stage arrays.
 
-    For t = 0..horizon: ``keys[t]``, the history keys in row order;
-    ``beliefs[t]`` ``(N, S)``; ``values[t]`` ``(N,)``; and for t < horizon
-    ``argmins[t]`` ``(N,)``, indices into ``actions`` (the joint actions
-    in tie-break order).  ``stages[t]`` reads stage t as a read-only
-    ``Mapping[str, NodeValue]``."""
+    For t = 0..horizon: ``beliefs[t]`` ``(N, S)`` and ``values[t]``
+    ``(N,)``.  For t < horizon: ``argmins[t]`` ``(N,)``, indices into
+    ``actions`` (the joint actions in tie-break order);
+    ``decision_keys[t]``, the history keys in row order; ``index[t]``
+    ``(N, A, Y)``, the row of each branch's child in stage t+1 (-1 for a
+    zero-probability branch); and ``suffixes[t]``, the ``A * Y`` branch
+    suffixes ``;u{t}=..;y{t+1}=..`` in flat branch order (no leading
+    ``;`` at t = 0, whose parent key is "").  A key of stage t+1 is its
+    parent's key plus its branch's suffix.
+
+    ``keys[t]`` is stage t's key list for t = 0..horizon; the horizon's
+    is built on each read and kept nowhere.  ``stages[t]`` reads stage t
+    as a read-only ``Mapping[str, NodeValue]``."""
 
     horizon: int
     actions: list[tuple[int, ...]]
-    keys: tuple[list[str], ...]
+    decision_keys: tuple[list[str], ...]
     beliefs: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     argmins: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]
+    suffixes: tuple[list[str], ...]
 
     def __post_init__(self):
+        self.keys = _HistoryKeys(self.decision_keys, self.index, self.suffixes)
         self.stages = tuple(
-            _StageNodes(k, b, v, a, self.actions)
-            for k, b, v, a in zip(self.keys, self.beliefs, self.values, self.argmins + (None,))
+            _StageNodes(self.keys, t, b, v, a, self.actions)
+            for t, (b, v, a) in enumerate(zip(self.beliefs, self.values, self.argmins + (None,)))
         )
 
     @property
     def root(self) -> NodeValue:
         return self.stages[0][""]
+
+    def key_parts(self, t: int):
+        """Stage t's keys as parent key plus branch suffix: ``(heads,
+        tails, branches)``, the parent stage's keys, its suffix table, and
+        per row of stage t the flat position ``p * len(tails) + s`` of its
+        branch in ``index[t - 1]``, whose parent is ``heads[p]`` and suffix
+        ``tails[s]``.  The root's key is the parent "" plus the suffix ""."""
+        if t == 0:
+            return [""], [""], np.zeros(1, dtype=np.intp)
+        branches = np.flatnonzero(self.index[t - 1] >= 0)
+        return self.decision_keys[t - 1], self.suffixes[t - 1], branches
 
 
 @dataclass
@@ -293,18 +354,24 @@ def _solve_tree(model: TeamModel, root: np.ndarray, t: int, node_budget=None):
     return beliefs, steps, values, argmins
 
 
-def _child_keys(model: TeamModel, keys: list[str], index: np.ndarray, t: int) -> list[str]:
-    """History keys of a stage's children: each parent key extended by
-    ``u{t}=..;y{t+1}=..``, in the children's row order."""
+def _branch_suffixes(model: TeamModel, t: int) -> list[str]:
+    """The key suffix ``u{t}=..;y{t+1}=..`` of each branch of a time-t
+    node, in flat (tie-break action, joint observation) order, led by
+    ``;`` for t >= 1."""
     sep = ";" if t else ""
-    suffixes = [
+    return [
         f"{sep}u{t}={','.join(map(str, u))};y{t + 1}={','.join(map(str, y))}"
         for u in tiebreak_joint_actions(model)
         for y in model.joint_observations
     ]
-    per_node = index.shape[1] * index.shape[2]
-    flat = np.flatnonzero(index >= 0)
-    return [keys[f // per_node] + suffixes[f % per_node] for f in flat.tolist()]
+
+
+def _child_keys(keys: list[str], index: np.ndarray, suffixes: list[str]) -> list[str]:
+    """History keys of a stage's children: each parent key extended by
+    its branch's suffix, in the children's row order."""
+    parent, branch = np.divmod(np.flatnonzero(index >= 0), len(suffixes))
+    heads = map(keys.__getitem__, parent.tolist())
+    return list(map(str.__add__, heads, map(suffixes.__getitem__, branch.tolist())))
 
 
 def solve_manager(
@@ -318,7 +385,9 @@ def solve_manager(
     nodes generated from stage t by every (joint action, positive-
     probability joint observation) pair.  Raises IncompleteHistoryError
     for no_sharing (no pooled viewpoint exists) and BudgetExceededError
-    when the tree would exceed ``node_budget`` nodes.
+    when the tree would exceed ``node_budget`` nodes.  History keys are
+    built for the decision stages t < T only, for the strategy table; the
+    value function builds the horizon's on request.
     """
     if structure.variant == "no_sharing":
         raise IncompleteHistoryError(
@@ -327,13 +396,17 @@ def solve_manager(
     T = model.horizon
     beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0, node_budget)
     joint = tiebreak_joint_actions(model)
+    index = tuple(step[2] for step in steps)
+    suffixes = tuple(_branch_suffixes(model, t) for t in range(T))
     keys = [[""]]
-    for t in range(T):
-        keys.append(_child_keys(model, keys[t], steps[t][2], t))
+    for t in range(T - 1):
+        keys.append(_child_keys(keys[t], index[t], suffixes[t]))
     table = {}
     for stage_keys, best in zip(keys, argmins):
         table.update(zip(stage_keys, map(joint.__getitem__, best.tolist())))
-    vf = ValueFunction(T, joint, tuple(keys), tuple(beliefs), tuple(values), tuple(argmins))
+    vf = ValueFunction(
+        T, joint, tuple(keys[:T]), tuple(beliefs), tuple(values), tuple(argmins), index, suffixes
+    )
     counts = tuple(len(b) for b in beliefs)
     return ManagerSolution(vf, SeparatedTeamStrategy(model, table), float(values[0][0]), counts)
 

@@ -370,6 +370,34 @@ def test_exit_validation_on_member_tree_invariant(capsys, scenario_path, monkeyp
     assert report["error"]["type"] == "InvariantError"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_exit_validation_on_a_key_suffix_json_escapes(capsys, scenario_path, monkeypatch, fmt):
+    """The JSON writer puts history keys between quotes as they are, so a
+    branch suffix that JSON would escape, here a '"' in the last stage's
+    table only, is refused before any of the report is written: exit 2
+    and one error report."""
+    import teamdp.dp
+
+    suffixes = teamdp.dp._branch_suffixes
+
+    def quoted(model, t):
+        texts = suffixes(model, t)
+        return texts if t < model.horizon - 1 else texts[:-1] + [texts[-1] + '"']
+
+    monkeypatch.setattr(teamdp.dp, "_branch_suffixes", quoted)
+    code = run(["solve-manager", "--scenario", scenario_path, "--format", fmt])
+    text = capsys.readouterr().out
+    assert code == 2
+    if fmt == "json":
+        report = json.loads(text)
+        jsonschema.validate(report, load_schema("report"))
+        assert report["error"]["type"] == "InvariantError"
+        assert report["results"] == {}
+    else:
+        assert "error.type,\"InvariantError\"\n" in text
+        assert "stages[" not in text
+
+
 # ---------------------------------------------------------------------------
 # the report writer
 
@@ -487,6 +515,13 @@ _VALUE_FUNCTION_MODELS = {
         lambda toy2: random_model(330, num_states=2, horizon=2, obs_sizes=(11, 2)),
         "y1=10,1",
     ),
+    # the last member's labels run to 10, so the parent key "u0=0,0;y1=0,1"
+    # is a proper prefix of the parent key "u0=0,0;y1=0,10", and its
+    # children sort after theirs
+    "last_eleven_obs": (
+        lambda toy2: random_model(333, horizon=2, obs_sizes=(2, 11)),
+        '"u0=0,0;y1=0,1;u1=0,0;y2=0,0"',
+    ),
     "horizon_1": (lambda toy2: random_model(331, horizon=1), ""),
     # stage 3 has 13,824 rows, more than one block
     "past_block": (lambda toy2: random_model(332, horizon=3, obs_sizes=(2, 3)), ""),
@@ -565,6 +600,50 @@ def test_value_function_writers_raise_no_warning(toy2, case):
         _flattened({"results": {"value_function": vf}})
 
 
+def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, toy2, monkeypatch):
+    """Both writers, compare_solutions, and the solve-manager, simulate
+    and solve-member subcommands build no horizon key: with the horizon
+    key builder failing they write what they wrote without it, and the
+    horizon stage still has a length."""
+    import teamdp.dp
+    from teamdp import compare_solutions
+
+    vf = solve_manager(*toy2).value_function
+    ref = value_function_reference(vf)
+    want = [_encoded(vf), _flattened({"value_function": vf}), compare_solutions(*toy2)]
+    assert want[:2] == [
+        json.dumps(ref, indent=2, sort_keys=True),
+        _flattened({"value_function": ref}),
+    ]
+    argvs = [
+        ["solve-manager"],
+        ["solve-manager", "--format", "csv"],
+        ["simulate", "--samples", "50"],
+        ["solve-member", "--member", "1"],
+    ]
+
+    def timeless():  # the report's lines but for the run time, either format
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        return [line for line in lines if "wall_time_s" not in line]
+
+    texts = []
+    for argv in argvs:
+        assert run([*argv, "--scenario", scenario_path]) == 0
+        texts.append(timeless())
+
+    def fail(self):
+        raise AssertionError("the horizon keys were built")
+
+    monkeypatch.setattr(teamdp.dp._HistoryKeys, "horizon", fail)
+    assert [_encoded(vf), _flattened({"value_function": vf}), compare_solutions(*toy2)] == want
+    for argv, text in zip(argvs, texts):
+        assert run([*argv, "--scenario", scenario_path]) == 0
+        assert timeless() == text
+    assert len(vf.stages[-1]) == len(vf.values[-1]) == 256
+    with pytest.raises(AssertionError, match="horizon keys"):
+        list(vf.stages[-1])
+
+
 def test_solve_manager_writes_nothing_on_stderr(toy2, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "teamdp", "solve-manager", "--scenario",
@@ -624,13 +703,14 @@ def _block_notations(vf, rows: int) -> set:
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
-@pytest.mark.parametrize("case", ["past_block", "zero_entry", "huge_value"])
+@pytest.mark.parametrize("case", ["past_block", "zero_entry", "huge_value", "last_eleven_obs"])
 def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, processes):
     """Both formats of a value function are the same bytes whatever the
-    number of renderer processes.  zero_entry's 1,765 rows, pruned
-    branches leaving gaps in the row order, are cut into 64-row blocks,
-    so that they are more than one block's rows and go to renderers
-    too; huge_value's 273 rows are cut into 1-row blocks, of which repr
+    number of renderer processes.  last_eleven_obs's stage 2 has 7,744
+    rows, with parent keys that are prefixes of others.  zero_entry's
+    1,765 rows, pruned branches leaving gaps in the row order, are cut
+    into 64-row blocks, so that they are more than one block's rows and
+    go to renderers too; huge_value's 273 rows are cut into 1-row blocks, of which repr
     writes 48 in fixed notation and the others with a value in exponent
     notation, so that digit and repr blocks mix across renderers."""
     build, _ = _VALUE_FUNCTION_MODELS[case]

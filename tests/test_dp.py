@@ -131,7 +131,7 @@ def _eager_stages(model):
     """The value function's stages as dicts of NodeValue built node by node
     from the solver's stage arrays, in row order: the form solve_manager
     kept before its stages became lazy mappings."""
-    from teamdp.dp import NodeValue, _child_keys, _solve_tree
+    from teamdp.dp import NodeValue, _branch_suffixes, _child_keys, _solve_tree
 
     T = model.horizon
     beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0)
@@ -146,7 +146,7 @@ def _eager_stages(model):
             }
         )
         if t < T:
-            keys = _child_keys(model, keys, steps[t][2], t)
+            keys = _child_keys(keys, steps[t][2], _branch_suffixes(model, t))
     return stages
 
 
@@ -178,6 +178,35 @@ def test_stage_mappings_match_eager_dicts(instance, toy2):
             with pytest.raises(KeyError):
                 lazy[unknown]
     assert vf.root.belief.tobytes() == eager[0][""].belief.tobytes()
+
+
+def test_solve_manager_keeps_no_horizon_keys(toy2):
+    """solve_manager builds history keys for the decision stages alone.
+    On a T = 4 tree of 69,905 nodes (65,536 at the horizon) the solution
+    retains under 5 MB as tracemalloc counts it: 3.4 MB of stage arrays,
+    decision keys and strategy table, against 10.2 MB when every horizon
+    key was kept.  The horizon keys, built on request, and the horizon
+    stage's iteration and length match the eager dicts in row order."""
+    import tracemalloc
+
+    model = random_model(41, num_states=3, horizon=4, obs_sizes=(2, 2))
+    T = model.horizon
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_manager(model, toy2[1])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    vf = sol.value_function
+    assert retained < 5 * 10**6
+    eager = list(_eager_stages(model)[T])
+    assert len(eager) == 65536
+    assert vf.keys[T] == vf.keys[-1] == eager
+    assert list(vf.stages[T]) == eager
+    assert len(vf.stages[T]) == len(eager)
+    with pytest.raises(IndexError):
+        vf.keys[T + 1]
 
 
 def _oracle_prefixes(model):
