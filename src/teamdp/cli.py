@@ -80,7 +80,9 @@ usage error, reported on stdout, and so is one whose write or close
 fails (a full disk).  A stdout that cannot be written (a full disk, a
 closed pipe) is a usage error too, told by one line on stderr, since no
 report can be written.  The scenario file is read once: the
-bytes parsed are the bytes hashed into ``metadata.scenario_sha256``.
+bytes parsed are the bytes hashed into ``metadata.scenario_sha256``, by
+the interpreter's own SHA-256 module (``_scenario_digest``), so no run
+loads OpenSSL's libcrypto through ``hashlib``.
 
 Start-up pays only for what a subcommand runs.  This module imports
 ``errors``, ``model`` and ``scenario`` (and with them numpy); each handler
@@ -106,7 +108,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import hashlib
 import json
 import math
 import os
@@ -252,6 +253,22 @@ def _metadata(command: str, args, digest: str | None) -> dict:
         "seed": getattr(args, "seed", None),
         "arguments": arguments,
     }
+
+
+def _scenario_digest(data: bytes) -> str:
+    """The hex SHA-256 digest of ``data``, from the interpreter's own
+    SHA-256 module where there is one (``_sha2`` from CPython 3.12,
+    ``_sha256`` before), as ``random`` takes its ``sha512``: importing
+    ``hashlib`` loads OpenSSL's libcrypto, megabytes that every run would
+    carry for one digest."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _parse_grid(spec: str):
@@ -459,7 +476,7 @@ def _is_value_function(obj) -> bool:
 
 
 # rows of a value-function stage written by one ``%`` of the row template
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 1024
 
 
 def _check_key_texts(vf) -> None:
@@ -922,7 +939,7 @@ def _dispatch(args, f, started: float) -> int:
         else:
             raw = read_scenario(args.scenario)
             model, structure = scenario_from_bytes(raw, args.scenario)
-            digest = hashlib.sha256(raw).hexdigest()
+            digest = _scenario_digest(raw)
             metadata = _metadata(args.command, args, digest)
             if args.command == "solve-member" and not 0 <= args.member < model.num_members:
                 raise _UsageError(f"--member must be in 0..{model.num_members - 1}")

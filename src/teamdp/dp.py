@@ -130,6 +130,11 @@ def _state_sum(beliefs: np.ndarray, per_state: np.ndarray) -> np.ndarray:
     return acc
 
 
+# nodes of a stage whose children ``_stage`` builds at a time, so that its
+# index arrays and temporaries are one block's, whatever the stage's size
+_NODE_BLOCK = 1024
+
+
 def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used=0):
     """Expand every node of a stage at once.
 
@@ -147,6 +152,12 @@ def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used
     Never normalizes its input, so weights scale linearly in it.  When
     ``node_budget`` is given, raises BudgetExceededError before building
     the children if ``used`` plus their number exceeds it.
+
+    The children are written into one preallocated array, ``_NODE_BLOCK``
+    nodes at a time: each child is ``(pred * like) / weight`` element by
+    element, as for the whole stage at once, so the bits do not depend on
+    the block size, and the branch indices and temporaries are one
+    block's.
     """
     order = [model.flat_action(u) for u in tiebreak_joint_actions(model)]
     like = np.array([_likelihood_vec(model, y) for y in model.joint_observations])
@@ -164,9 +175,21 @@ def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used
             observed=node_budget + 1,
         )
     index = np.full(weights.shape, -1, dtype=np.intp)
-    index[live] = np.arange(count)
-    nodes, actions, obs = np.nonzero(live)
-    children = pred[nodes, actions] * like[obs] / weights[live][:, None]
+    children = np.empty((count, model.num_states))
+    # flat views: one row of pred per (node, action), one entry per branch
+    pairs, flat_live = pred.reshape(-1, model.num_states), live.reshape(-1)
+    flat_index, flat_weights = index.reshape(-1), weights.reshape(-1, 1)
+    step = _NODE_BLOCK * pred.shape[1] * len(like)  # branches per block
+    lo = 0  # the block's first child row
+    for first in range(0, len(flat_live), step):
+        branches = first + np.flatnonzero(flat_live[first : first + step])
+        hi = lo + len(branches)
+        flat_index[branches] = np.arange(lo, hi)
+        pair, obs = np.divmod(branches, len(like))
+        out = children[lo:hi]
+        np.multiply(pairs[pair], like[obs], out=out)
+        out /= flat_weights[branches]
+        lo = hi
     return immediate, weights, index, children
 
 

@@ -66,10 +66,12 @@ class CentralizedTableStrategy:
             raise StrategyUndefinedError(f"no action for history {key!r} at t={t}") from None
 
     def to_json_dict(self) -> dict:
+        """The report form; ``table`` is the strategy's own table, whose
+        action tuples the ``json`` module writes as arrays."""
         return {
             "variant": self.variant,
             "scope": self.scope,
-            "table": {k: list(v) for k, v in self.table.items()},
+            "table": self.table,
             "default": list(self.default) if self.default is not None else None,
         }
 

@@ -92,6 +92,12 @@ _POOLS = {"multiprocessing", "concurrent.futures", "subprocess"}
 _DIGITS = "teamdp.floattext"
 
 
+# OpenSSL's hash modules, which map libcrypto: the scenario digest comes
+# from the interpreter's own SHA-256.  gaussian-example is the exception:
+# it imports numpy.random, which brings them in through secrets and hmac
+_OPENSSL = {"_hashlib", "hashlib"}
+
+
 @pytest.mark.parametrize(
     "command, absent",
     [
@@ -99,11 +105,11 @@ _DIGITS = "teamdp.floattext"
             "validate",
             {
                 "jsonschema", "teamdp.dp", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian",
-                _DIGITS, *_POOLS,
+                _DIGITS, *_POOLS, *_OPENSSL,
             },
         ),
-        ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian", _DIGITS}),
-        ("simulate", {"jsonschema", "teamdp.gaussian", _DIGITS}),
+        ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian", _DIGITS, *_OPENSSL}),
+        ("simulate", {"jsonschema", "teamdp.gaussian", _DIGITS, *_OPENSSL}),
         (
             "gaussian-example",
             {
@@ -113,9 +119,12 @@ _DIGITS = "teamdp.floattext"
         ),
         (
             "solve-manager --format csv",
-            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS},
+            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS, *_OPENSSL},
         ),
-        ("solve-manager", {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS}),
+        (
+            "solve-manager",
+            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS, *_OPENSSL},
+        ),
     ],
 )
 def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):
@@ -138,3 +147,18 @@ def test_subcommand_imports_only_what_it_runs(toy2, tmp_path, command, absent):
     assert "teamdp.model" in modules
     assert absent & set(modules) == set()
     assert (_DIGITS in modules) == (command == "solve-manager")
+
+
+@pytest.mark.parametrize("hidden", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_scenario_digest_without_the_lean_modules(monkeypatch, hidden):
+    """The scenario digest is hashlib's SHA-256 whichever module gives
+    it: the interpreter's own (``_sha2`` or ``_sha256``) or, with both
+    hidden, hashlib."""
+    import hashlib
+
+    from teamdp.cli import _scenario_digest
+
+    for name in hidden:
+        monkeypatch.setitem(sys.modules, name, None)
+    for raw in (b"", b'{"name": "toy"}', bytes(range(256)) * 1000):
+        assert _scenario_digest(raw) == hashlib.sha256(raw).hexdigest()
