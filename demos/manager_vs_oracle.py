@@ -66,8 +66,9 @@ def main() -> None:
     sol = solve_manager(model, structure)
     print(f"dynamic program: nodes per stage {list(sol.node_counts)}, "
           f"root value {sol.root_value:.9f}")
-    root = sol.value_function.root
-    print(f"  root belief {np.round(root.belief, 4)}, first joint action {root.argmin}")
+    vf = sol.value_function
+    print(f"  root belief {np.round(vf.beliefs[0][0], 4)}, "
+          f"first joint action {vf.actions[vf.argmins[0][0]]}")
 
     best = oracle.enumerate_centralized(model, structure)
     print(f"brute force: scored {best.num_strategies} strategies, "
@@ -93,10 +94,12 @@ def main() -> None:
     traj = outs[0].trajectory
     t = 1
     key = history_key(traj.actions[:t], traj.observations[:t])
-    node = sol.value_function.stages[t][key]
+    # the node's row in the value function's stage-t arrays, found by a
+    # walk over the tree's child indices
+    (row,) = vf.rows(model, np.array([traj.observations[:t]]), np.array([traj.actions[:t]]))
     ctg = oracle.exact_cost_to_go(model, g, traj.observations[:t], traj.actions[:t], t)
     print(f"\nat one realized history ({key!r}):")
-    print(f"  optimal cost-to-go {node.value:.6f} <= strategy's cost-to-go {ctg:.6f}")
+    print(f"  optimal cost-to-go {vf.values[t][row]:.6f} <= strategy's cost-to-go {ctg:.6f}")
 
 
 if __name__ == "__main__":

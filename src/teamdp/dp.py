@@ -28,16 +28,14 @@ numbers do not depend on how many nodes share its stage.
 
 A history key is only the label a report prints for a node.  The solver
 builds key strings for the decision stages t < T alone, which the
-strategy table needs; a horizon node's key is its parent's key plus the
-suffix ``;u{T-1}=..;y{T}=..`` of its branch, and is built only when a
-caller asks for ``keys[T]`` or reads ``stages[T]`` by key.  The value
-function keeps the solved stage arrays themselves (decision keys in row
-order, beliefs, values, argmin action indices, and per decision stage
-the child index and its branch-suffix table); ``stages[t]`` reads a
-stage as a read-only mapping that makes a :class:`NodeValue` only when a
-key is looked up.  The value function has no report form here: both
-report formats are written by ``teamdp.cli`` from the stage arrays, each
-key of stage t >= 1 as its parent's key and its branch suffix.
+strategy table needs.  The value function is the solved stage arrays
+themselves (decision keys in row order, beliefs, values, argmin action
+indices, and per decision stage the child index and its branch-suffix
+table); a history finds its row by a walk over the child indices
+(:meth:`ValueFunction.rows`), not by its key.  The value function has no
+report form here: both report formats are written by ``teamdp.cli`` from
+the stage arrays, each key of stage t >= 1 as its parent's key plus the
+suffix ``;u{t-1}=..;y{t}=..`` of its branch.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -67,7 +65,6 @@ last two on first read.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -85,7 +82,6 @@ from .model import (
     HistoryView,
     InformationStructure,
     TeamModel,
-    history_key,
     prefix_view,
     tiebreak_joint_actions,
     view_key_format,
@@ -98,7 +94,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "NodeValue",
     "ValueFunction",
     "ManagerSolution",
     "MemberNode",
@@ -114,9 +109,17 @@ __all__ = [
 ]
 
 
-def _as_vec(belief) -> np.ndarray:
-    probs = getattr(belief, "probs", belief)
-    return np.asarray(probs, dtype=float)
+def _as_vec(model: TeamModel, belief) -> np.ndarray:
+    vec = np.asarray(getattr(belief, "probs", belief), dtype=float)
+    if vec.shape != (model.num_states,):
+        raise ValueError(f"belief of shape {vec.shape}, not ({model.num_states},)")
+    return vec
+
+
+def _check_range(what: str, value: int, stop: int) -> None:
+    """Raise ValueError unless 0 <= value < stop."""
+    if not 0 <= value < stop:
+        raise ValueError(f"{what} {value} outside 0..{stop - 1}")
 
 
 def _state_sum(beliefs: np.ndarray, per_state: np.ndarray) -> np.ndarray:
@@ -213,89 +216,14 @@ def backup(model: TeamModel, value_next: Callable[[np.ndarray], float], belief, 
     ``value_next`` maps a (normalized) time-t+1 belief vector to a value.
     ``belief`` may be a Belief or a raw vector; unnormalized input is
     allowed and the returned value then scales linearly with it.  Returns
-    (value, argmin joint action).
+    (value, argmin joint action).  Raises ValueError for a time outside
+    0..T-1 or a belief whose length is not the number of states.
     """
-    immediate, weights, index, children = _stage(model, _as_vec(belief)[None, :], t)
+    _check_range("time", t, model.horizon)
+    immediate, weights, index, children = _stage(model, _as_vec(model, belief)[None, :], t)
     nxt = np.array([value_next(child) for child in children], dtype=float)
     value, best = _stage_values((immediate, weights, index), nxt)
     return float(value[0]), tiebreak_joint_actions(model)[best[0]]
-
-
-@dataclass
-class NodeValue:
-    """Entry of a manager tree node: the team belief reached there, the
-    optimal value, and the minimizing joint action (None at the horizon)."""
-
-    belief: np.ndarray
-    value: float | None = None
-    argmin: tuple[int, ...] | None = None
-
-
-class _HistoryKeys(Sequence):
-    """``ValueFunction.keys``: the history keys of each stage t = 0..T in
-    row order.  The decision stages' lists are stored; the horizon's list
-    is built on each read, by :meth:`horizon`."""
-
-    __slots__ = ("_decision", "_index", "_suffixes")
-
-    def __init__(self, decision, index, suffixes):
-        self._decision = decision
-        self._index = index
-        self._suffixes = suffixes
-
-    def __len__(self) -> int:
-        return len(self._decision) + 1
-
-    def __getitem__(self, t: int) -> list[str]:
-        if not -len(self) <= t < len(self):
-            raise IndexError("stage out of range")
-        t %= len(self)
-        return self._decision[t] if t < len(self._decision) else self.horizon()
-
-    def horizon(self) -> list[str]:
-        """The horizon stage's keys: each node's parent key plus the
-        suffix of its branch."""
-        if not self._decision:
-            return [""]
-        return _child_keys(self._decision[-1], self._index[-1], self._suffixes[-1])
-
-
-class _StageNodes(Mapping):
-    """One stage of a :class:`ValueFunction` read as a map from history
-    key to :class:`NodeValue`, in row order.  A NodeValue is made on each
-    lookup, from a key -> row dict built on first use; the length is the
-    row count, so it builds no key."""
-
-    __slots__ = ("_keys", "_t", "_beliefs", "_values", "_argmins", "_actions", "_rows")
-
-    def __init__(self, keys, t, beliefs, values, argmins, actions):
-        self._keys = keys  # the value function's _HistoryKeys
-        self._t = t
-        self._beliefs = beliefs
-        self._values = values
-        self._argmins = argmins  # None at the horizon
-        self._actions = actions
-        self._rows = None
-
-    def _index(self) -> dict:
-        if self._rows is None:
-            keys = self._keys[self._t]
-            self._rows = dict(zip(keys, range(len(keys))))
-        return self._rows
-
-    def __getitem__(self, key) -> NodeValue:
-        row = self._index()[key]
-        argmin = None if self._argmins is None else self._actions[self._argmins[row]]
-        return NodeValue(self._beliefs[row], float(self._values[row]), argmin)
-
-    def __contains__(self, key) -> bool:
-        return key in self._index()
-
-    def __iter__(self):
-        return iter(self._keys[self._t])
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 @dataclass(eq=False)
@@ -310,11 +238,8 @@ class ValueFunction:
     zero-probability branch); and ``suffixes[t]``, the ``A * Y`` branch
     suffixes ``;u{t}=..;y{t+1}=..`` in flat branch order (no leading
     ``;`` at t = 0, whose parent key is "").  A key of stage t+1 is its
-    parent's key plus its branch's suffix.
-
-    ``keys[t]`` is stage t's key list for t = 0..horizon; the horizon's
-    is built on each read and kept nowhere.  ``stages[t]`` reads stage t
-    as a read-only ``Mapping[str, NodeValue]``."""
+    parent's key plus its branch's suffix; the horizon's keys are kept
+    nowhere.  :meth:`rows` finds a history's row by walking ``index``."""
 
     horizon: int
     actions: list[tuple[int, ...]]
@@ -325,16 +250,24 @@ class ValueFunction:
     index: tuple[np.ndarray, ...]
     suffixes: tuple[list[str], ...]
 
-    def __post_init__(self):
-        self.keys = _HistoryKeys(self.decision_keys, self.index, self.suffixes)
-        self.stages = tuple(
-            _StageNodes(self.keys, t, b, v, a, self.actions)
-            for t, (b, v, a) in enumerate(zip(self.beliefs, self.values, self.argmins + (None,)))
-        )
-
-    @property
-    def root(self) -> NodeValue:
-        return self.stages[0][""]
+    def rows(self, model: TeamModel, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
+        """Stage-t row of each history of ``obs`` and ``act`` (each ``(H,
+        t, K)``; ``act[:, s]`` holds u_s, ``obs[:, s]`` y_{s+1}), found
+        without a key: from row 0, for s < t, ``row = index[s][row, u_s's
+        tie-break position (member 0 fastest), y_{s+1}'s flat position
+        (member K-1 fastest)]``.  -1 for a history that leaves the tree or
+        holds a label outside its member's range, which would otherwise
+        alias another branch."""
+        t = obs.shape[1]
+        _check_range("history length", t, self.horizon + 1)
+        u = act @ np.cumprod([1, *model.action_sizes[:-1]])
+        y = obs @ np.cumprod([1, *model.observation_sizes[:0:-1]])[::-1]
+        inside = (act >= 0) & (act < model.action_sizes) & (obs >= 0)
+        rows = np.where((inside & (obs < model.observation_sizes)).all(axis=(1, 2)), 0, -1)
+        for s in range(t):
+            live = np.flatnonzero(rows >= 0)
+            rows[live] = self.index[s][rows[live], u[live, s], y[live, s]]
+        return rows
 
     def key_parts(self, t: int):
         """Stage t's keys as parent key plus branch suffix: ``(heads,
@@ -409,8 +342,7 @@ def solve_manager(
     probability joint observation) pair.  Raises IncompleteHistoryError
     for no_sharing (no pooled viewpoint exists) and BudgetExceededError
     when the tree would exceed ``node_budget`` nodes.  History keys are
-    built for the decision stages t < T only, for the strategy table; the
-    value function builds the horizon's on request.
+    built for the decision stages t < T only, for the strategy table.
     """
     if structure.variant == "no_sharing":
         raise IncompleteHistoryError(
@@ -437,8 +369,11 @@ def solve_manager(
 def evaluate_value(model: TeamModel, t: int, belief) -> float:
     """Optimal cost-to-go from an arbitrary time-t belief: the same stage
     kernel as :func:`solve_manager`, run over the tree reachable from that
-    belief alone.  Accepts a Belief or a raw vector."""
-    _, _, values, _ = _solve_tree(model, _as_vec(belief), t)
+    belief alone.  Accepts a Belief or a raw vector.  Raises ValueError
+    for a time outside 0..T or a belief whose length is not the number of
+    states."""
+    _check_range("time", t, model.horizon + 1)
+    _, _, values, _ = _solve_tree(model, _as_vec(model, belief), t)
     return float(values[0][0])
 
 
@@ -546,10 +481,11 @@ def solve_member(
     action index.  The tree is held as stages of arrays (see
     :func:`teamdp.filters._member_stage`); view keys are formatted from
     each stage's history arrays, for the node dicts, the strategy table
-    and the node beliefs.
+    and the node beliefs.  Raises ValueError for a member outside 0..K-1.
     """
     k = member
     K, T = model.num_members, model.horizon
+    _check_range("member", k, K)
     others = others_strategies or {}
     for j in range(K):
         if j != k and j not in others:
@@ -600,11 +536,14 @@ def evaluate_member_value(
     over the tree reachable from that conditional as one node, so at a
     solved node it returns the node's value bit for bit.  Used for
     property probes (homogeneity/concavity in the conditional weights).
+    Raises ValueError for a member outside 0..K-1 or a time outside 0..T.
     """
     if hasattr(conditional, "entries"):
         t, particles = conditional.time, conditional.entries
     else:
         t, particles = conditional
+    _check_range("member", member, model.num_members)
+    _check_range("time", t, model.horizon + 1)
     stage = _particle_stage(model, t, particles)
     _, values, _ = _member_tree(model, structure, member, others_strategies or {}, stage)
     return float(values[0][0])
@@ -653,7 +592,7 @@ def compare_solutions(
 
     The per-node figures are a join of the member stage arrays with the
     manager's: the manager row of each distinct history of a member stage
-    is looked up once by its history key and spread to the particles,
+    is found by :meth:`ValueFunction.rows` and spread to the particles,
     then the manager's action weights and value mixture are summed per
     node with ``np.bincount`` in particle order.
     """
@@ -674,10 +613,11 @@ def compare_solutions(
         O = model.action_sizes[k]
         nodes_out = []
         agree_count = 0
-        for t in range(model.horizon):
-            stage, index = sol.stages[t], vf.stages[t]._index()
-            ids = [index[history_key(act_seq, obs_seq)] for obs_seq, act_seq in stage.sequences]
-            rows = np.array(ids, dtype=np.intp)[stage.hist]
+        for t, stage in zip(range(model.horizon), sol.stages):
+            rows = vf.rows(model, stage.obs, stage.act)
+            if (rows < 0).any():
+                raise InvariantError(f"a member history of stage {t} is off the manager tree")
+            rows = rows[stage.hist]
             cells = stage.node * O + own[vf.argmins[t][rows]]
             size = stage.num_nodes * O
             weights = np.bincount(cells, stage.w, minlength=size).reshape(-1, O).tolist()

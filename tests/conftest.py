@@ -8,6 +8,7 @@ tests reproducible without fixture files.
 
 import copy
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -172,11 +173,42 @@ def sharing_structures(draw, num_members=2):
 # reference forms of report sections
 
 
+class ManagerNode(NamedTuple):
+    """A manager tree node: the team belief reached there, the optimal
+    value, and the minimizing joint action (None at the horizon)."""
+
+    belief: np.ndarray
+    value: float
+    argmin: tuple | None
+
+
+def manager_stages(vf) -> list:
+    """A manager value function read by history key: per stage t =
+    0..horizon, a dict from key to :class:`ManagerNode` in row order.  The
+    keys are the decision keys and, for the horizon, the last decision
+    stage's keys extended by ``dp._child_keys``, so the reference does not
+    go through ``ValueFunction.rows``."""
+    from teamdp import dp
+
+    keys = list(vf.decision_keys)
+    keys.append(dp._child_keys(keys[-1], vf.index[-1], vf.suffixes[-1]) if keys else [""])
+    stages = []
+    for t, stage_keys in enumerate(keys):
+        argmins = vf.argmins[t].tolist() if t < vf.horizon else [None] * len(stage_keys)
+        stages.append(
+            {
+                key: ManagerNode(b, v, None if a is None else vf.actions[a])
+                for key, b, v, a in zip(stage_keys, vf.beliefs[t], vf.values[t].tolist(), argmins)
+            }
+        )
+    return stages
+
+
 def value_function_reference(vf) -> dict:
     """The ``value_function`` of a solve-manager report as plain data,
-    built node by node from the ``stages[t]`` mappings: the writers of
-    both report formats must write exactly what ``json.dumps`` and the
-    generic CSV walk write for it."""
+    built node by node from :func:`manager_stages`: the writers of both
+    report formats must write exactly what ``json.dumps`` and the generic
+    CSV walk write for it."""
     return {
         "horizon": vf.horizon,
         "stages": [
@@ -188,7 +220,7 @@ def value_function_reference(vf) -> dict:
                 }
                 for key, node in sorted(stage.items())
             }
-            for stage in vf.stages
+            for stage in manager_stages(vf)
         ],
     }
 
@@ -196,16 +228,16 @@ def value_function_reference(vf) -> dict:
 def compare_nodes_reference(mgr, sol, k) -> list:
     """The per-node rows of ``compare_solutions`` for member ``k``, built
     particle by particle: each particle's full history is looked up in the
-    manager's ``value_function.stages[t]`` by its history key, and the
-    manager's action weights and value mixture are added in particle
-    order."""
+    manager's :func:`manager_stages` by its history key, and the manager's
+    action weights and value mixture are added in particle order."""
+    stages = manager_stages(mgr.value_function)
     rows = []
     for t in range(mgr.value_function.horizon):
         for key, node in sol.nodes[t].items():
             weights: dict[int, float] = {}
             mixture = 0.0
             for _, obs_seq, act_seq, w in node.particles:
-                mnode = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
+                mnode = stages[t][history_key(act_seq, obs_seq)]
                 weights[mnode.argmin[k]] = weights.get(mnode.argmin[k], 0.0) + w
                 mixture += w * mnode.value
             rows.append(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from conftest import (
     SCENARIO_DOCUMENTS,
+    manager_stages,
     mutated_scenarios,
     random_model,
     value_function_reference,
@@ -585,7 +586,7 @@ def test_value_function_writer_matches_json_dumps(toy2, case):
     csv = _flattened({"results": {"value_function": ref}})
     assert _first_difference(_flattened({"results": {"value_function": vf}}), csv) is None
     if case == "past_block":
-        assert max(map(len, vf.keys)) > _BLOCK_ROWS
+        assert max(map(len, vf.values)) > _BLOCK_ROWS
 
 
 @pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
@@ -602,9 +603,10 @@ def test_value_function_writers_raise_no_warning(toy2, case):
 
 def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, toy2, monkeypatch):
     """Both writers, compare_solutions, and the solve-manager, simulate
-    and solve-member subcommands build no horizon key: with the horizon
-    key builder failing they write what they wrote without it, and the
-    horizon stage still has a length."""
+    and solve-member subcommands build no horizon key: with
+    ``dp._child_keys`` failing on the last decision stage's branches they
+    write what they wrote without it, and the keyed reference, which
+    builds the horizon keys, fails."""
     import teamdp.dp
     from teamdp import compare_solutions
 
@@ -631,17 +633,22 @@ def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, t
         assert run([*argv, "--scenario", scenario_path]) == 0
         texts.append(timeless())
 
-    def fail(self):
-        raise AssertionError("the horizon keys were built")
+    child_keys = teamdp.dp._child_keys
+    last = f";u{toy2[0].horizon - 1}="
 
-    monkeypatch.setattr(teamdp.dp._HistoryKeys, "horizon", fail)
+    def fail(keys, index, suffixes):
+        if suffixes[0].startswith(last):
+            raise AssertionError("the horizon keys were built")
+        return child_keys(keys, index, suffixes)
+
+    monkeypatch.setattr(teamdp.dp, "_child_keys", fail)
     assert [_encoded(vf), _flattened({"value_function": vf}), compare_solutions(*toy2)] == want
     for argv, text in zip(argvs, texts):
         assert run([*argv, "--scenario", scenario_path]) == 0
         assert timeless() == text
-    assert len(vf.stages[-1]) == len(vf.values[-1]) == 256
+    assert len(vf.values[-1]) == 256
     with pytest.raises(AssertionError, match="horizon keys"):
-        list(vf.stages[-1])
+        manager_stages(vf)
 
 
 def test_solve_manager_writes_nothing_on_stderr(toy2, tmp_path):
@@ -693,7 +700,8 @@ def _block_notations(vf, rows: int) -> set:
     from teamdp import floattext
 
     found = set()
-    for t, keys in enumerate(vf.keys):
+    for t, stage in enumerate(manager_stages(vf)):
+        keys = list(stage)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         for lo in range(0, len(order), rows):
             block = order[lo : lo + rows]
@@ -827,7 +835,7 @@ def test_json_report_is_written_chunk_by_chunk():
         "results": results,
         "diagnostics": diagnostics,
     }
-    longest_key = max(map(len, results["value_function"].keys[-1]))
+    longest_key = max(map(len, manager_stages(results["value_function"])[-1]))
     sink = _Sink()
     tracemalloc.start()
     try:

@@ -15,6 +15,7 @@ from conftest import (
     HashedCentralizedStrategy,
     HashedMemberStrategy,
     compare_nodes_reference,
+    manager_stages,
     random_model,
     sharing_structures,
     value_function_reference,
@@ -28,6 +29,7 @@ from teamdp import (
     DecentralizedStrategy,
     IncompleteHistoryError,
     InformationStructure,
+    InvariantError,
     ManagerProjectionStrategy,
     MemberTableStrategy,
     UndefinedCoStrategyError,
@@ -127,57 +129,87 @@ def test_manager_node_budget_is_checked_per_stage(toy2):
         assert (info.value.budget, info.value.observed) == (budget, budget + 1)
 
 
-def _eager_stages(model):
-    """The value function's stages as dicts of NodeValue built node by node
-    from the solver's stage arrays, in row order: the form solve_manager
-    kept before its stages became lazy mappings."""
-    from teamdp.dp import NodeValue, _branch_suffixes, _child_keys, _solve_tree
-
-    T = model.horizon
-    beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0)
-    joint = tiebreak_joint_actions(model)
-    keys, stages = [""], []
-    for t in range(T + 1):
-        acts = [joint[a] for a in argmins[t].tolist()] if t < T else [None] * len(keys)
-        stages.append(
-            {
-                key: NodeValue(belief=b, value=v, argmin=a)
-                for key, b, v, a in zip(keys, beliefs[t], values[t].tolist(), acts)
-            }
-        )
-        if t < T:
-            keys = _child_keys(keys, steps[t][2], _branch_suffixes(model, t))
-    return stages
+def _history_arrays(keys, t: int, K: int):
+    """``(obs, act)``, each ``(H, t, K)``, of the history keys ``keys`` of
+    stage t, read off the key text ``u0=..;y1=..;u1=..``."""
+    fields = [[part.split("=")[1].split(",") for part in key.split(";")] for key in keys if t]
+    both = np.array(fields, dtype=np.intp).reshape(len(keys), t, 2, K)
+    return both[:, :, 1], both[:, :, 0]
 
 
-@pytest.mark.parametrize("instance", ["toy2", "zero_entry"])
+# instances of the walk checks: pruned branches, labels past 10, 3 members
+_WALK_MODELS = {
+    "toy2": None,
+    "zero_entry": lambda: random_model(310, num_states=3, horizon=3, positive=False),
+    "last_eleven_obs": lambda: random_model(333, horizon=2, obs_sizes=(2, 11)),
+    "k3": lambda: random_model(23, num_members=3, num_states=2, positive=False),
+}
+
+
+def _walk_instance(name, toy2):
+    if _WALK_MODELS[name] is None:
+        return toy2
+    model = _WALK_MODELS[name]()
+    return model, InformationStructure("delayed_sharing", delays=(1,) * model.num_members)
+
+
+@pytest.mark.parametrize("instance", list(_WALK_MODELS))
 def test_stage_mappings_match_eager_dicts(instance, toy2):
-    """``value_function.stages[t]`` reads like the eager dict: same length,
-    iteration order and membership, equal belief bytes, bit-equal values,
-    the same argmin tuples (None at the horizon), KeyError off the tree."""
-    if instance == "toy2":
-        model, structure = toy2
-    else:
-        model, structure = random_model(310, num_states=3, horizon=3, positive=False), toy2[1]
+    """``ValueFunction.rows`` walks every node's history, read off the
+    keys of the keyed reference, to that node's row; the arrays read there
+    hold the beliefs (same bytes), values (same bits) and argmin tuples
+    (None past the last decision stage) of a fresh ``_solve_tree``, and
+    histories off the tree walk to -1."""
+    from teamdp.dp import _solve_tree
+
+    model, structure = _walk_instance(instance, toy2)
+    K, T = model.num_members, model.horizon
     vf = solve_manager(model, structure).value_function
-    eager = _eager_stages(model)
-    assert len(vf.stages) == len(eager) == model.horizon + 1
-    for t, (lazy, ref) in enumerate(zip(vf.stages, eager)):
-        assert len(lazy) == len(ref)
-        assert list(lazy) == list(ref)
-        assert [k for k, _ in lazy.items()] == list(ref)
-        for key, node in ref.items():
-            assert key in lazy
-            got = lazy[key]
-            assert got.belief.tobytes() == node.belief.tobytes()
-            assert type(got.value) is float and got.value.hex() == node.value.hex()
-            assert got.argmin == node.argmin
-            assert (got.argmin is None) == (t == model.horizon)
-        for unknown in ("u0=9,9;y1=9,9", "", 0) if t else ("u0=0,0;y1=0,0", 0):
-            assert unknown not in lazy
-            with pytest.raises(KeyError):
-                lazy[unknown]
-    assert vf.root.belief.tobytes() == eager[0][""].belief.tobytes()
+    beliefs, _, values, argmins = _solve_tree(model, model.initial_dist, 0)
+    stages = manager_stages(vf)
+    assert len(stages) == T + 1
+    for t, ref in enumerate(stages):
+        rows = vf.rows(model, *_history_arrays(list(ref), t, K))
+        assert rows.tolist() == list(range(len(ref)))
+        for i, (row, node) in enumerate(zip(rows.tolist(), ref.values())):
+            assert vf.beliefs[t][row].tobytes() == beliefs[t][i].tobytes()
+            assert vf.values[t][row].hex() == values[t][i].hex() == node.value.hex()
+            argmin = vf.actions[vf.argmins[t][row]] if t < T else None
+            want = tiebreak_joint_actions(model)[argmins[t][i]] if t < T else None
+            assert argmin == want == node.argmin
+        if t:
+            unknown = np.full((1, t, K), 9)
+            assert vf.rows(model, unknown, unknown).tolist() == [-1]
+
+
+def test_rows_walk_refuses_off_tree_histories(toy2):
+    """The walk gives -1 for a history through a zero-weight branch and
+    for a label out of its member's range, such as an action label equal
+    to its member's action count, even where the unchecked position would
+    be a live branch's; at t = 0 every history is the root."""
+    model = _WALK_MODELS["zero_entry"]()
+    vf = solve_manager(model, toy2[1]).value_function
+    for H in (0, 1, 5):
+        empty = np.zeros((H, 0, 2), dtype=np.intp)
+        assert vf.rows(model, empty, empty).tolist() == [0] * H
+    parent, a, y = np.argwhere(vf.index[1] < 0)[0]
+    obs, act = _history_arrays([list(manager_stages(vf)[1])[parent]], 1, 2)
+    u1, y2 = tiebreak_joint_actions(model)[a], model.joint_observations[y]
+    dead = np.concatenate([obs, [[y2]]], axis=1), np.concatenate([act, [[u1]]], axis=1)
+    assert vf.rows(model, *dead).tolist() == [-1]
+    # a live branch of action (0, 1), observation (1, y_1)
+    joint, ys = tiebreak_joint_actions(model), model.joint_observations
+    live = np.argwhere(vf.index[0][0] >= 0)
+    a, y = next((a, y) for a, y in live if joint[a] == (0, 1) and ys[y][0])
+    y1 = ys[y]
+    walk = lambda u, y: vf.rows(model, np.array([[y]]), np.array([[u]])).tolist()
+    assert walk((0, 1), y1) == [vf.index[0][0, a, y]]
+    # unchecked, each of these would land on that live branch: u's
+    # tie-break position is u_0 + 2 u_1, y's flat position 2 y_0 + y_1
+    for u, y in [((2, 0), y1), ((-2, 2), y1), ((0, 1), (0, y1[1] + 2)), ((0, 1), (2, y1[1] - 2))]:
+        assert walk(u, y) == [-1]
+    with pytest.raises(ValueError, match="history length"):
+        vf.rows(model, *_history_arrays([], model.horizon + 1, 2))
 
 
 def test_solve_manager_keeps_no_horizon_keys(toy2):
@@ -185,8 +217,8 @@ def test_solve_manager_keeps_no_horizon_keys(toy2):
     On a T = 4 tree of 69,905 nodes (65,536 at the horizon) the solution
     retains under 5 MB as tracemalloc counts it: 3.4 MB of stage arrays,
     decision keys and strategy table, against 10.2 MB when every horizon
-    key was kept.  The horizon keys, built on request, and the horizon
-    stage's iteration and length match the eager dicts in row order."""
+    key was kept.  The keyed reference's horizon keys walk to the horizon
+    rows in order."""
     import tracemalloc
 
     model = random_model(41, num_states=3, horizon=4, obs_sizes=(2, 2))
@@ -200,13 +232,11 @@ def test_solve_manager_keeps_no_horizon_keys(toy2):
         tracemalloc.stop()
     vf = sol.value_function
     assert retained < 5 * 10**6
-    eager = list(_eager_stages(model)[T])
-    assert len(eager) == 65536
-    assert vf.keys[T] == vf.keys[-1] == eager
-    assert list(vf.stages[T]) == eager
-    assert len(vf.stages[T]) == len(eager)
-    with pytest.raises(IndexError):
-        vf.keys[T + 1]
+    assert len(vf.decision_keys) == T
+    horizon = list(manager_stages(vf)[T])
+    assert len(horizon) == len(vf.values[T]) == 65536
+    rows = vf.rows(model, *_history_arrays(horizon, T, 2))
+    assert np.array_equal(rows, np.arange(65536))
 
 
 def _oracle_prefixes(model):
@@ -238,10 +268,11 @@ def test_manager_tree_matches_oracle_on_zero_entry_kernels(structure):
     assert mgr.node_counts == tuple(len(stage) for stage in prefixes)
     full = (len(tiebreak_joint_actions(model)) * len(model.joint_observations)) ** model.horizon
     assert mgr.node_counts[-1] < full  # branches were pruned
+    stages = manager_stages(mgr.value_function)
     for t, stage in enumerate(prefixes):
-        assert set(mgr.value_function.stages[t]) == {history_key(a, o) for o, a in stage}
+        assert set(stages[t]) == {history_key(a, o) for o, a in stage}
         for obs_seq, act_seq in stage:
-            node = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
+            node = stages[t][history_key(act_seq, obs_seq)]
             ctg = oracle.exact_cost_to_go(model, mgr.strategy, obs_seq, act_seq, t)
             assert abs(node.value - ctg) <= 1e-12
 
@@ -269,6 +300,7 @@ def test_node_values_dominate_conditional_costs(toy2):
     cost-to-go of an arbitrary strategy, with equality at the horizon."""
     model, structure = toy2
     mgr = solve_manager(model, structure)
+    stages = manager_stages(mgr.value_function)
     for salt in range(10):
         g = HashedCentralizedStrategy(model, salt=salt)
         for out in oracle.enumerate_outcomes(model, g):
@@ -276,7 +308,7 @@ def test_node_values_dominate_conditional_costs(toy2):
             for t in range(model.horizon + 1):
                 obs_seq = traj.observations[:t]
                 act_seq = traj.actions[:t]
-                node = mgr.value_function.stages[t][history_key(act_seq, obs_seq)]
+                node = stages[t][history_key(act_seq, obs_seq)]
                 ctg = oracle.exact_cost_to_go(model, g, obs_seq, act_seq, t)
                 if t == model.horizon:
                     assert abs(node.value - ctg) <= 1e-12
@@ -302,7 +334,7 @@ def test_node_values_do_not_depend_on_batch_size(seed, positive):
     structure = POOLED_VARIANTS[0]
     mgr = solve_manager(model, structure)
     assert (mgr.node_counts[-1] < 4096) == (not positive)
-    stages = mgr.value_function.stages
+    stages = manager_stages(mgr.value_function)
     by_belief = [{} for _ in stages]
     for lookup, stage in zip(by_belief, stages):
         for node in stage.values():
@@ -844,9 +876,13 @@ def _member_solutions(model, structure):
 
 def test_compare_joins_stage_arrays(monkeypatch, toy2):
     """compare_solutions reads the member and manager stage arrays: with
-    ``NodeValue`` and the particle tuples failing, it reproduces the
-    unpatched reports and builds one history key per distinct member
-    history of each stage t < T."""
+    the particle tuples failing, it reproduces the unpatched reports, and
+    no line of ``teamdp.dp`` builds a history key: the manager rows come
+    from the walk.  (The co-strategy lookups and exact_cost still build
+    theirs, which shows the counter is live.)"""
+    import sys
+
+    import teamdp.dp
     k3 = random_model(23, num_members=3, num_states=2, positive=False)
     cases = [toy2, (k3, InformationStructure("delayed_sharing", delays=(1, 1, 1)))]
     want = [compare_solutions(model, structure).to_json_dict() for model, structure in cases]
@@ -854,24 +890,93 @@ def test_compare_joins_stage_arrays(monkeypatch, toy2):
 
     def fail(*args, **kwargs):
         raised.append(args)
-        raise AssertionError("a NodeValue or a particle tuple was built")
+        raise AssertionError("a particle tuple was built")
 
-    keys = []
+    callers = []
 
     def counted_key(actions, observations):
-        keys.append(actions)
+        callers.append(sys._getframe(1).f_code.co_filename)
         return history_key(actions, observations)
 
-    monkeypatch.setattr("teamdp.dp.NodeValue", fail)
     monkeypatch.setattr("teamdp.filters._MemberStage.particles", fail)
-    monkeypatch.setattr("teamdp.dp.history_key", counted_key)
+    assert not hasattr(teamdp.dp, "history_key")
+    for module in ("model", "strategies", "oracle"):
+        monkeypatch.setattr(f"teamdp.{module}.history_key", counted_key)
     for (model, structure), report in zip(cases, want):
-        keys.clear()
+        callers.clear()
         assert compare_solutions(model, structure).to_json_dict() == report
-        _, sols = _member_solutions(model, structure)
-        T = model.horizon
-        assert len(keys) == sum(len(stage.obs) for sol in sols for stage in sol.stages[:T])
+        assert callers and teamdp.dp.__file__ not in callers
     assert raised == []
+
+
+def test_compare_refuses_a_member_history_off_the_manager_tree(monkeypatch, toy2):
+    """A -1 from the walk is a broken invariant, never a read of the last
+    row."""
+    from teamdp.dp import ValueFunction
+
+    walk = ValueFunction.rows
+
+    def off_tree(self, model, obs, act):
+        rows = walk(self, model, obs, act)
+        rows[-1:] = -1
+        return rows
+
+    monkeypatch.setattr(ValueFunction, "rows", off_tree)
+    with pytest.raises(InvariantError, match="stage 0 is off the manager tree"):
+        compare_solutions(*toy2)
+
+
+# ---------------------------------------------------------------------------
+# out-of-range input
+#
+# random_model(1, horizon=2) has S = 3 states and T = 2.  Unchecked, each
+# case below gave a silent wrong answer or an unrelated error: t = -1 ran
+# three stages from stage_cost[-1], t = 3 gave the terminal value, a
+# one-state belief a number, member 2 an IndexError, member -1 an
+# InvariantError, a time-5 conditional a reshape error.
+
+_RANGE_STRUCTURE = InformationStructure("delayed_sharing", delays=(1, 1))
+_BOTH = {0: ConstantMemberStrategy(0, 0), 1: ConstantMemberStrategy(1, 0)}
+_ROOT_PARTICLE = [(0, (), (), 1.0)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: evaluate_value(m, -1, m.initial_dist), "time -1 outside 0..2"),
+        (lambda m: evaluate_value(m, 3, m.initial_dist), "time 3 outside 0..2"),
+        (lambda m: evaluate_value(m, 0, [1.0]), r"belief of shape \(1,\), not \(3,\)"),
+        (lambda m: evaluate_value(m, 0, [0.2] * 5), r"belief of shape \(5,\), not \(3,\)"),
+        (lambda m: backup(m, lambda b: 0.0, m.initial_dist, -1), "time -1 outside 0..1"),
+        (lambda m: backup(m, lambda b: 0.0, m.initial_dist, 2), "time 2 outside 0..1"),
+        (lambda m: backup(m, lambda b: 0.0, [0.5, 0.5], 0), r"belief of shape \(2,\)"),
+        (lambda m: solve_member(m, _RANGE_STRUCTURE, 2, _BOTH), "member 2 outside 0..1"),
+        (lambda m: solve_member(m, _RANGE_STRUCTURE, -1, _BOTH), "member -1 outside 0..1"),
+        (
+            lambda m: evaluate_member_value(m, _RANGE_STRUCTURE, 0, _BOTH, (5, _ROOT_PARTICLE)),
+            "time 5 outside 0..2",
+        ),
+        (
+            lambda m: evaluate_member_value(m, _RANGE_STRUCTURE, 2, _BOTH, (0, _ROOT_PARTICLE)),
+            "member 2 outside 0..1",
+        ),
+    ],
+    ids=[
+        "evaluate_value-t-1", "evaluate_value-t3", "evaluate_value-1-state",
+        "evaluate_value-5-states", "backup-t-1", "backup-t2", "backup-2-states",
+        "solve_member-k2", "solve_member-k-1", "evaluate_member_value-t5",
+        "evaluate_member_value-k2",
+    ],
+)
+def test_dp_entry_points_refuse_out_of_range_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(random_model(1, horizon=2))
+
+
+def test_evaluate_value_at_the_horizon_is_the_terminal_cost():
+    m = random_model(1, horizon=2)
+    terminal = sum(c * p for c, p in zip(m.terminal_cost.tolist(), m.initial_dist.tolist()))
+    assert evaluate_value(m, 2, m.initial_dist) == terminal
 
 
 # ---------------------------------------------------------------------------
