@@ -25,27 +25,29 @@ hook's ``None``.  Only this module knows how a value function looks in
 a report.  One walk, ``_stage_blocks``, puts a stage's rows in key order
 and makes one render job per ``_BLOCK_ROWS`` rows, which hands the
 block's keys, argmin action indices and floats to the render function of
-the format.  Each fills its own row template, one ``%`` over the
-template repeated per block: the JSON row has slots for the key, the
-argmin text (one precomputed text per joint action, ``null`` at the
-horizon), each belief float and the value; the CSV row has one line per
+the format.  Each lays out its row template and the block's argument
+columns in slot order, and ``_fill_rows`` fills the template repeated
+with one ``%``: the JSON row has slots for the key, the argmin text (one
+precomputed text per joint action; ``null`` at the horizon is in the
+template), each belief float and the value; the CSV row has one line per
 leaf, each with slots for the key and the leaf's text.  So the largest
 write is one block, whatever the tree size.
 
 The solver keeps key strings for the decision stages only; a key of
 stage t >= 1 is its parent's key plus the suffix ``;u{t-1}=..;y{t}=..``
-of its branch (``dp.ValueFunction.key_parts``).  So the rows are put in
-key order with ``np.lexsort`` on the parent's rank, then the suffix's,
-with parents ranked by their key plus ``;``, as a parent key can be a
-proper prefix of another (``...;y1=0,1`` and ``...;y1=0,10``, when the
-last member has 11 or more labels) and ``;`` sorts after the digits.  The
-JSON row takes a key as two ``%s`` arguments between quotes, the parent
-key and the suffix, unescaped: ``_cmd_solve_manager`` checks once per
-suffix table, before any of the report is written, that JSON writes the
-suffixes as they are (``_check_key_texts``), and raises InvariantError
-if not.  The CSV writer joins a block's keys once and frees them with
-the block.  Row counts come from the value arrays, so nothing on the
-write path builds the horizon keys.
+of its branch, and only this module splits it so (``_stage_blocks``).
+So the rows are put in key order with ``np.lexsort`` on the parent's
+rank, then the suffix's, with parents ranked by their key plus ``;``, as
+a parent key can be a proper prefix of another (``...;y1=0,1`` and
+``...;y1=0,10``, when the last member has 11 or more labels) and ``;``
+sorts after the digits.  The JSON row takes a key as two ``%s``
+arguments between quotes, the parent key and the suffix, unescaped:
+``_cmd_solve_manager`` checks once per suffix table, before any of the
+report is written, that JSON writes the suffixes as they are
+(``_check_key_texts``), and raises InvariantError if not.  The CSV
+writer joins a block's keys once and frees them with the block.  Row
+counts come from the value arrays, so nothing on the write path builds
+the horizon keys.
 
 A float's text is always that of ``float.__repr__``.  Where ``repr``
 writes every float of a block in fixed notation, the digits come from
@@ -65,7 +67,8 @@ and spreads the rendering over the CPUs this process may run on
 function, goes to process j mod P, with P the CPU count but at most the
 block count.  Process 0 is this one, which writes every block.  The
 others are forked once every stage's rows are sorted, and each sends its
-blocks in order over its own pipe, as length-prefixed frames.  A value
+blocks in order over its own pipe, as length-prefixed frames, which this
+process reads and decodes whole, one block at a time.  A value
 function of no more than ``_BLOCK_ROWS`` rows in all, or a platform
 without ``os.fork`` or ``os.sched_getaffinity``, is written by this
 process alone.  If a renderer dies (its frame comes short), this process
@@ -107,7 +110,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import math
 import os
@@ -501,57 +503,51 @@ def _ranks(texts: list) -> np.ndarray:
 
 def _stage_blocks(vf, t: int, render) -> list:
     """The render jobs of stage ``t`` of ``vf`` (a ``dp.ValueFunction``):
-    its rows are put in key order here, once, and each job returns
-    ``render(t, heads, tails, argmins, slot, floats)`` for the next
-    ``_BLOCK_ROWS`` rows in that order: their keys as parent keys and
-    branch suffixes, argmin action indices (None at the horizon), and the
-    float slot and its argument columns from ``_block``.  A job slices
-    its block when it runs, in the process that runs it.  ``floattext``
-    is imported here, before any renderer is forked.
+    its rows are put in key order here, once, in one ``order`` array; each
+    job is ``_block`` for its next ``_BLOCK_ROWS`` rows, sliced in the
+    process that runs it.  ``floattext`` is imported before any fork.
 
-    A key is its parent's key plus its branch's suffix (the root's is ""
-    plus ""), so the rows are ordered by ``np.lexsort`` on the parent's
-    rank, then the suffix's, and no key is built.  Suffixes rank by their
-    text; at t >= 1 each starts with ``;``, so two keys of different
-    parents compare as their parent keys plus ``;`` do, which is how
-    parents rank.  That differs from the parent keys alone where one is a
-    proper prefix of another (``...;y1=0,1`` and ``...;y1=0,10``, when the
-    last member has 11 or more labels), since ``;`` sorts after the
-    digits."""
+    Row r of stage t >= 1 is the r-th live branch of ``index[t - 1]``;
+    its flat position ``p * len(tails) + s`` gives its parent key
+    ``heads[p]`` (``decision_keys[t - 1]``) and suffix ``tails[s]``
+    (``suffixes[t - 1]``), and its key is the two joined.  The root is the
+    parent "" plus the suffix "", on branch 0.  So the rows are ordered by
+    ``np.lexsort`` on the parent's rank, then the suffix's, and no key is
+    built.  Suffixes rank by their text; at t >= 1 each starts with ``;``,
+    so two keys of different parents compare as their parent keys plus
+    ``;`` do, which is how parents rank.  That differs from the parent
+    keys alone where one is a proper prefix of another (``...;y1=0,1`` and
+    ``...;y1=0,10``, when the last member has 11 or more labels), since
+    ``;`` sorts after the digits."""
     from . import floattext  # noqa: F401
 
-    heads, tails, branches = vf.key_parts(t)
+    if t:
+        heads, tails = vf.decision_keys[t - 1], vf.suffixes[t - 1]
+        branches = np.flatnonzero(vf.index[t - 1] >= 0)
+    else:
+        heads, tails, branches = [""], [""], np.zeros(1, dtype=np.intp)
     width = len(tails)
     order = np.lexsort(
         (_ranks(tails)[branches % width], _ranks([h + ";" for h in heads])[branches // width])
     )
-    # one array per stage, the rows and their branches in key order, kept
-    # until its last block is written
-    ordered = np.stack((order, branches[order]))
     return [
-        partial(_block, render, vf, t, heads, tails, ordered, lo)
+        partial(_block, render, vf, t, heads, tails, order, branches, lo)
         for lo in range(0, len(order), _BLOCK_ROWS)
     ]
 
 
-def _block(render, vf, t: int, heads: list, tails: list, ordered: np.ndarray, lo: int) -> str:
-    """Render the ``_BLOCK_ROWS`` rows from ``lo`` on of ``ordered``:
-    stage ``t``'s rows in key order over their branches' flat positions
-    ``p * len(tails) + s``, the parent key ``heads[p]`` and the suffix
-    ``tails[s]`` (``dp.ValueFunction.key_parts``).  Each
-    float of a row, the belief components then the value, fills one slot
-    of the row template as ``float.__repr__`` spells it.  When ``repr``
-    writes every float of the block in fixed notation, the slot is
-    ``floattext.SLOT`` and its four arguments per float come from
-    ``floattext.fields``, the digits found for a whole column at once;
-    otherwise (a value that ``repr`` writes in exponent notation, 0 < |x|
-    < 1e-4 or |x| >= 1e16, or a non-finite one) the slot is ``%s`` and
-    its one argument the text of ``repr``, or of ``_float`` when the
-    block holds a non-finite value.  ``floats`` holds the list of
-    argument columns of each float slot."""
+def _block(render, vf, t: int, heads: list, tails: list, order, branches, lo: int) -> str:
+    """``render(t, heads, tails, argmins, slot, floats)`` for the
+    ``_BLOCK_ROWS`` rows from ``lo`` on of ``order``: their parent keys
+    and suffixes, found from ``branches[rows]`` (``_stage_blocks``), argmin
+    action indices (None at the horizon), and the float slot and each
+    float's argument columns, the belief components then the value:
+    ``floattext.SLOT`` and ``floattext.fields`` where ``repr`` writes every
+    float of the block in fixed notation, else ``%s`` and the texts of
+    ``repr``, or of ``_float`` in a block holding a non-finite value."""
     from . import floattext
 
-    rows, branches = ordered[:, lo : lo + _BLOCK_ROWS]
+    rows = order[lo : lo + _BLOCK_ROWS]
     b, v = vf.beliefs[t][rows], vf.values[t][rows]
     columns = [*b.T, v]
     if floattext.fixed(b) and floattext.fixed(v):
@@ -560,19 +556,21 @@ def _block(render, vf, t: int, heads: list, tails: list, ordered: np.ndarray, lo
         fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
         slot, floats = "%s", [[list(map(fmt, c.tolist()))] for c in columns]
     argmins = None if t == vf.horizon else vf.argmins[t][rows].tolist()
-    parent, suffix = np.divmod(branches, len(tails))
+    parent, suffix = np.divmod(branches[rows], len(tails))
     heads = list(map(heads.__getitem__, parent.tolist()))
     tails = list(map(tails.__getitem__, suffix.tolist()))
     return render(t, heads, tails, argmins, slot, floats)
 
 
-def _fill(args: list, first: int, step: int, width: int, floats: list) -> None:
-    """Put the argument columns ``floats`` of a block's float slots into
-    ``args``, rows of ``width`` arguments: slot x's arguments start at
-    ``first + step * x`` of each row."""
-    for x, columns in enumerate(floats):
-        for j, column in enumerate(columns, first + step * x):
-            args[j::width] = column
+def _fill_rows(row: str, n: int, columns: list, sep: str = "") -> str:
+    """``n`` copies of the row template ``row`` joined by ``sep``, filled
+    by one ``%``: ``columns`` are the block's argument columns in slot
+    order, and row i takes entry i of each."""
+    width = len(columns)
+    args = [None] * (n * width)
+    for j, column in enumerate(columns):
+        args[j::width] = column
+    return sep.join([row] * n) % tuple(args)
 
 
 def _write_value_function(vf, indent: str, write) -> None:
@@ -580,10 +578,11 @@ def _write_value_function(vf, indent: str, write) -> None:
     sort_keys=True)`` writes its reference form ``{"horizon", "stages":
     [{key: {"argmin", "belief", "value"}}]}`` on a line led by ``indent``
     (a newline and the line's spaces): each block of ``_stage_blocks`` is
-    one ``%`` over the row template repeated, whose arguments are the
-    key's parent key and suffix, the argmin text and the float texts,
-    rendered by ``_write_blocks``.  The key goes between the quotes as it
-    is, which ``_check_key_texts`` makes sure is its JSON text."""
+    one ``%`` over the row template repeated (``_fill_rows``), whose
+    arguments are the key's parent key and suffix, the argmin text
+    (``null`` is in the template at the horizon) and the float texts,
+    rendered by ``_write_blocks``.  The key goes between the quotes as it is, which
+    ``_check_key_texts`` makes sure is its JSON text."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
     i5 = i4 + "  "
@@ -591,21 +590,15 @@ def _write_value_function(vf, indent: str, write) -> None:
     S = vf.beliefs[0].shape[1]
 
     def render(t, heads, tails, argmins, slot, floats) -> str:
+        texts = [] if argmins is None else [map(forms.__getitem__, argmins)]
+        argmin = "%s" if texts else "null"
         row = (
-            i3 + '"%s%s": {' + i4 + '"argmin": %s,' + i4 + '"belief": ['
+            i3 + '"%s%s": {' + i4 + '"argmin": ' + argmin + "," + i4 + '"belief": ['
             + i5 + (slot + "," + i5) * (S - 1) + slot + i4 + "]," + i4 + '"value": ' + slot
             + i3 + "}"
         )
-        arity = len(floats[0])
-        width = 3 + arity * (S + 1)
-        args = [None] * (len(heads) * width)
-        args[0::width] = heads
-        args[1::width] = tails
-        args[2::width] = (
-            ["null"] * len(heads) if argmins is None else map(forms.__getitem__, argmins)
-        )
-        _fill(args, 3, arity, width, floats)
-        return ",".join([row] * len(heads)) % tuple(args)
+        columns = [heads, tails, *texts, *(c for args in floats for c in args)]
+        return _fill_rows(row, len(heads), columns, ",")
 
     pieces = ["{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [']
     # one text each, shared by every stage
@@ -625,36 +618,27 @@ def _write_value_function(vf, indent: str, write) -> None:
 def _flatten_value_function(prefix: str, vf, write) -> None:
     """Write the CSV rows of the value function ``vf`` as ``_flatten``
     writes its reference form: each block of ``_stage_blocks`` is one
-    ``%`` over the stage's row template repeated, one line per leaf
-    (``<key>.argmin[k]``, or ``<key>.argmin,null`` at the horizon, then
-    ``<key>.belief[x]`` and ``<key>.value``), whose arguments are the key
-    and the leaf's text, pair by pair, rendered by ``_write_blocks``.  A
-    block's keys are joined from their parent keys and suffixes once, and
-    freed with the block."""
+    ``%`` over the stage's row template repeated (``_fill_rows``), one
+    line per leaf (``<key>.argmin[k]``, or ``<key>.argmin,null`` at the
+    horizon, then ``<key>.belief[x]`` and ``<key>.value``), whose
+    arguments are the key and the leaf's text, leaf by leaf, rendered by
+    ``_write_blocks``.  A block's keys are joined from their parent keys
+    and suffixes once, and freed with the block."""
     lead = prefix + "." if prefix else ""
     digits = [[int.__repr__(a) for a in column] for column in zip(*vf.actions)]
-    S = vf.beliefs[0].shape[1]
+    leaves = [*(f"belief[{x}]" for x in range(vf.beliefs[0].shape[1])), "value"]
 
     def render(t, heads, tails, argmins, slot, floats) -> str:
-        argmin = ["argmin"] if argmins is None else [f"argmin[{k}]" for k in range(len(digits))]
         stage = f"{lead}stages[{t}].".replace("%", "%%")
-        row = "".join(f"{stage}%s.{leaf},%s\n" for leaf in argmin) + "".join(
-            f"{stage}%s.{leaf},{slot}\n" for leaf in [*(f"belief[{x}]" for x in range(S)), "value"]
-        )
-        step = 1 + len(floats[0])  # the key and the float's arguments
-        first = 2 * len(argmin)  # the key of belief[0]
-        width = first + step * (S + 1)
         names = list(map(str.__add__, heads, tails))
-        args = [None] * (len(names) * width)
-        for j in [*range(0, first, 2), *range(first, width, step)]:
-            args[j::width] = names
         if argmins is None:
-            args[1::width] = ["null"] * len(names)
+            row, columns = f"{stage}%s.argmin,null\n", [names]
         else:
-            for k, texts in enumerate(digits):
-                args[2 * k + 1 :: width] = map(texts.__getitem__, argmins)
-        _fill(args, first + 1, step, width, floats)
-        return row * len(names) % tuple(args)
+            row = "".join(f"{stage}%s.argmin[{k}],%s\n" for k in range(len(digits)))
+            columns = [c for texts in digits for c in (names, map(texts.__getitem__, argmins))]
+        row += "".join(f"{stage}%s.{leaf},{slot}\n" for leaf in leaves)
+        columns += [c for args in floats for c in (names, *args)]
+        return _fill_rows(row, len(names), columns)
 
     pieces = [f"{lead}horizon,{vf.horizon}\n"]
     for t in range(len(vf.values)):
@@ -765,27 +749,18 @@ def _send(fd: int, data: bytes) -> None:
             view = view[os.write(fd, view) :]
 
 
-# bytes of a frame read and decoded at a time; a frame read whole before
-# its decoding would take a second block's worth of memory
-_FRAME_CHUNK = 1 << 16
-
-
 def _receive(reader) -> str | None:
     """The text of the next frame on ``reader``, or None when the frame
-    comes short: its renderer died."""
+    comes short: its renderer died.  The length is trusted: our own child
+    sent it in one 8-byte write, which a pipe writes whole."""
     head = reader.read(8)
     if len(head) < 8:
         return None
     size = int.from_bytes(head, "little")
-    decode = codecs.getincrementaldecoder("utf-8")("surrogatepass").decode
-    texts = []
-    while size:
-        data = reader.read1(min(size, _FRAME_CHUNK))
-        if not data:
-            return None
-        size -= len(data)
-        texts.append(decode(data, not size))
-    return "".join(texts)
+    data = reader.read(size)
+    if len(data) < size:
+        return None
+    return data.decode("utf-8", "surrogatepass")
 
 
 def _flatten(prefix: str, value, write) -> None:

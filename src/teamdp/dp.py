@@ -238,8 +238,10 @@ class ValueFunction:
     zero-probability branch); and ``suffixes[t]``, the ``A * Y`` branch
     suffixes ``;u{t}=..;y{t+1}=..`` in flat branch order (no leading
     ``;`` at t = 0, whose parent key is "").  A key of stage t+1 is its
-    parent's key plus its branch's suffix; the horizon's keys are kept
-    nowhere.  :meth:`rows` finds a history's row by walking ``index``."""
+    parent's key plus its branch's suffix, and row r of stage t+1 is the
+    r-th live branch of ``index[t]`` in flat order; the horizon's keys are
+    kept nowhere, and only ``teamdp.cli`` splits a key so for printing.
+    :meth:`rows` finds a history's row by walking ``index``."""
 
     horizon: int
     actions: list[tuple[int, ...]]
@@ -268,17 +270,6 @@ class ValueFunction:
             live = np.flatnonzero(rows >= 0)
             rows[live] = self.index[s][rows[live], u[live, s], y[live, s]]
         return rows
-
-    def key_parts(self, t: int):
-        """Stage t's keys as parent key plus branch suffix: ``(heads,
-        tails, branches)``, the parent stage's keys, its suffix table, and
-        per row of stage t the flat position ``p * len(tails) + s`` of its
-        branch in ``index[t - 1]``, whose parent is ``heads[p]`` and suffix
-        ``tails[s]``.  The root's key is the parent "" plus the suffix ""."""
-        if t == 0:
-            return [""], [""], np.zeros(1, dtype=np.intp)
-        branches = np.flatnonzero(self.index[t - 1] >= 0)
-        return self.decision_keys[t - 1], self.suffixes[t - 1], branches
 
 
 @dataclass

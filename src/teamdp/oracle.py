@@ -145,7 +145,14 @@ def _cost_from(model, strategy, node, t) -> float:
 def exact_cost_to_go(model: TeamModel, strategy, obs_seq: tuple, act_seq: tuple, t: int) -> float:
     """Expected cost from time t on, conditioned on a realized full-history
     prefix (t joint observations, t joint actions), with future actions
-    drawn from ``strategy``."""
+    drawn from ``strategy``.  Raises ValueError unless 0 <= t <= T and
+    both prefixes hold exactly t entries."""
+    if not 0 <= t <= model.horizon:
+        raise ValueError(f"time {t} outside 0..{model.horizon}")
+    if len(obs_seq) != t or len(act_seq) != t:
+        raise ValueError(
+            f"prefixes of {len(obs_seq)} observations and {len(act_seq)} actions at time {t}"
+        )
     occ = {x: float(p) for x, p in enumerate(model.initial_dist) if p > 0.0}
     for s in range(t):
         occ = _predict_occ(model, occ, model.flat_action(act_seq[s]))

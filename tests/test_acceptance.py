@@ -189,6 +189,7 @@ def test_criterion_3_dp_optimality_and_comparison_principle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_value_function_properties():
     """backup scales exactly (within 1e-12) under positive scaling of the
     belief for rho in {0.5, 2, 7.3} on 100 (belief, value_next) pairs, and
@@ -373,6 +374,7 @@ def test_criterion_6_manager_member_equivalence_report():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_reproducible_reports(toy2, tmp_path):
     """Byte-identical reports (timing line excluded) across consecutive
     invocations and across serial vs concurrent execution of the CLI."""

@@ -466,6 +466,7 @@ _documents = st.recursive(
 )
 
 
+@pytest.mark.slow
 @settings(max_examples=500, deadline=None)
 @given(_documents)
 def test_encode_matches_json_dumps(obj):
@@ -524,6 +525,18 @@ _VALUE_FUNCTION_MODELS = {
         '"u0=0,0;y1=0,1;u1=0,0;y2=0,0"',
     ),
     "horizon_1": (lambda toy2: random_model(331, horizon=1), ""),
+    # K = 3 argmin columns and 12 joint actions: stages of 1, 96 and 9,216
+    # rows
+    "three_members": (
+        lambda toy2: random_model(340, num_members=3, action_sizes=(2, 3, 2), horizon=2),
+        '"u0=1,2,1;y1=1,1,1;u1=1,2,1;y2=1,1,1"',
+    ),
+    # K = 1 and S = 1: one argmin column and one belief column
+    "one_state": (
+        lambda toy2: random_model(341, num_members=1, num_states=1, horizon=2),
+        '"u0=1;y1=1;u1=1;y2=1": {\n        "argmin": null,\n'
+        '        "belief": [\n          1.0\n        ],',
+    ),
     # stage 3 has 13,824 rows, more than one block
     "past_block": (lambda toy2: random_model(332, horizon=3, obs_sizes=(2, 3)), ""),
     # unvalidated: non-finite terminal costs spread through every stage
@@ -685,7 +698,8 @@ def _assert_no_child_left():
 
 
 # a CSV prefix of multi-byte characters, a lone surrogate and a "%", so
-# that frames cut characters wherever they are read
+# that every frame holds text that UTF-8 writes in more than one byte,
+# and a "%" the row template must escape
 _WIDE_PREFIX = "\u2603\u00e9%\ud800" * 8
 
 
@@ -711,11 +725,14 @@ def _block_notations(vf, rows: int) -> set:
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
-@pytest.mark.parametrize("case", ["past_block", "zero_entry", "huge_value", "last_eleven_obs"])
+@pytest.mark.parametrize(
+    "case", ["past_block", "zero_entry", "huge_value", "last_eleven_obs", "three_members"]
+)
 def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, processes):
     """Both formats of a value function are the same bytes whatever the
     number of renderer processes.  last_eleven_obs's stage 2 has 7,744
-    rows, with parent keys that are prefixes of others.  zero_entry's
+    rows, with parent keys that are prefixes of others, and
+    three_members's 9,216, with three argmin columns.  zero_entry's
     1,765 rows, pruned branches leaving gaps in the row order, are cut
     into 64-row blocks, so that they are more than one block's rows and
     go to renderers too; huge_value's 273 rows are cut into 1-row blocks, of which repr
@@ -817,6 +834,7 @@ def test_csv_value_function_is_written_block_by_block(toy2):
     assert peak < written
 
 
+@pytest.mark.slow
 def test_json_report_is_written_chunk_by_chunk():
     """The JSON report of a long chain (K = 1, S = 1, T = 1,000: 13.8 MB,
     history keys up to 14 KB) goes out one encoder chunk or value-function
@@ -1120,6 +1138,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(mutated_scenarios() | st.sampled_from([[], "x", None, 3, [SCENARIO_DOCUMENTS[0]]]))
 def test_validate_on_mutated_scenarios(fuzz_dir, doc):

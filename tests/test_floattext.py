@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,7 @@ def _assert_repr(x: np.ndarray) -> None:
         assert [SLOT % a for a in zip(*fields(kept))] == [t for t, i in zip(texts, inside) if i]
 
 
+@pytest.mark.slow
 def test_random_bit_patterns():
     bits = np.random.default_rng(20201).integers(0, 2**64, size=10**6, dtype=np.uint64)
     x = bits.view(np.float64)
@@ -61,6 +63,7 @@ def test_random_bit_patterns():
     _assert_repr(x)
 
 
+@pytest.mark.slow
 def test_uniform_draws():
     _assert_repr(np.random.default_rng(20202).random(10**6))
 
@@ -98,6 +101,7 @@ def test_integers_and_zeros():
     assert not fixed(np.array([np.inf]))
 
 
+@pytest.mark.slow
 @settings(max_examples=2000)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_any_finite_float(x):

@@ -19,6 +19,7 @@ from teamdp import (
     DecentralizedStrategy,
     InformationStructure,
     InvariantError,
+    MemberTableStrategy,
     extract_views,
 )
 from teamdp import oracle
@@ -125,6 +126,40 @@ def test_cost_to_go_tower_property(toy2):
             continue
         total += p_y * oracle.exact_cost_to_go(model, g, (y,), (u0,), 1)
     assert abs(total - oracle.exact_cost(model, structure, g)) <= 1e-12
+
+
+def _default_profile():
+    """random_model(1, horizon=2) under delayed sharing (1, 1), with a
+    profile of two empty member tables that answer 0 everywhere."""
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    members = [MemberTableStrategy(model, structure, k, {}, default=0) for k in range(2)]
+    g = DecentralizedStrategy(model, structure, members)
+    assert oracle.exact_cost(model, structure, g) == 1.4868931919010824
+    return model, g
+
+
+def test_cost_to_go_refuses_a_negative_time():
+    # once 2.333521519265733, from three stages, the first at stage_cost[-1]
+    model, g = _default_profile()
+    with pytest.raises(ValueError, match="time -1 outside 0..2"):
+        oracle.exact_cost_to_go(model, g, (), (), -1)
+
+
+def test_cost_to_go_refuses_prefixes_longer_than_the_time():
+    # once 1.1377879782490687, the value of the length-1 prefix
+    model, g = _default_profile()
+    y, u = model.joint_observations[0], (0, 0)
+    assert oracle.exact_cost_to_go(model, g, (y,), (u,), 1) == 1.1377879782490687
+    with pytest.raises(ValueError, match="prefixes of 2 observations and 2 actions at time 1"):
+        oracle.exact_cost_to_go(model, g, (y, y), (u, u), 1)
+
+
+def test_cost_to_go_refuses_prefixes_shorter_than_the_time():
+    # once an IndexError
+    model, g = _default_profile()
+    with pytest.raises(ValueError, match="prefixes of 0 observations and 0 actions at time 2"):
+        oracle.exact_cost_to_go(model, g, (), (), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ def _schema_text(doc):
     return None
 
 
+@pytest.mark.slow
 @settings(max_examples=400, deadline=None)
 @given(mutated_scenarios())
 def test_schema_check_matches_jsonschema(doc):
