@@ -14,68 +14,28 @@ sort_keys=True)``.  The CSV export is streamed the same way:
 ``_flatten`` writes one ``key,value`` line per leaf in the same sorted
 walk, each value spelled by ``json.dumps``.
 
-A manager value function is the one thing the json module does not
-write: its report form would hold one dict per node, so both formats
-write it in place, straight from its stage arrays, with
-``_write_value_function`` (JSON) and ``_flatten_value_function`` (CSV).
-The encoder's ``default`` hook hands each ``dp.ValueFunction`` to
-``_write_value_function``, which writes it at the indent of the line the
-value starts on, in place of the ``null`` the encoder yields for the
-hook's ``None``.  Only this module knows how a value function looks in
-a report.  One walk, ``_stage_blocks``, puts a stage's rows in key order
-and makes one render job per ``_BLOCK_ROWS`` rows, which hands the
-block's keys, argmin action indices and floats to the render function of
-the format.  Each lays out its row template and the block's argument
-columns in slot order, and ``_fill_rows`` fills the template repeated
-with one ``%``: the JSON row has slots for the key, the argmin text (one
-precomputed text per joint action; ``null`` at the horizon is in the
-template), each belief float and the value; the CSV row has one line per
-leaf, each with slots for the key and the leaf's text.  So the largest
-write is one block, whatever the tree size.
+A manager solution's two large tables, the value function (a
+``dp.ValueFunction``) and the strategy table (a ``_StrategyTable`` in the
+strategy's dict), are written in place by this module's writers
+(``_writers``), in both formats, with those bytes.  A writer cuts its
+rows, in key order, into blocks of at most ``_BLOCK_ROWS`` rows and
+renders each block as bytes with one kernel, ``_rows``: the row
+template's segments and the block's fields (keys, argmin texts and
+``floattext.texts`` of the floats, each an ``(n, w)`` uint8 matrix
+padded with NUL) side by side, every template byte kept and every field
+byte but NUL.  Keys go between quotes as they are, which
+``_check_key_texts`` makes sure of before any of the report is written.
+The solver keeps key strings for the decision stages only, and a stage's
+rows are ordered by their parent key and branch suffix
+(``_stage_rows``), so no horizon key is built.
 
-The solver keeps key strings for the decision stages only; a key of
-stage t >= 1 is its parent's key plus the suffix ``;u{t-1}=..;y{t}=..``
-of its branch, and only this module splits it so (``_stage_blocks``).
-So the rows are put in key order with ``np.lexsort`` on the parent's
-rank, then the suffix's, with parents ranked by their key plus ``;``, as
-a parent key can be a proper prefix of another (``...;y1=0,1`` and
-``...;y1=0,10``, when the last member has 11 or more labels) and ``;``
-sorts after the digits.  The JSON row takes a key as two ``%s``
-arguments between quotes, the parent key and the suffix, unescaped:
-``_cmd_solve_manager`` checks once per suffix table, before any of the
-report is written, that JSON writes the suffixes as they are
-(``_check_key_texts``), and raises InvariantError if not.  The CSV
-writer joins a block's keys once and frees them with the block.  Row
-counts come from the value arrays, so nothing on the write path builds
-the horizon keys.
-
-A float's text is always that of ``float.__repr__``.  Where ``repr``
-writes every float of a block in fixed notation, the digits come from
-``floattext``, which finds the shortest round-trip digits of a whole
-column at once with integer arithmetic in numpy; each float slot is then
-``floattext.SLOT``, whose four arguments (sign, integer part, the zeros
-that lead the fraction and the fraction's other digits) are ints and
-short strings, so the block's ``%`` formats no float.  A block that
-holds a value ``repr`` writes in exponent notation (0 < |x| < 1e-4 or
-|x| >= 1e16) or a non-finite one keeps one ``%s`` slot per float, filled
-with the text of ``repr``, or of ``_float`` (as the json module spells
-non-finite numbers) when the block holds a non-finite value.
-
-``_write_blocks`` writes a value function's texts and blocks in order,
-and spreads the rendering over the CPUs this process may run on
-(``os.sched_getaffinity``): block j, counted over the whole value
-function, goes to process j mod P, with P the CPU count but at most the
-block count.  Process 0 is this one, which writes every block.  The
-others are forked once every stage's rows are sorted, and each sends its
-blocks in order over its own pipe, as length-prefixed frames, which this
-process reads and decodes whole, one block at a time.  A value
-function of no more than ``_BLOCK_ROWS`` rows in all, or a platform
-without ``os.fork`` or ``os.sched_getaffinity``, is written by this
-process alone.  If a renderer dies (its frame comes short), this process
-renders that block and every later one itself, with the same render
-function, so the bytes depend neither on the CPU count nor on a fault.
-Every renderer is reaped before the writer returns, also when a write
-fails.
+``_write_blocks`` writes the blocks in order and spreads a value
+function's over the CPUs this process may run on: block j goes to
+process j mod P.  Process 0 is this one; the others are forked, each
+sorts a stage when it reaches it and sends its blocks' bytes over its
+own pipe, and this process decodes each once and writes it.  If a
+renderer dies, this process renders that block and every later one
+itself, so the bytes depend neither on the CPU count nor on a fault.
 
 ``--out`` is opened before any scenario work; one that cannot be opened,
 or that names the ``--scenario`` file (which opening would destroy), is a
@@ -96,10 +56,7 @@ imports the rest when it runs: ``validate`` nothing more,
 ``dp`` (whose ``compare_solutions`` imports ``oracle``), ``simulate``
 ``dp``, ``oracle`` and ``sim``, and ``gaussian-example`` ``gaussian``.
 ``floattext`` is imported only where a value function is written, before
-any renderer is forked.
-``_encode`` and ``_flatten`` recognise a ``dp.ValueFunction`` only when
-``dp`` is already imported, as it must be for one to exist, so writing a
-report, in either format, imports no solver.
+any renderer is forked, and writing a report imports no solver.
 
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
 undefined problem, e.g. pooled solves under no_sharing, or a broken
@@ -115,7 +72,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -325,7 +282,7 @@ def _cmd_solve_manager(model, structure, args):
     results = {
         "root_value": sol.root_value,
         "value_function": sol.value_function,
-        "strategy": sol.strategy.to_json_dict(),
+        "strategy": {**sol.strategy.to_json_dict(), "table": _StrategyTable(sol.value_function)},
     }
     return results, {"node_counts": list(sol.node_counts)}, EXIT_OK
 
@@ -446,19 +403,20 @@ def _float(o, _repr=float.__repr__, _nonfinite=_NONFINITE.get) -> str:
 
 def _encode(obj, write) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
-    writes it, one encoder chunk at a time, each ``dp.ValueFunction`` in
-    it written in place by ``_write_value_function``."""
+    writes it, one encoder chunk at a time, each table of ``_writers`` in
+    it written in place by its writer."""
     line = ""  # the last chunk written that holds a newline
     skip = False
 
     def default(o):
         nonlocal skip
-        if not _is_value_function(o):
+        writers = _writers(o)
+        if writers is None:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
         # the encoder writes no newline inside a string, so the text after
         # the last one written is the value's line, led by its indent
         tail = line.rpartition("\n")[2]
-        _write_value_function(o, "\n" + tail[: len(tail) - len(tail.lstrip(" "))], write)
+        writers[0](o, "\n" + tail[: len(tail) - len(tail.lstrip(" "))], write)
         skip = True  # the chunk the encoder yields next is the null of our None
 
     for chunk in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(obj):
@@ -470,57 +428,75 @@ def _encode(obj, write) -> None:
             line = chunk
 
 
-def _is_value_function(obj) -> bool:
-    """Whether ``obj`` is a ``dp.ValueFunction``; one can exist only once
-    ``dp`` is imported, so a report without one imports nothing."""
+class _StrategyTable:
+    """A manager strategy's table, written from the value function."""
+
+    def __init__(self, vf):
+        self.vf = vf
+
+
+def _writers(obj):
+    """The JSON and CSV writers of a ``_StrategyTable`` or (only once
+    ``dp`` is imported) a ``dp.ValueFunction``, else None."""
+    if isinstance(obj, _StrategyTable):
+        return _write_table, _flatten_table
     dp = sys.modules.get(f"{__package__}.dp")
-    return dp is not None and isinstance(obj, dp.ValueFunction)
+    if dp is not None and isinstance(obj, dp.ValueFunction):
+        return _write_value_function, _flatten_value_function
+    return None
 
 
-# rows of a value-function stage written by one ``%`` of the row template
+# most rows of one render job, and key text of one strategy-table job
 _BLOCK_ROWS = 1024
+_BLOCK_BYTES = 1 << 14
 
 
 def _check_key_texts(vf) -> None:
     """Raise InvariantError unless JSON writes every branch suffix of
-    ``vf`` (a ``dp.ValueFunction``) between quotes as it is, one check
-    per suffix table.  Every history key is a run of suffixes, and
-    ``_write_value_function`` puts each key's parent key and suffix
-    between quotes with no escaping, so a suffix that needs escaping
-    would make it write invalid JSON."""
+    ``vf``, and so every key, between quotes as it is."""
     for t, suffixes in enumerate(vf.suffixes):
         text = "".join(suffixes)
         if encode_basestring_ascii(text) != '"' + text + '"':
             raise InvariantError(f"a history key suffix of stage {t} needs escaping in JSON")
 
 
+def _chars(texts: list) -> np.ndarray:
+    """The ASCII ``texts`` as the NUL-padded rows of a uint8 matrix."""
+    array = np.array(texts, dtype=bytes)
+    return array.view(np.uint8).reshape(len(texts), array.itemsize)
+
+
+def _rows(n: int, parts: list) -> np.ndarray:
+    """The bytes of ``n`` rows, each the concatenation of ``parts``, in a
+    uint8 array: a str's UTF-8 bytes (lone surrogates passed through), all
+    kept, and an ``(n, w)`` uint8 field's i-th row but its NUL padding."""
+    columns, nul, width = [], [], 0
+    for part in parts:
+        if isinstance(part, str):
+            part = np.frombuffer(part.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+            nul.extend(width + np.flatnonzero(part == 0))
+            part = np.broadcast_to(part, (n, len(part)))
+        columns.append(part)
+        width += part.shape[1]
+    chars = np.concatenate(columns, axis=1)
+    keep = chars != 0
+    keep[:, nul] = True
+    return chars[keep]
+
+
 def _ranks(texts: list) -> np.ndarray:
-    """The position of each of ``texts`` in sorted order."""
-    ranks = np.empty(len(texts), dtype=np.intp)
-    ranks[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
-    return ranks
+    """The position of each of the ASCII ``texts`` in sorted order."""
+    return np.argsort(np.argsort(np.array(texts, dtype=bytes)))
 
 
-def _stage_blocks(vf, t: int, render) -> list:
-    """The render jobs of stage ``t`` of ``vf`` (a ``dp.ValueFunction``):
-    its rows are put in key order here, once, in one ``order`` array; each
-    job is ``_block`` for its next ``_BLOCK_ROWS`` rows, sliced in the
-    process that runs it.  ``floattext`` is imported before any fork.
-
-    Row r of stage t >= 1 is the r-th live branch of ``index[t - 1]``;
-    its flat position ``p * len(tails) + s`` gives its parent key
-    ``heads[p]`` (``decision_keys[t - 1]``) and suffix ``tails[s]``
-    (``suffixes[t - 1]``), and its key is the two joined.  The root is the
-    parent "" plus the suffix "", on branch 0.  So the rows are ordered by
-    ``np.lexsort`` on the parent's rank, then the suffix's, and no key is
-    built.  Suffixes rank by their text; at t >= 1 each starts with ``;``,
-    so two keys of different parents compare as their parent keys plus
-    ``;`` do, which is how parents rank.  That differs from the parent
-    keys alone where one is a proper prefix of another (``...;y1=0,1`` and
-    ``...;y1=0,10``, when the last member has 11 or more labels), since
-    ``;`` sorts after the digits."""
-    from . import floattext  # noqa: F401
-
+def _stage_rows(vf, t: int) -> tuple:
+    """Stage ``t`` of ``vf``: its rows in key order, its live branches,
+    and its parent keys and suffixes as ``_chars``.  Row r of stage t >= 1
+    is the r-th live branch ``p * len(tails) + s`` of ``index[t - 1]``,
+    with key ``heads[p] + tails[s]``; the root's is "" plus "".  Rows sort
+    by parent, then suffix, parents by their key plus ``;`` (as every
+    suffix of t >= 1 starts), as ``...;y1=0,1`` is a proper prefix of
+    ``...;y1=0,10`` and ``;`` sorts after the digits."""
     if t:
         heads, tails = vf.decision_keys[t - 1], vf.suffixes[t - 1]
         branches = np.flatnonzero(vf.index[t - 1] >= 0)
@@ -530,147 +506,163 @@ def _stage_blocks(vf, t: int, render) -> list:
     order = np.lexsort(
         (_ranks(tails)[branches % width], _ranks([h + ";" for h in heads])[branches // width])
     )
+    return order, branches, _chars(heads), _chars(tails)
+
+
+def _stage_blocks(vf, render) -> list:
+    """The jobs of each stage of ``vf``, a ``_block`` per ``_BLOCK_ROWS``
+    rows, sharing one ``_stage_rows`` at a time: a process builds a
+    stage's on its first block of it and drops it at the next stage.
+    ``floattext`` is imported before any fork."""
+    from . import floattext  # noqa: F401
+
+    stage = lru_cache(maxsize=1)(partial(_stage_rows, vf))
     return [
-        partial(_block, render, vf, t, heads, tails, order, branches, lo)
-        for lo in range(0, len(order), _BLOCK_ROWS)
+        [partial(_block, render, vf, stage, t, lo) for lo in range(0, len(values), _BLOCK_ROWS)]
+        for t, values in enumerate(vf.values)
     ]
 
 
-def _block(render, vf, t: int, heads: list, tails: list, order, branches, lo: int) -> str:
-    """``render(t, heads, tails, argmins, slot, floats)`` for the
-    ``_BLOCK_ROWS`` rows from ``lo`` on of ``order``: their parent keys
-    and suffixes, found from ``branches[rows]`` (``_stage_blocks``), argmin
-    action indices (None at the horizon), and the float slot and each
-    float's argument columns, the belief components then the value:
-    ``floattext.SLOT`` and ``floattext.fields`` where ``repr`` writes every
-    float of the block in fixed notation, else ``%s`` and the texts of
-    ``repr``, or of ``_float`` in a block holding a non-finite value."""
+def _block(render, vf, stage, t: int, lo: int) -> bytes:
+    """``render(t, keys, argmins, floats)`` of the ``_BLOCK_ROWS`` rows in
+    key order from ``lo`` on: parent key and suffix, argmin (None at the
+    horizon), and the texts of belief and value (``floattext.texts``
+    where repr writes them all in fixed notation, else ``_float``'s)."""
     from . import floattext
 
+    order, branches, heads, tails = stage(t)
     rows = order[lo : lo + _BLOCK_ROWS]
-    b, v = vf.beliefs[t][rows], vf.values[t][rows]
-    columns = [*b.T, v]
-    if floattext.fixed(b) and floattext.fixed(v):
-        slot, floats = floattext.SLOT, list(map(floattext.fields, columns))
-    else:
-        fmt = float.__repr__ if np.isfinite(b).all() and np.isfinite(v).all() else _float
-        slot, floats = "%s", [[list(map(fmt, c.tolist()))] for c in columns]
-    argmins = None if t == vf.horizon else vf.argmins[t][rows].tolist()
     parent, suffix = np.divmod(branches[rows], len(tails))
-    heads = list(map(heads.__getitem__, parent.tolist()))
-    tails = list(map(tails.__getitem__, suffix.tolist()))
-    return render(t, heads, tails, argmins, slot, floats)
+    x = np.column_stack([vf.beliefs[t][rows], vf.values[t][rows]])
+    if floattext.fixed(x):
+        floats = floattext.texts(x)
+    else:
+        floats = _chars(list(map(_float, x.ravel().tolist()))).reshape(*x.shape, -1)
+    argmins = None if t == vf.horizon else vf.argmins[t][rows]
+    return render(t, [heads[parent], tails[suffix]], argmins, floats)
 
 
-def _fill_rows(row: str, n: int, columns: list, sep: str = "") -> str:
-    """``n`` copies of the row template ``row`` joined by ``sep``, filled
-    by one ``%``: ``columns`` are the block's argument columns in slot
-    order, and row i takes entry i of each."""
-    width = len(columns)
-    args = [None] * (n * width)
-    for j, column in enumerate(columns):
-        args[j::width] = column
-    return sep.join([row] * n) % tuple(args)
+def _members(jobs: list, close: str) -> list:
+    """The pieces of a JSON object of the rows of ``jobs``."""
+    pieces = ["{"]
+    for n, job in enumerate(jobs):
+        pieces += [",", job] if n else [job]
+    return pieces + [close] if jobs else ["{}"]
 
 
 def _write_value_function(vf, indent: str, write) -> None:
     """Write the value function ``vf`` as ``json.dumps(indent=2,
     sort_keys=True)`` writes its reference form ``{"horizon", "stages":
     [{key: {"argmin", "belief", "value"}}]}`` on a line led by ``indent``
-    (a newline and the line's spaces): each block of ``_stage_blocks`` is
-    one ``%`` over the row template repeated (``_fill_rows``), whose
-    arguments are the key's parent key and suffix, the argmin text
-    (``null`` is in the template at the horizon) and the float texts,
-    rendered by ``_write_blocks``.  The key goes between the quotes as it is, which
-    ``_check_key_texts`` makes sure is its JSON text."""
+    (a newline and the line's spaces)."""
     i1 = indent + "  "
     i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
-    i5 = i4 + "  "
-    forms = ["[" + i5 + ("," + i5).join(map(int.__repr__, u)) + i4 + "]" for u in vf.actions]
+    forms = _chars([json.dumps(u, indent=2).replace("\n", i4) for u in vf.actions])
     S = vf.beliefs[0].shape[1]
 
-    def render(t, heads, tails, argmins, slot, floats) -> str:
-        texts = [] if argmins is None else [map(forms.__getitem__, argmins)]
-        argmin = "%s" if texts else "null"
-        row = (
-            i3 + '"%s%s": {' + i4 + '"argmin": ' + argmin + "," + i4 + '"belief": ['
-            + i5 + (slot + "," + i5) * (S - 1) + slot + i4 + "]," + i4 + '"value": ' + slot
-            + i3 + "}"
-        )
-        columns = [heads, tails, *texts, *(c for args in floats for c in args)]
-        return _fill_rows(row, len(heads), columns, ",")
+    def render(t, keys, argmins, floats) -> bytes:
+        argmin = "null" if argmins is None else forms[argmins]
+        parts = [i3 + '"', *keys, '": {' + i4 + '"argmin": ', argmin, "," + i4 + '"belief": [']
+        for x in range(S):
+            parts += [i4 + "  ", floats[:, x], "," if x + 1 < S else i4 + "]," + i4 + '"value": ']
+        return _rows(len(floats), [*parts, floats[:, S], i3 + "},"])[:-1].tobytes()
 
     pieces = ["{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [']
     # one text each, shared by every stage
     after, close = "," + i2, i2 + "}"
-    for t, values in enumerate(vf.values):
-        pieces.append(after if t else i2)
-        if not len(values):
-            pieces.append("{}")
-            continue
-        for n, job in enumerate(_stage_blocks(vf, t, render)):
-            pieces += ["," if n else "{", job]
-        pieces.append(close)
+    for t, jobs in enumerate(_stage_blocks(vf, render)):
+        pieces += [after if t else i2, *_members(jobs, close)]
     pieces.append(i1 + "]" + indent + "}")
-    _write_blocks(pieces, sum(map(len, vf.values)), write)
+    _write_blocks(pieces, write, sum(map(len, vf.values)))
 
 
 def _flatten_value_function(prefix: str, vf, write) -> None:
     """Write the CSV rows of the value function ``vf`` as ``_flatten``
-    writes its reference form: each block of ``_stage_blocks`` is one
-    ``%`` over the stage's row template repeated (``_fill_rows``), one
-    line per leaf (``<key>.argmin[k]``, or ``<key>.argmin,null`` at the
-    horizon, then ``<key>.belief[x]`` and ``<key>.value``), whose
-    arguments are the key and the leaf's text, leaf by leaf, rendered by
-    ``_write_blocks``.  A block's keys are joined from their parent keys
-    and suffixes once, and freed with the block."""
+    writes its reference form, one line per leaf."""
     lead = prefix + "." if prefix else ""
-    digits = [[int.__repr__(a) for a in column] for column in zip(*vf.actions)]
-    leaves = [*(f"belief[{x}]" for x in range(vf.beliefs[0].shape[1])), "value"]
+    digits = [_chars(list(map(str, column))) for column in zip(*vf.actions)]
+    leaves = [*(f".belief[{x}]," for x in range(vf.beliefs[0].shape[1])), ".value,"]
 
-    def render(t, heads, tails, argmins, slot, floats) -> str:
-        stage = f"{lead}stages[{t}].".replace("%", "%%")
-        names = list(map(str.__add__, heads, tails))
+    def render(t, keys, argmins, floats) -> bytes:
+        key = [f"{lead}stages[{t}].", *keys]
         if argmins is None:
-            row, columns = f"{stage}%s.argmin,null\n", [names]
+            parts = [*key, ".argmin,null\n"]
         else:
-            row = "".join(f"{stage}%s.argmin[{k}],%s\n" for k in range(len(digits)))
-            columns = [c for texts in digits for c in (names, map(texts.__getitem__, argmins))]
-        row += "".join(f"{stage}%s.{leaf},{slot}\n" for leaf in leaves)
-        columns += [c for args in floats for c in (names, *args)]
-        return _fill_rows(row, len(names), columns)
+            parts = []
+            for k, column in enumerate(digits):
+                parts += [*key, f".argmin[{k}],", column[argmins], "\n"]
+        for x, leaf in enumerate(leaves):
+            parts += [*key, leaf, floats[:, x], "\n"]
+        return _rows(len(floats), parts).tobytes()
 
     pieces = [f"{lead}horizon,{vf.horizon}\n"]
-    for t in range(len(vf.values)):
-        pieces += _stage_blocks(vf, t, render)
-    _write_blocks(pieces, sum(map(len, vf.values)), write)
+    for jobs in _stage_blocks(vf, render):
+        pieces += jobs
+    _write_blocks(pieces, write, sum(map(len, vf.values)))
 
 
-def _renderers(jobs: int, rows: int) -> int:
-    """How many processes render the ``jobs`` blocks of a value function
-    of ``rows`` rows: one per CPU this process may run on, but no more
-    than there are blocks, and this one alone for rows that fit in one
-    block or where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if rows <= _BLOCK_ROWS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), jobs)
+def _table_blocks(vf, render) -> list:
+    """The jobs ``render(keys, argmins)`` of the strategy table of ``vf``,
+    its keys sorted over all stages (as ``sort_keys`` sorts them) in blocks
+    of at most ``_BLOCK_ROWS`` keys and ``_BLOCK_BYTES``, or one key."""
+    keys = [key for stage in vf.decision_keys for key in stage]
+    argmins = np.concatenate([np.zeros(0, dtype=np.intp), *vf.argmins])
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    ends = np.cumsum([len(keys[i]) for i in order.tolist()])
+    jobs, lo = [], 0
+    while lo < len(order):
+        hi = np.searchsorted(ends, ends[lo] - len(keys[order[lo]]) + _BLOCK_BYTES, "right")
+        hi = min(max(hi, lo + 1), lo + _BLOCK_ROWS)
+        jobs.append(partial(_table_block, render, keys, argmins, order[lo:hi]))
+        lo = hi
+    return jobs
 
 
-def _write_blocks(pieces: list, rows: int, write) -> None:
-    """Write ``pieces`` in order: a str as it is, any other piece (a
-    render job: a function that returns the text of one block of a value
-    function of ``rows`` rows) as the text it returns.
+def _table_block(render, keys: list, argmins: np.ndarray, rows: np.ndarray) -> bytes:
+    return render(_chars([keys[i] for i in rows.tolist()]), argmins[rows])
 
-    Render job j goes to process j mod P, P from ``_renderers``.  Process
-    0 is this one, which writes every text; each other process is forked
-    once the jobs are listed and sends its texts in order over its own
-    pipe (``_fork_renderer``).  If a frame comes short (its renderer died)
-    or no renderer can be forked, this process renders that job and every
-    later one itself, so the bytes do not depend on P.  Every renderer is
+
+def _write_table(table: _StrategyTable, indent: str, write) -> None:
+    """Write the strategy table as ``json.dumps(indent=2, sort_keys=True)``
+    writes its dict, on a line led by ``indent``."""
+    i1 = indent + "  "
+    forms = _chars([json.dumps(u, indent=2).replace("\n", i1) for u in table.vf.actions])
+
+    def render(keys, argmins) -> bytes:
+        return _rows(len(keys), [i1 + '"', keys, '": ', forms[argmins], ","])[:-1].tobytes()
+
+    _write_blocks(_members(_table_blocks(table.vf, render), indent + "}"), write)
+
+
+def _flatten_table(prefix: str, table: _StrategyTable, write) -> None:
+    """Write the CSV rows of the strategy table as ``_flatten`` writes its
+    dict."""
+    lead = prefix + "." if prefix else ""
+    digits = [_chars(list(map(str, column))) for column in zip(*table.vf.actions)]
+
+    def render(keys, argmins) -> bytes:
+        parts = []
+        for k, column in enumerate(digits):
+            parts += [lead, keys, f"[{k}],", column[argmins], "\n"]
+        return _rows(len(keys), parts).tobytes()
+
+    _write_blocks(_table_blocks(table.vf, render), write)
+
+
+def _write_blocks(pieces: list, write, rows: int = 0) -> None:
+    """Write ``pieces`` in order: a str as it is, a render job (a function
+    that returns the UTF-8 bytes of a block) as the text of its bytes.
+    Job j goes to process j mod P, with P the CPU count but at most the
+    job count, and 1 for a value function of ``rows`` <= ``_BLOCK_ROWS``
+    rows or a strategy table (no ``rows``).  Process 0 is this one; the others
+    are forked now (``_fork_renderer``).  After a short frame or a failed
+    fork this process renders every job left itself.  Every renderer is
     reaped on every path: its pipe is closed first, so one blocked on a
     full pipe gets EPIPE and exits."""
     jobs = [piece for piece in pieces if not isinstance(piece, str)]
-    processes = _renderers(len(jobs), rows)
+    processes = 1
+    if rows > _BLOCK_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        processes = min(len(os.sched_getaffinity(0)), len(jobs))
     pids, readers = [], []
     try:
         try:
@@ -682,27 +674,19 @@ def _write_blocks(pieces: list, rows: int, write) -> None:
             _close_all(readers)
         j = 0
         for piece in pieces:
-            if isinstance(piece, str):
-                write(piece)
-            else:
-                write(_job_text(piece, j % processes, readers))
-                j += 1
+            if not isinstance(piece, str):
+                c, j = j % processes, j + 1
+                data = _receive(readers[c - 1]) if c and readers else None
+                if data is None:
+                    if c:  # no renderers, or a short frame: its renderer died
+                        _close_all(readers)
+                    data = piece()
+                piece = data.decode("utf-8", "surrogatepass")
+            write(piece)
     finally:
         _close_all(readers)
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def _job_text(job, c: int, readers: list) -> str:
-    """The text of ``job``, received from renderer ``c`` while renderers
-    run (``readers`` is not empty) and ``c`` is not 0, else rendered here.
-    A frame that comes short stops every renderer."""
-    if c and readers:
-        text = _receive(readers[c - 1])
-        if text is not None:
-            return text
-        _close_all(readers)
-    return job()
 
 
 def _close_all(readers: list) -> None:
@@ -712,14 +696,11 @@ def _close_all(readers: list) -> None:
 
 
 def _fork_renderer(jobs: list, readers: list):
-    """Fork a process that renders ``jobs`` in order and sends each text
-    over its own pipe as one frame: the length of its UTF-8 bytes (lone
-    surrogates passed through) in 8 bytes, then the bytes.  ``readers``
-    are the read ends of the renderers forked before it, which it closes.
-    Returns its pid and the pipe's read end.  The pipe's capacity keeps
-    it at most one block ahead of the reader.  It ends in ``os._exit``, so
-    it runs no atexit handler and flushes none of the stdio buffers it
-    inherited."""
+    """Fork a process that renders ``jobs`` in order and sends each one's
+    bytes over its own pipe as a frame, their length in 8 bytes and then
+    the bytes; it closes ``readers``, the pipes of earlier renderers, and
+    ends in ``os._exit``, flushing none of the stdio buffers it inherited.
+    Returns its pid and the pipe's read end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -734,7 +715,7 @@ def _fork_renderer(jobs: list, readers: list):
             for reader in readers:
                 reader.close()
             for job in jobs:
-                _send(w, job().encode("utf-8", "surrogatepass"))
+                _send(w, job())
             code = 0
         finally:
             os._exit(code)
@@ -749,18 +730,15 @@ def _send(fd: int, data: bytes) -> None:
             view = view[os.write(fd, view) :]
 
 
-def _receive(reader) -> str | None:
-    """The text of the next frame on ``reader``, or None when the frame
-    comes short: its renderer died.  The length is trusted: our own child
-    sent it in one 8-byte write, which a pipe writes whole."""
+def _receive(reader) -> bytes | None:
+    """The next frame on ``reader``, or None when it comes short: its
+    renderer died.  A pipe writes the 8-byte length whole."""
     head = reader.read(8)
     if len(head) < 8:
         return None
     size = int.from_bytes(head, "little")
     data = reader.read(size)
-    if len(data) < size:
-        return None
-    return data.decode("utf-8", "surrogatepass")
+    return data if len(data) == size else None
 
 
 def _flatten(prefix: str, value, write) -> None:
@@ -772,8 +750,8 @@ def _flatten(prefix: str, value, write) -> None:
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, write)
-    elif _is_value_function(value):
-        _flatten_value_function(prefix, value, write)
+    elif (writers := _writers(value)) is not None:
+        writers[1](prefix, value, write)
     else:
         write(f"{prefix},{json.dumps(value)}\n")
 

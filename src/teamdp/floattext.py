@@ -26,16 +26,16 @@ value are one ``(3, n)`` array cut into 32-bit limbs, multiplied on
 
 ``repr`` writes fixed notation for 0 and for 1e-4 <= |x| < 1e16, and
 ``fixed`` tells whether it does so for every value of an array;
-``fields`` gives the arguments with which ``SLOT`` spells such values
-as ``repr`` does.  Exponent notation and non-finite values have no
-spelling here.
+``texts`` spells such values as ``repr`` does, as a uint8 matrix of
+ASCII whose digits come four at a time from a table of 10,000 groups.
+Exponent notation and non-finite values have no spelling here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SLOT", "fields", "fixed", "shortest"]
+__all__ = ["fixed", "shortest", "texts"]
 
 # the decimal exponents k of the spacing of finite doubles, 2^-1074 to 2^971
 K_MIN, K_MAX = -324, 292
@@ -175,27 +175,41 @@ def fixed(x: np.ndarray) -> bool:
     return bool(((m < 1e16) & ((m >= 1e-4) | (m == 0))).all())
 
 
-# a value's text as repr writes it in fixed notation: sign, integer part,
-# ".", the zeros that lead the fraction and the fraction's other digits
-SLOT = "%s%d.%s%d"
-
-# the zeros that lead a fraction of at most 20 digits (17 significant
-# ones after 3 zeros, as 1e-4 <= |x|), by count
-_ZEROS = tuple("0" * n for n in range(20))
+# the four ASCII digits of 0000..9999, each group read as one uint32 so
+# that a gather moves four digits; the value is never read as a number
+_GROUPS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000).T + 48
+_GROUPS = np.ascontiguousarray(_GROUPS).view(np.uint32).ravel()
 
 
-def fields(x: np.ndarray) -> list:
-    """The arguments of ``SLOT`` for each value of the 1-D array ``x``,
-    all of which ``fixed`` accepts, as four lists: signs ("-" or ""),
-    integer parts, the zeros that lead the fraction, and the fraction
-    without them (0 for an integer, written "0")."""
-    digits, exponent = shortest(x)
+def _digits(v: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The last ``width`` digits of each value of the int64 ``v`` (used
+    up), right-aligned with NUL before them in a uint8 matrix."""
+    widest = int(width.max(initial=1))
+    groups = -(-widest // 4)
+    out = np.empty((len(v), groups), dtype=np.uint32)
+    for j in range(groups - 1, -1, -1):
+        high = v // 10000  # a scalar divisor is a multiply, np.divmod is not
+        v -= high * 10000
+        out[:, j] = _GROUPS[v]
+        v = high
+    # row k of ``kept``: k bytes 0, then bytes 0xFF
+    kept = np.arange(4 * groups) >= np.arange(4 * groups + 1)[:, None]
+    out &= (kept * np.uint8(255)).view(np.uint32)[4 * groups - width]
+    return out.view(np.uint8)[:, 4 * groups - widest :]
+
+
+def texts(x: np.ndarray) -> np.ndarray:
+    """The text ``repr`` writes for each value of ``x``, all of which
+    ``fixed`` accepts, as ASCII in a uint8 array of shape ``x.shape +
+    (w,)``: the sign, the integer part, "." and the fraction, each padded
+    with NUL before it.  Leaving out the NULs gives each text."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
+    digits, exponent = shortest(flat)
     integer, fraction = np.divmod(digits, _POW10[np.clip(-exponent, 0, 18)])
     integer *= _POW10[np.clip(exponent, 0, 18)]
-    # the fraction's width, less its digit count
-    zeros = np.maximum(-exponent, 1) - 1
-    zeros -= np.searchsorted(_POW10[1:], fraction, side="right")
-    negative = np.signbit(x)
-    signs = list(map(("", "-").__getitem__, negative.tolist())) if negative.any() else [""] * len(x)
-    zeros = list(map(_ZEROS.__getitem__, zeros.tolist()))
-    return [signs, integer.tolist(), zeros, fraction.tolist()]
+    sign = (np.signbit(flat) * np.uint8(ord("-")))[:, None]
+    point = np.full_like(sign, ord("."))
+    whole = _digits(integer, np.searchsorted(_POW10[1:], integer, side="right") + 1)
+    part = _digits(fraction, np.maximum(-exponent, 1))
+    chars = np.concatenate([sign, whole, point, part], axis=1)
+    return chars.reshape(*np.shape(x), chars.shape[1])

@@ -697,10 +697,11 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# a CSV prefix of multi-byte characters, a lone surrogate and a "%", so
-# that every frame holds text that UTF-8 writes in more than one byte,
-# and a "%" the row template must escape
-_WIDE_PREFIX = "\u2603\u00e9%\ud800" * 8
+# a CSV prefix of multi-byte characters, a lone surrogate, a "%" and a
+# NUL, so that every frame holds text that UTF-8 writes in more than one
+# byte, and template bytes that no field holds, which the row kernel
+# must keep
+_WIDE_PREFIX = "\u2603\u00e9%\ud800\x00" * 8
 
 
 # rows per block where a case's value function is cut smaller than
@@ -751,6 +752,31 @@ def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, process
     csv = _flattened({_WIDE_PREFIX: ref})
     assert _first_difference(_flattened({_WIDE_PREFIX: vf}), csv) is None
     assert len(forked) == 2 * (processes - 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
+def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case, processes):
+    """solve-manager writes its strategy table from the value function's
+    decision keys and argmins, sorted over all stages, with the bytes the
+    json module and ``_flatten`` write for the strategy's own dict, in
+    blocks as the defaults cut them and in blocks of at most 3 keys and
+    64 bytes of key text, whatever the number of renderer processes.
+    last_eleven_obs has parent keys that are prefixes of others, and
+    three_members three action components."""
+    build, _ = _VALUE_FUNCTION_MODELS[case]
+    model = build(toy2)
+    results, _, _ = _cmd_solve_manager(model, toy2[1], argparse.Namespace(node_budget=10**6))
+    expected = {"strategy": solve_manager(model, toy2[1]).strategy.to_json_dict()}
+    written = {"strategy": results["strategy"]}
+    _use_renderers(monkeypatch, processes)
+    for cut in ({}, {"_BLOCK_ROWS": 3, "_BLOCK_BYTES": 64}):
+        for name, value in cut.items():
+            monkeypatch.setattr(teamdp.cli, name, value)
+        text = json.dumps(expected, indent=2, sort_keys=True)
+        assert _first_difference(_encoded(written), text) is None
+        assert _first_difference(_flattened(written), _flattened(expected)) is None
     _assert_no_child_left()
 
 

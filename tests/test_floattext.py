@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamdp import floattext
-from teamdp.floattext import SLOT, fields, fixed, shortest
+from teamdp.floattext import fixed, shortest, texts
 
 
 def _text(negative: bool, digits: int, exponent: int) -> str:
@@ -35,22 +35,27 @@ def _text(negative: bool, digits: int, exponent: int) -> str:
     return f"{sign}{mantissa}e{point - 1:+03d}"
 
 
+def _spelled(x: np.ndarray) -> list:
+    """The text of each value of ``x`` in ``texts``, its NULs left out."""
+    return [bytes(row[row != 0]).decode("ascii") for row in texts(x)]
+
+
 def _assert_repr(x: np.ndarray) -> None:
     """The kernel's text equals repr's for every value of ``x``, and
-    where repr writes fixed notation, so does ``SLOT`` with ``fields``."""
+    where repr writes fixed notation, so does ``texts``."""
     x = np.asarray(x, dtype=np.float64)
     digits, exponent = shortest(x)
     assert digits.dtype == exponent.dtype == np.int64
-    texts = list(map(float.__repr__, x.tolist()))
+    reprs = list(map(float.__repr__, x.tolist()))
     got = list(map(_text, np.signbit(x).tolist(), digits.tolist(), exponent.tolist()))
-    bad = [(t, g) for t, g in zip(texts, got) if t != g]
+    bad = [(t, g) for t, g in zip(reprs, got) if t != g]
     assert not bad, bad[:5]
-    inside = np.array(["e" not in t for t in texts], dtype=bool)
+    inside = np.array(["e" not in t for t in reprs], dtype=bool)
     assert all(fixed(x[i : i + 1]) == inside[i] for i in range(min(len(x), 2000)))
     if inside.any():
         kept = x[inside]
         assert fixed(kept)
-        assert [SLOT % a for a in zip(*fields(kept))] == [t for t, i in zip(texts, inside) if i]
+        assert _spelled(kept) == [t for t, i in zip(reprs, inside) if i]
 
 
 @pytest.mark.slow
@@ -94,9 +99,7 @@ def test_integers_and_zeros():
     _assert_repr(x)
     _assert_repr(np.array([2.0**k - 1 for k in range(1, 54)]))
     _assert_repr(np.array([10.0**k for k in range(-30, 31)]))
-    assert [SLOT % a for a in zip(*fields(np.array([0.0, -0.0, 1.0, -2.5])))] == [
-        "0.0", "-0.0", "1.0", "-2.5"
-    ]
+    assert _spelled(np.array([0.0, -0.0, 1.0, -2.5])) == ["0.0", "-0.0", "1.0", "-2.5"]
     assert not fixed(np.array([0.0, np.nan]))
     assert not fixed(np.array([np.inf]))
 
