@@ -58,6 +58,18 @@ imports the rest when it runs: ``validate`` nothing more,
 ``floattext`` is imported only where a value function is written, before
 any renderer is forked, and writing a report imports no solver.
 
+The command (``python -m teamdp`` and the installed ``teamdp``, both
+through ``teamdp.__main__``) also does two things at the process level
+that ``run`` does not: it sets ``OPENBLAS_NUM_THREADS=1`` unless the
+environment already sets it, before numpy loads, so OpenBLAS starts no
+idle worker threads whose start would take the CPU from the import; and
+``main`` ends the process with ``os._exit`` once the report is out and
+the standard streams that exist are flushed, with no interpreter
+teardown, so no atexit hook runs (profile or trace ``run``, as
+``perfbench/trace.py`` does).  A closed stdout counts as one that cannot
+be written; a closed or failing stderr is not written to and changes no
+exit code.
+
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
 undefined problem, e.g. pooled solves under no_sharing, or a broken
 solver invariant); 3 budget exceeded; 4 malformed scenario file; 64
@@ -67,6 +79,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -845,30 +858,45 @@ def _usage_error(report: dict, args, message: str, f) -> int:
     the usage line to stderr."""
     _emit(report, args, f)
     f.flush()
-    print(f"usage error: {message}", file=sys.stderr)
+    _usage_line(message)
     return EXIT_USAGE
+
+
+def _usage_line(message: str) -> None:
+    """Write the usage line to stderr, best effort: a stderr that is
+    closed or cannot be written changes neither the report nor the exit
+    status."""
+    if sys.stderr is None:  # fd 2 was closed when the interpreter started
+        return
+    try:
+        sys.stderr.write(f"usage error: {message}\n")
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
 
 
 def _to_stdout(emit) -> int:
     """Run ``emit(sys.stdout)``, which writes a report and returns the
     exit status, and flush stdout.  A stdout that cannot be written (a
-    full disk, a pipe whose reader is gone) is a usage error told on
-    stderr alone; fd 1 is then pointed at ``os.devnull``, so that the
-    flush at interpreter exit has nothing left to fail on."""
+    full disk, a pipe whose reader is gone, fd 1 closed) is a usage error
+    told on stderr alone; fd 1 is then pointed at ``os.devnull``, so that
+    a later flush has nothing left to fail on."""
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = emit(sys.stdout)
         sys.stdout.flush()
         return code
     except OSError as e:
         try:
             fd = sys.stdout.fileno()
-        except (OSError, ValueError):  # no file descriptor, e.g. a captured stdout
+        except (AttributeError, OSError, ValueError):  # no stdout, or no fd (a captured one)
             pass
         else:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        print(f"usage error: cannot write stdout: {e}", file=sys.stderr)
+        _usage_line(f"cannot write stdout: {e}")
         return EXIT_USAGE
 
 
@@ -918,4 +946,14 @@ def _dispatch(args, f, started: float) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The ``teamdp`` command: run, flush the standard streams that exist
+    and end the process at once, with no interpreter teardown.  ``run``
+    has closed ``--out`` and reaped every renderer by then."""
+    code = run()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):  # best effort, as in _usage_line
+                pass
+    os._exit(code)

@@ -664,14 +664,30 @@ def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, t
         manager_stages(vf)
 
 
-def test_solve_manager_writes_nothing_on_stderr(toy2, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "teamdp", "solve-manager", "--scenario",
-         _past_block_scenario(toy2, tmp_path), "--out", str(tmp_path / "report.json")],
-        capture_output=True, check=False,
-    )
-    assert proc.returncode == 0
-    assert proc.stderr == b""
+def test_solve_manager_writes_nothing_on_stderr(capsys, toy2, tmp_path):
+    """A forked-renderer run of the command, to a stdout pipe and to
+    --out, writes the whole report before the process ends at once:
+    exit 0, the in-process bytes but for the run time, and nothing on
+    stderr."""
+    argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
+    assert run(argv) == 0
+    want = WALL_TIME.sub("", capsys.readouterr().out)
+    out = tmp_path / "report.json"
+    # stdout buffered, as it is where PYTHONUNBUFFERED is not set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for options in ([], ["--out", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "teamdp", *argv, *options],
+            capture_output=True,
+            env=env,
+            check=False,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        text = (out.read_bytes() if options else proc.stdout).decode()
+        json.loads(text)
+        assert text.endswith("}\n")
+        assert WALL_TIME.sub("", text) == want
 
 
 def _use_renderers(monkeypatch, processes: int) -> list:
@@ -1133,6 +1149,60 @@ def test_stdout_closed_mid_value_function_is_a_usage_error(toy2, tmp_path):
     err = errno.EPIPE
     assert stderr.decode() == f"usage error: cannot write stdout: [Errno {err}] {os.strerror(err)}\n"
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "command, stream, stdout, code",
+    [
+        ("validate", "stdout_closed", "pipe", 64),
+        ("validate --out", "stdout_closed", "pipe", 0),
+        ("validate", "stderr_closed", "pipe", 0),
+        ("no-such-command", "stderr_closed", "pipe", 64),
+        ("no-such-command", "stderr_read_only", "pipe", 64),
+        ("validate", "stderr_closed", "full_device", 64),
+        ("validate", "stderr_read_only", "full_device", 64),
+    ],
+)
+def test_closed_standard_streams_keep_the_exit_contract(
+    scenario_path, tmp_path, command, stream, stdout, code
+):
+    """A standard stream closed before the command starts.  A closed
+    stdout is one that cannot be written (exit 64, one usage line on
+    stderr) unless the report goes to --out.  A stderr that is closed, or
+    open for reading only, is not written to and changes no exit code,
+    also when stdout fails.  Where stdout is open it holds exactly one
+    JSON report."""
+    out = tmp_path / "report.json"
+    argv = {
+        "validate": ["validate", "--scenario", scenario_path],
+        "validate --out": ["validate", "--scenario", scenario_path, "--out", str(out)],
+        "no-such-command": ["no-such-command"],
+    }[command]
+    closed = {"stdout_closed": 1, "stderr_closed": 2}.get(stream)
+    stderr = os.open(os.devnull, os.O_RDONLY) if stream == "stderr_read_only" else subprocess.PIPE
+    target = _unwritable_stdout(stdout)[0] if stdout == "full_device" else subprocess.PIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "teamdp", *argv],
+            stdout=target,
+            stderr=stderr,
+            preexec_fn=None if closed is None else lambda: os.close(closed),
+            timeout=120,
+        )
+    finally:
+        for fd in (target, stderr):
+            if fd != subprocess.PIPE:
+                os.close(fd)
+    assert proc.returncode == code
+    if closed == 1:
+        err = errno.EBADF
+        told = f"usage error: cannot write stdout: [Errno {err}] {os.strerror(err)}\n"
+        assert proc.stderr.decode() == (told if code == 64 else "")
+        assert proc.stdout == b""
+    elif stdout == "pipe":
+        json.loads(proc.stdout)  # one report and nothing else
+    if command == "validate --out":
+        assert json.loads(out.read_text())["results"]["valid"] is True
 
 
 @pytest.mark.parametrize("spelling", ["same", "dotted", "hard_link"])

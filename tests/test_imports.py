@@ -162,3 +162,48 @@ def test_scenario_digest_without_the_lean_modules(monkeypatch, hidden):
         monkeypatch.setitem(sys.modules, name, None)
     for raw in (b"", b'{"name": "toy"}', bytes(range(256)) * 1000):
         assert _scenario_digest(raw) == hashlib.sha256(raw).hexdigest()
+
+
+# what the entry point or a library import leaves: the OpenBLAS setting
+# and, once numpy is loaded, the thread count (None without /proc)
+_BLAS = """
+import json, os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if sys.argv[1] != "unset":
+    os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+exec(sys.argv[2])
+numpy_loaded = "numpy" in sys.modules
+import numpy
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), numpy_loaded, threads]), file=sys.stderr)
+"""
+
+
+def test_entry_point_starts_no_blas_pool():
+    """``teamdp.__main__`` sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+    loads, so the process holds one thread."""
+    code, (value, numpy_loaded, threads) = _fresh(_BLAS, "unset", "import teamdp.__main__")
+    assert code == 0
+    assert value == "1"
+    assert numpy_loaded
+    if threads is None:
+        pytest.skip("needs /proc to count threads")
+    assert threads == 1
+
+
+def test_entry_point_keeps_a_preset_blas_thread_count():
+    code, (value, _, _) = _fresh(_BLAS, "2", "import teamdp.__main__")
+    assert code == 0
+    assert value == "2"
+
+
+@pytest.mark.parametrize(
+    "statement", ["import teamdp", "import teamdp.cli", "from teamdp import solve_manager"]
+)
+def test_library_imports_leave_the_environment_alone(statement):
+    code, (value, numpy_loaded, _) = _fresh(_BLAS, "unset", statement)
+    assert code == 0
+    assert value is None
+    # the entry point's setting comes in time only while the package
+    # itself loads no numpy
+    assert numpy_loaded is (statement != "import teamdp")
