@@ -96,7 +96,7 @@ def main() -> None:
     key = history_key(traj.actions[:t], traj.observations[:t])
     # the node's row in the value function's stage-t arrays, found by a
     # walk over the tree's child indices
-    (row,) = vf.rows(model, np.array([traj.observations[:t]]), np.array([traj.actions[:t]]))
+    row = vf.row(model, traj.observations[:t], traj.actions[:t])
     ctg = oracle.exact_cost_to_go(model, g, traj.observations[:t], traj.actions[:t], t)
     print(f"\nat one realized history ({key!r}):")
     print(f"  optimal cost-to-go {vf.values[t][row]:.6f} <= strategy's cost-to-go {ctg:.6f}")

@@ -15,18 +15,19 @@ sort_keys=True)``.  The CSV export is streamed the same way:
 walk, each value spelled by ``json.dumps``.
 
 A manager solution's two large tables, the value function (a
-``dp.ValueFunction``) and the strategy table (a ``_StrategyTable`` in the
-strategy's dict), are written in place by this module's writers
-(``_writers``), in both formats, with those bytes.  A writer cuts its
-rows, in key order, into blocks of at most ``_BLOCK_ROWS`` rows and
+``dp.ValueFunction``) and the strategy table (the strategy itself, under
+``table`` in its report dict), are written in place by this module's
+writers (``_writers``), in both formats, with those bytes.  A writer cuts
+its rows, in key order, into blocks of at most ``_BLOCK_ROWS`` rows and
 renders each block as bytes with one kernel, ``_rows``: the row
 template's segments and the block's fields (keys, argmin texts and
 ``floattext.texts`` of the floats, each an ``(n, w)`` uint8 matrix
 padded with NUL) side by side, every template byte kept and every field
-byte but NUL.  Keys go between quotes as they are, which
-``_check_key_texts`` makes sure of before any of the report is written.
-The solver keeps key strings for the decision stages only, and a stage's
-rows are ordered by their parent key and branch suffix
+byte but NUL.  Only this module spells history keys: ``_keys`` builds
+the decision stages' keys once per written value function, before any
+renderer is forked, and ``_check_key_texts`` makes sure before any of
+the report is written that JSON writes them between quotes as they are.
+A stage's rows are ordered by parent key and branch suffix
 (``_stage_rows``), so no horizon key is built.
 
 ``_write_blocks`` writes the blocks in order and spreads a value
@@ -69,6 +70,9 @@ teardown, so no atexit hook runs (profile or trace ``run``, as
 ``perfbench/trace.py`` does).  A closed stdout counts as one that cannot
 be written; a closed or failing stderr is not written to and changes no
 exit code.
+
+``-h``/``--help`` is a run too: its report has ``metadata.command``
+"help" and the parser's help text in ``results.usage``.
 
 Exit codes: 0 success; 2 validation failure (or a solver refusing an
 undefined problem, e.g. pooled solves under no_sharing, or a broken
@@ -126,9 +130,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """-h or --help was given; the argument is the parser's help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit(2); we reserve 2
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # argparse prints and exits; we report
+        raise _Help(self.format_help())
 
 
 # argparse types; argparse names them in its message for unparsable text
@@ -295,7 +306,7 @@ def _cmd_solve_manager(model, structure, args):
     results = {
         "root_value": sol.root_value,
         "value_function": sol.value_function,
-        "strategy": {**sol.strategy.to_json_dict(), "table": _StrategyTable(sol.value_function)},
+        "strategy": {**sol.strategy.to_json_dict(), "table": sol.strategy},
     }
     return results, {"node_counts": list(sol.node_counts)}, EXIT_OK
 
@@ -441,19 +452,13 @@ def _encode(obj, write) -> None:
             line = chunk
 
 
-class _StrategyTable:
-    """A manager strategy's table, written from the value function."""
-
-    def __init__(self, vf):
-        self.vf = vf
-
-
 def _writers(obj):
-    """The JSON and CSV writers of a ``_StrategyTable`` or (only once
-    ``dp`` is imported) a ``dp.ValueFunction``, else None."""
-    if isinstance(obj, _StrategyTable):
-        return _write_table, _flatten_table
+    """The JSON and CSV writers of a manager strategy, written as its
+    table, or of a ``dp.ValueFunction``, else None (as for anything before
+    ``dp`` is imported)."""
     dp = sys.modules.get(f"{__package__}.dp")
+    if dp is not None and isinstance(obj, dp.SeparatedTeamStrategy):
+        return _write_table, _flatten_table
     if dp is not None and isinstance(obj, dp.ValueFunction):
         return _write_value_function, _flatten_value_function
     return None
@@ -464,10 +469,42 @@ _BLOCK_ROWS = 1024
 _BLOCK_BYTES = 1 << 14
 
 
+def _branch_suffixes(vf, t: int) -> list[str]:
+    """The key suffix ``u{t}=..;y{t+1}=..`` of each branch of a time-t
+    node of ``vf``, in flat (tie-break action, joint observation) order,
+    led by ``;`` for t >= 1."""
+    sep = ";" if t else ""
+    return [
+        f"{sep}u{t}={','.join(map(str, u))};y{t + 1}={','.join(map(str, y))}"
+        for u in vf.actions
+        for y in vf.observations
+    ]
+
+
+def _child_keys(keys: list[str], index: np.ndarray, suffixes: list[str]) -> list[str]:
+    """History keys of a stage's children: each parent key extended by
+    its branch's suffix, in the children's row order."""
+    parent, branch = np.divmod(np.flatnonzero(index >= 0), len(suffixes))
+    heads = map(keys.__getitem__, parent.tolist())
+    return list(map(str.__add__, heads, map(suffixes.__getitem__, branch.tolist())))
+
+
+@lru_cache(maxsize=1)
+def _keys(vf) -> list:
+    """Per decision stage t < T of ``vf``, its history keys in row order
+    and its branch suffixes, kept for the last value function asked for:
+    its two writers and the check share them."""
+    suffixes = [_branch_suffixes(vf, t) for t in range(vf.horizon)]
+    keys = [[""]]
+    for t in range(vf.horizon - 1):
+        keys.append(_child_keys(keys[t], vf.index[t], suffixes[t]))
+    return list(zip(keys, suffixes))
+
+
 def _check_key_texts(vf) -> None:
     """Raise InvariantError unless JSON writes every branch suffix of
     ``vf``, and so every key, between quotes as it is."""
-    for t, suffixes in enumerate(vf.suffixes):
+    for t, (_, suffixes) in enumerate(_keys(vf)):
         text = "".join(suffixes)
         if encode_basestring_ascii(text) != '"' + text + '"':
             raise InvariantError(f"a history key suffix of stage {t} needs escaping in JSON")
@@ -511,7 +548,7 @@ def _stage_rows(vf, t: int) -> tuple:
     suffix of t >= 1 starts), as ``...;y1=0,1`` is a proper prefix of
     ``...;y1=0,10`` and ``;`` sorts after the digits."""
     if t:
-        heads, tails = vf.decision_keys[t - 1], vf.suffixes[t - 1]
+        heads, tails = _keys(vf)[t - 1]
         branches = np.flatnonzero(vf.index[t - 1] >= 0)
     else:
         heads, tails, branches = [""], [""], np.zeros(1, dtype=np.intp)
@@ -526,9 +563,10 @@ def _stage_blocks(vf, render) -> list:
     """The jobs of each stage of ``vf``, a ``_block`` per ``_BLOCK_ROWS``
     rows, sharing one ``_stage_rows`` at a time: a process builds a
     stage's on its first block of it and drops it at the next stage.
-    ``floattext`` is imported before any fork."""
+    ``floattext`` is imported and the keys are built before any fork."""
     from . import floattext  # noqa: F401
 
+    _keys(vf)
     stage = lru_cache(maxsize=1)(partial(_stage_rows, vf))
     return [
         [partial(_block, render, vf, stage, t, lo) for lo in range(0, len(values), _BLOCK_ROWS)]
@@ -618,7 +656,7 @@ def _table_blocks(vf, render) -> list:
     """The jobs ``render(keys, argmins)`` of the strategy table of ``vf``,
     its keys sorted over all stages (as ``sort_keys`` sorts them) in blocks
     of at most ``_BLOCK_ROWS`` keys and ``_BLOCK_BYTES``, or one key."""
-    keys = [key for stage in vf.decision_keys for key in stage]
+    keys = [key for stage, _ in _keys(vf) for key in stage]
     argmins = np.concatenate([np.zeros(0, dtype=np.intp), *vf.argmins])
     order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
     ends = np.cumsum([len(keys[i]) for i in order.tolist()])
@@ -635,23 +673,25 @@ def _table_block(render, keys: list, argmins: np.ndarray, rows: np.ndarray) -> b
     return render(_chars([keys[i] for i in rows.tolist()]), argmins[rows])
 
 
-def _write_table(table: _StrategyTable, indent: str, write) -> None:
-    """Write the strategy table as ``json.dumps(indent=2, sort_keys=True)``
-    writes its dict, on a line led by ``indent``."""
+def _write_table(strategy, indent: str, write) -> None:
+    """Write the table of the manager ``strategy`` as ``json.dumps(indent=2,
+    sort_keys=True)`` writes its dict, on a line led by ``indent``."""
     i1 = indent + "  "
-    forms = _chars([json.dumps(u, indent=2).replace("\n", i1) for u in table.vf.actions])
+    vf = strategy.value_function
+    forms = _chars([json.dumps(u, indent=2).replace("\n", i1) for u in vf.actions])
 
     def render(keys, argmins) -> bytes:
         return _rows(len(keys), [i1 + '"', keys, '": ', forms[argmins], ","])[:-1].tobytes()
 
-    _write_blocks(_members(_table_blocks(table.vf, render), indent + "}"), write)
+    _write_blocks(_members(_table_blocks(vf, render), indent + "}"), write)
 
 
-def _flatten_table(prefix: str, table: _StrategyTable, write) -> None:
-    """Write the CSV rows of the strategy table as ``_flatten`` writes its
-    dict."""
+def _flatten_table(prefix: str, strategy, write) -> None:
+    """Write the CSV rows of the manager ``strategy``'s table as
+    ``_flatten`` writes its dict."""
     lead = prefix + "." if prefix else ""
-    digits = [_chars(list(map(str, column))) for column in zip(*table.vf.actions)]
+    vf = strategy.value_function
+    digits = [_chars(list(map(str, column))) for column in zip(*vf.actions)]
 
     def render(keys, argmins) -> bytes:
         parts = []
@@ -659,7 +699,7 @@ def _flatten_table(prefix: str, table: _StrategyTable, write) -> None:
             parts += [lead, keys, f"[{k}],", column[argmins], "\n"]
         return _rows(len(keys), parts).tobytes()
 
-    _write_blocks(_table_blocks(table.vf, render), write)
+    _write_blocks(_table_blocks(vf, render), write)
 
 
 def _write_blocks(pieces: list, write, rows: int = 0) -> None:
@@ -832,6 +872,10 @@ def run(argv=None) -> int:
     except _UsageError as e:
         report = _error_report({"command": "usage", "version": __version__}, "UsageError", str(e))
         return _to_stdout(partial(_usage_error, report, None, str(e)))
+    except _Help as e:
+        metadata = {"command": "help", "version": __version__}
+        report = {"metadata": metadata, "results": {"usage": str(e)}, "diagnostics": {}}
+        return _to_stdout(partial(_help, report))
     if not args.out:
         return _to_stdout(partial(_dispatch, args, started=started))
     if _same_file(args.out, getattr(args, "scenario", None)):
@@ -851,6 +895,11 @@ def run(argv=None) -> int:
                 message = f"cannot write --out: {e}"
     report = _error_report(_metadata(args.command, args, None), "UsageError", message)
     return _to_stdout(partial(_usage_error, report, args, message))
+
+
+def _help(report: dict, f) -> int:
+    _emit(report, None, f)
+    return EXIT_OK
 
 
 def _usage_error(report: dict, args, message: str, f) -> int:

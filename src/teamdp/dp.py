@@ -26,16 +26,13 @@ for ``solve_manager``, ``backup`` and ``evaluate_value``; sums over the
 state run in a fixed order with elementwise operations, so a node's
 numbers do not depend on how many nodes share its stage.
 
-A history key is only the label a report prints for a node.  The solver
-builds key strings for the decision stages t < T alone, which the
-strategy table needs.  The value function is the solved stage arrays
-themselves (decision keys in row order, beliefs, values, argmin action
-indices, and per decision stage the child index and its branch-suffix
-table); a history finds its row by a walk over the child indices
-(:meth:`ValueFunction.rows`), not by its key.  The value function has no
-report form here: both report formats are written by ``teamdp.cli`` from
-the stage arrays, each key of stage t >= 1 as its parent's key plus the
-suffix ``;u{t-1}=..;y{t}=..`` of its branch.
+The solver makes no history key.  The value function is the solved
+stage arrays themselves (the joint action and observation labels they
+index, beliefs, values, argmin action indices, and per decision stage
+the child index), and the manager's strategy reads its argmins: a
+history finds its row by one walk over the child indices
+(:meth:`ValueFunction.row`).  Both report formats, and the history keys
+they print, are written by ``teamdp.cli`` from the stage arrays.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -232,44 +229,52 @@ class ValueFunction:
 
     For t = 0..horizon: ``beliefs[t]`` ``(N, S)`` and ``values[t]``
     ``(N,)``.  For t < horizon: ``argmins[t]`` ``(N,)``, indices into
-    ``actions`` (the joint actions in tie-break order);
-    ``decision_keys[t]``, the history keys in row order; ``index[t]``
+    ``actions`` (the joint actions in tie-break order), and ``index[t]``
     ``(N, A, Y)``, the row of each branch's child in stage t+1 (-1 for a
-    zero-probability branch); and ``suffixes[t]``, the ``A * Y`` branch
-    suffixes ``;u{t}=..;y{t+1}=..`` in flat branch order (no leading
-    ``;`` at t = 0, whose parent key is "").  A key of stage t+1 is its
-    parent's key plus its branch's suffix, and row r of stage t+1 is the
-    r-th live branch of ``index[t]`` in flat order; the horizon's keys are
-    kept nowhere, and only ``teamdp.cli`` splits a key so for printing.
-    :meth:`rows` finds a history's row by walking ``index``."""
+    zero-probability branch), its observation axis in the order of
+    ``observations`` (the joint observations, member K-1 fastest).  Row r
+    of stage t+1 is the r-th live branch of ``index[t]`` in flat order.
+    :meth:`row` finds a history's row by walking ``index``."""
 
     horizon: int
     actions: list[tuple[int, ...]]
-    decision_keys: tuple[list[str], ...]
+    observations: tuple[tuple[int, ...], ...]
     beliefs: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     argmins: tuple[np.ndarray, ...]
     index: tuple[np.ndarray, ...]
-    suffixes: tuple[list[str], ...]
 
-    def rows(self, model: TeamModel, obs: np.ndarray, act: np.ndarray) -> np.ndarray:
-        """Stage-t row of each history of ``obs`` and ``act`` (each ``(H,
-        t, K)``; ``act[:, s]`` holds u_s, ``obs[:, s]`` y_{s+1}), found
-        without a key: from row 0, for s < t, ``row = index[s][row, u_s's
-        tie-break position (member 0 fastest), y_{s+1}'s flat position
-        (member K-1 fastest)]``.  -1 for a history that leaves the tree or
-        holds a label outside its member's range, which would otherwise
-        alias another branch."""
-        t = obs.shape[1]
+    def row(self, model: TeamModel, obs_seq, act_seq) -> int:
+        """Stage-t row of the history ``obs_seq`` (y_1..y_t), ``act_seq``
+        (u_0..u_{t-1}), found without a key: from row 0, for s < t, ``row =
+        index[s][row, u_s's tie-break position (member 0 fastest), y_{s+1}'s
+        flat position (member K-1 fastest)]``, with Python ints.  -1 off the
+        tree, for a joint label of the wrong length, or for a label outside
+        its member's range, negative ones included, which would otherwise
+        alias another branch.  Raises ValueError for a history length
+        outside 0..T or unequal numbers of actions and observations."""
+        t = len(act_seq)
         _check_range("history length", t, self.horizon + 1)
-        u = act @ np.cumprod([1, *model.action_sizes[:-1]])
-        y = obs @ np.cumprod([1, *model.observation_sizes[:0:-1]])[::-1]
-        inside = (act >= 0) & (act < model.action_sizes) & (obs >= 0)
-        rows = np.where((inside & (obs < model.observation_sizes)).all(axis=(1, 2)), 0, -1)
-        for s in range(t):
-            live = np.flatnonzero(rows >= 0)
-            rows[live] = self.index[s][rows[live], u[live, s], y[live, s]]
-        return rows
+        if len(obs_seq) != t:
+            raise ValueError(f"history of {t} joint actions and {len(obs_seq)} observations")
+        A, Y = model.action_sizes, model.observation_sizes
+        row = 0
+        for index, u, y in zip(self.index, act_seq, obs_seq):
+            if len(u) != len(A) or len(y) != len(Y):
+                return -1
+            a = b = 0
+            for label, size in zip(u[::-1], A[::-1]):
+                if not 0 <= label < size:
+                    return -1
+                a = a * size + label
+            for label, size in zip(y, Y):
+                if not 0 <= label < size:
+                    return -1
+                b = b * size + label
+            row = index.item(row, a, b)
+            if row < 0:
+                return -1
+        return row
 
 
 @dataclass
@@ -301,26 +306,6 @@ def _solve_tree(model: TeamModel, root: np.ndarray, t: int, node_budget=None):
     return beliefs, steps, values, argmins
 
 
-def _branch_suffixes(model: TeamModel, t: int) -> list[str]:
-    """The key suffix ``u{t}=..;y{t+1}=..`` of each branch of a time-t
-    node, in flat (tie-break action, joint observation) order, led by
-    ``;`` for t >= 1."""
-    sep = ";" if t else ""
-    return [
-        f"{sep}u{t}={','.join(map(str, u))};y{t + 1}={','.join(map(str, y))}"
-        for u in tiebreak_joint_actions(model)
-        for y in model.joint_observations
-    ]
-
-
-def _child_keys(keys: list[str], index: np.ndarray, suffixes: list[str]) -> list[str]:
-    """History keys of a stage's children: each parent key extended by
-    its branch's suffix, in the children's row order."""
-    parent, branch = np.divmod(np.flatnonzero(index >= 0), len(suffixes))
-    heads = map(keys.__getitem__, parent.tolist())
-    return list(map(str.__add__, heads, map(suffixes.__getitem__, branch.tolist())))
-
-
 def solve_manager(
     model: TeamModel,
     structure: InformationStructure,
@@ -332,29 +317,18 @@ def solve_manager(
     nodes generated from stage t by every (joint action, positive-
     probability joint observation) pair.  Raises IncompleteHistoryError
     for no_sharing (no pooled viewpoint exists) and BudgetExceededError
-    when the tree would exceed ``node_budget`` nodes.  History keys are
-    built for the decision stages t < T only, for the strategy table.
+    when the tree would exceed ``node_budget`` nodes.
     """
     if structure.variant == "no_sharing":
         raise IncompleteHistoryError(
             "under no_sharing the pooled views do not exist; no manager problem is defined"
         )
-    T = model.horizon
     beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0, node_budget)
-    joint = tiebreak_joint_actions(model)
+    labels = tiebreak_joint_actions(model), model.joint_observations
     index = tuple(step[2] for step in steps)
-    suffixes = tuple(_branch_suffixes(model, t) for t in range(T))
-    keys = [[""]]
-    for t in range(T - 1):
-        keys.append(_child_keys(keys[t], index[t], suffixes[t]))
-    table = {}
-    for stage_keys, best in zip(keys, argmins):
-        table.update(zip(stage_keys, map(joint.__getitem__, best.tolist())))
-    vf = ValueFunction(
-        T, joint, tuple(keys[:T]), tuple(beliefs), tuple(values), tuple(argmins), index, suffixes
-    )
+    vf = ValueFunction(model.horizon, *labels, tuple(beliefs), tuple(values), tuple(argmins), index)
     counts = tuple(len(b) for b in beliefs)
-    return ManagerSolution(vf, SeparatedTeamStrategy(model, table), float(values[0][0]), counts)
+    return ManagerSolution(vf, SeparatedTeamStrategy(model, vf), float(values[0][0]), counts)
 
 
 def evaluate_value(model: TeamModel, t: int, belief) -> float:
@@ -583,7 +557,7 @@ def compare_solutions(
 
     The per-node figures are a join of the member stage arrays with the
     manager's: the manager row of each distinct history of a member stage
-    is found by :meth:`ValueFunction.rows` and spread to the particles,
+    is found by :meth:`ValueFunction.row` and spread to the particles,
     then the manager's action weights and value mixture are summed per
     node with ``np.bincount`` in particle order.
     """
@@ -605,7 +579,7 @@ def compare_solutions(
         nodes_out = []
         agree_count = 0
         for t, stage in zip(range(model.horizon), sol.stages):
-            rows = vf.rows(model, stage.obs, stage.act)
+            rows = np.array([vf.row(model, *seqs) for seqs in stage.sequences], dtype=np.intp)
             if (rows < 0).any():
                 raise InvariantError(f"a member history of stage {t} is off the manager tree")
             rows = rows[stage.hist]

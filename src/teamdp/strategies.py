@@ -11,9 +11,9 @@ Forms:
 * :class:`CentralizedTableStrategy` - table keyed by the canonical full
   joint history; the class of strategies a single all-seeing controller
   could play.
-* :class:`SeparatedTeamStrategy` - the manager solver's output: a table
-  keyed by full-history tree nodes (the beliefs stay in the value
-  function).
+* :class:`SeparatedTeamStrategy` - the manager solver's output: the
+  argmins of its value function, read at the row a full history walks to
+  (:meth:`teamdp.dp.ValueFunction.row`), with no key and no table.
 * :class:`MemberTableStrategy` / :class:`MemberSeparatedStrategy` - tables
   keyed by the member's own view; the feasible decentralized form.  A
   lookup formats the view key straight from the history prefixes with
@@ -76,12 +76,30 @@ class CentralizedTableStrategy:
         }
 
 
-class SeparatedTeamStrategy(CentralizedTableStrategy):
+@dataclass(eq=False)
+class SeparatedTeamStrategy:
     """Joint actions indexed by manager tree nodes (full histories), each a
-    deterministic function of the node's team belief.  The beliefs are
-    kept once, in the manager solution's value function."""
+    deterministic function of the node's team belief: the argmin of the
+    row of ``value_function`` (a :class:`teamdp.dp.ValueFunction`) that
+    the history walks to.  A history key is spelled only for an error."""
 
+    model: TeamModel
+    value_function: object
     variant = "separated_team"
+    scope = "team"
+
+    def joint_action(self, obs_seq, act_seq, t) -> tuple[int, ...]:
+        vf = self.value_function
+        if t < vf.horizon and len(obs_seq) == len(act_seq) == t:
+            row = vf.row(self.model, obs_seq, act_seq)
+            if row >= 0:
+                return vf.actions[vf.argmins[t][row]]
+        key = history_key(act_seq, obs_seq)
+        raise StrategyUndefinedError(f"no action for history {key!r} at t={t}")
+
+    def to_json_dict(self) -> dict:
+        """The report form but the table, which ``teamdp.cli`` writes."""
+        return {"variant": self.variant, "scope": self.scope, "default": None}
 
 
 class MemberTableStrategy:

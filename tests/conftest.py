@@ -182,23 +182,40 @@ class ManagerNode(NamedTuple):
     argmin: tuple | None
 
 
+def manager_histories(vf) -> list:
+    """Per stage t = 0..horizon, the ``(obs_seq, act_seq)`` of each row of
+    the manager value function ``vf`` in row order, recovered from the
+    child indices: row r of stage t+1 is the r-th live branch ``(parent,
+    action, observation)`` of ``index[t]`` in flat order."""
+    histories = [[((), ())]]
+    for index in vf.index:
+        parents = histories[-1]
+        histories.append(
+            [
+                (parents[p][0] + (vf.observations[y],), parents[p][1] + (vf.actions[a],))
+                for p, a, y in np.argwhere(index >= 0).tolist()
+            ]
+        )
+    return histories
+
+
 def manager_stages(vf) -> list:
     """A manager value function read by history key: per stage t =
     0..horizon, a dict from key to :class:`ManagerNode` in row order.  The
-    keys are the decision keys and, for the horizon, the last decision
-    stage's keys extended by ``dp._child_keys``, so the reference does not
-    go through ``ValueFunction.rows``."""
-    from teamdp import dp
-
-    keys = list(vf.decision_keys)
-    keys.append(dp._child_keys(keys[-1], vf.index[-1], vf.suffixes[-1]) if keys else [""])
+    keys are ``model.history_key`` of the :func:`manager_histories`, so the
+    reference shares no code with the report writer and does not go
+    through ``ValueFunction.row``."""
     stages = []
-    for t, stage_keys in enumerate(keys):
-        argmins = vf.argmins[t].tolist() if t < vf.horizon else [None] * len(stage_keys)
+    for t, stage in enumerate(manager_histories(vf)):
+        argmins = vf.argmins[t].tolist() if t < vf.horizon else [None] * len(stage)
         stages.append(
             {
-                key: ManagerNode(b, v, None if a is None else vf.actions[a])
-                for key, b, v, a in zip(stage_keys, vf.beliefs[t], vf.values[t].tolist(), argmins)
+                history_key(act_seq, obs_seq): ManagerNode(
+                    b, v, None if a is None else vf.actions[a]
+                )
+                for (obs_seq, act_seq), b, v, a in zip(
+                    stage, vf.beliefs[t], vf.values[t].tolist(), argmins
+                )
             }
         )
     return stages

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from conftest import (
     SCENARIO_DOCUMENTS,
+    manager_histories,
     manager_stages,
     mutated_scenarios,
     random_model,
@@ -30,7 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teamdp.cli
-from teamdp import InformationStructure, load_schema, scenario_to_dict, solve_manager
+from teamdp import (
+    CentralizedTableStrategy,
+    InformationStructure,
+    StrategyUndefinedError,
+    load_schema,
+    scenario_to_dict,
+    solve_manager,
+)
+from teamdp.model import history_key
 from teamdp.cli import (
     _BLOCK_ROWS,
     MAX_GRID_POINTS,
@@ -281,6 +290,30 @@ def test_exit_usage(capsys, scenario_path):
 
 
 @pytest.mark.parametrize(
+    "argv, head",
+    [(["--help"], "usage: teamdp [-h]"), (["solve-manager", "-h"], "usage: teamdp solve-manager")],
+)
+def test_help_is_a_report(capsys, argv, head):
+    """-h and --help, of the command or of a subcommand, return 0 with
+    one report that holds argparse's help text."""
+    code, report, _ = invoke(capsys, argv)
+    assert code == 0
+    assert report["metadata"]["command"] == "help"
+    assert report["results"]["usage"].startswith(head)
+    assert "show this help message" in report["results"]["usage"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_help_to_a_full_stdout_is_a_usage_error():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "teamdp", "--help"], stdout=full, stderr=subprocess.PIPE
+        )
+    assert proc.returncode == 64
+    assert proc.stderr.startswith(b"usage error: cannot write stdout:")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gaussian-example", "--covariance", "1.0"],
@@ -377,15 +410,13 @@ def test_exit_validation_on_a_key_suffix_json_escapes(capsys, scenario_path, mon
     branch suffix that JSON would escape, here a '"' in the last stage's
     table only, is refused before any of the report is written: exit 2
     and one error report."""
-    import teamdp.dp
+    suffixes = teamdp.cli._branch_suffixes
 
-    suffixes = teamdp.dp._branch_suffixes
+    def quoted(vf, t):
+        texts = suffixes(vf, t)
+        return texts if t < vf.horizon - 1 else texts[:-1] + [texts[-1] + '"']
 
-    def quoted(model, t):
-        texts = suffixes(model, t)
-        return texts if t < model.horizon - 1 else texts[:-1] + [texts[-1] + '"']
-
-    monkeypatch.setattr(teamdp.dp, "_branch_suffixes", quoted)
+    monkeypatch.setattr(teamdp.cli, "_branch_suffixes", quoted)
     code = run(["solve-manager", "--scenario", scenario_path, "--format", fmt])
     text = capsys.readouterr().out
     assert code == 2
@@ -615,38 +646,36 @@ def test_value_function_writers_raise_no_warning(toy2, case):
 
 
 def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, toy2, monkeypatch):
-    """Both writers, compare_solutions, and the solve-manager, simulate
-    and solve-member subcommands build no horizon key: with
-    ``dp._child_keys`` failing on the last decision stage's branches they
-    write what they wrote without it, and the keyed reference, which
-    builds the horizon keys, fails."""
-    import teamdp.dp
+    """Only the report writer spells history keys, and never a horizon
+    key.  Both writers and the solve-manager subcommand write what they
+    wrote with ``cli._child_keys`` failing on the last decision stage's
+    branches; compare_solutions and the compare, simulate and solve-member
+    subcommands write what they wrote with the writer's key builder and
+    ``strategies.history_key`` failing, so no manager action is looked up
+    by a key."""
     from teamdp import compare_solutions
 
     vf = solve_manager(*toy2).value_function
     ref = value_function_reference(vf)
-    want = [_encoded(vf), _flattened({"value_function": vf}), compare_solutions(*toy2)]
-    assert want[:2] == [
+    want = [_encoded(vf), _flattened({"value_function": vf})]
+    assert want == [
         json.dumps(ref, indent=2, sort_keys=True),
         _flattened({"value_function": ref}),
     ]
-    argvs = [
-        ["solve-manager"],
-        ["solve-manager", "--format", "csv"],
-        ["simulate", "--samples", "50"],
-        ["solve-member", "--member", "1"],
-    ]
+    compared = compare_solutions(*toy2)
+    writers = [["solve-manager"], ["solve-manager", "--format", "csv"]]
+    others = [["compare"], ["simulate", "--samples", "50"], ["solve-member", "--member", "1"]]
 
     def timeless():  # the report's lines but for the run time, either format
         lines = capsys.readouterr().out.splitlines(keepends=True)
         return [line for line in lines if "wall_time_s" not in line]
 
     texts = []
-    for argv in argvs:
+    for argv in writers + others:
         assert run([*argv, "--scenario", scenario_path]) == 0
         texts.append(timeless())
 
-    child_keys = teamdp.dp._child_keys
+    child_keys = teamdp.cli._child_keys
     last = f";u{toy2[0].horizon - 1}="
 
     def fail(keys, index, suffixes):
@@ -654,14 +683,26 @@ def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, t
             raise AssertionError("the horizon keys were built")
         return child_keys(keys, index, suffixes)
 
-    monkeypatch.setattr(teamdp.dp, "_child_keys", fail)
-    assert [_encoded(vf), _flattened({"value_function": vf}), compare_solutions(*toy2)] == want
-    for argv, text in zip(argvs, texts):
+    monkeypatch.setattr(teamdp.cli, "_child_keys", fail)
+    teamdp.cli._keys.cache_clear()
+    assert [_encoded(vf), _flattened({"value_function": vf})] == want
+    for argv, text in zip(writers, texts):
         assert run([*argv, "--scenario", scenario_path]) == 0
         assert timeless() == text
     assert len(vf.values[-1]) == 256
     with pytest.raises(AssertionError, match="horizon keys"):
-        manager_stages(vf)
+        teamdp.cli._child_keys(["u0=0,0;y1=0,0"], vf.index[-1], teamdp.cli._branch_suffixes(vf, 1))
+
+    def no_key(*args):
+        raise AssertionError("a history key was built")
+
+    monkeypatch.setattr(teamdp.cli, "_branch_suffixes", no_key)
+    monkeypatch.setattr("teamdp.strategies.history_key", no_key)
+    teamdp.cli._keys.cache_clear()
+    assert compare_solutions(*toy2) == compared
+    for argv, text in zip(others, texts[len(writers) :]):
+        assert run([*argv, "--scenario", scenario_path]) == 0
+        assert timeless() == text
 
 
 def test_solve_manager_writes_nothing_on_stderr(capsys, toy2, tmp_path):
@@ -776,15 +817,18 @@ def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, process
 def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case, processes):
     """solve-manager writes its strategy table from the value function's
     decision keys and argmins, sorted over all stages, with the bytes the
-    json module and ``_flatten`` write for the strategy's own dict, in
-    blocks as the defaults cut them and in blocks of at most 3 keys and
-    64 bytes of key text, whatever the number of renderer processes.
-    last_eleven_obs has parent keys that are prefixes of others, and
-    three_members three action components."""
+    json module and ``_flatten`` write for the keyed reference's dict of
+    every decision node's argmin, in blocks as the defaults cut them and
+    in blocks of at most 3 keys and 64 bytes of key text, whatever the
+    number of renderer processes.  last_eleven_obs has parent keys that
+    are prefixes of others, and three_members three action components."""
     build, _ = _VALUE_FUNCTION_MODELS[case]
     model = build(toy2)
     results, _, _ = _cmd_solve_manager(model, toy2[1], argparse.Namespace(node_budget=10**6))
-    expected = {"strategy": solve_manager(model, toy2[1]).strategy.to_json_dict()}
+    sol = solve_manager(model, toy2[1])
+    stages = manager_stages(sol.value_function)[: model.horizon]
+    table = {key: node.argmin for stage in stages for key, node in stage.items()}
+    expected = {"strategy": {**sol.strategy.to_json_dict(), "table": table}}
     written = {"strategy": results["strategy"]}
     _use_renderers(monkeypatch, processes)
     for cut in ({}, {"_BLOCK_ROWS": 3, "_BLOCK_BYTES": 64}):
@@ -793,6 +837,87 @@ def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case, processes):
         text = json.dumps(expected, indent=2, sort_keys=True)
         assert _first_difference(_encoded(written), text) is None
         assert _first_difference(_flattened(written), _flattened(expected)) is None
+    _assert_no_child_left()
+
+
+def _answer(strategy, obs_seq, act_seq, t):
+    """A team strategy's joint action at a history, or its refusal's text."""
+    try:
+        return strategy.joint_action(obs_seq, act_seq, t)
+    except StrategyUndefinedError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
+def test_separated_strategy_answers_as_a_keyed_table(toy2, case):
+    """The manager strategy's walk answers as a table keyed by
+    ``model.history_key`` of every decision node's history: on the tree,
+    with one label of an on-tree prefix changed to another in its range,
+    past it or below zero, and at the horizon, each gives the same joint
+    action or refuses with the same text.  A prefix whose length is not
+    t is refused too."""
+    model = _VALUE_FUNCTION_MODELS[case][0](toy2)
+    mgr = solve_manager(model, toy2[1])
+    vf, T = mgr.value_function, model.horizon
+    table = {
+        key: node.argmin for stage in manager_stages(vf)[:T] for key, node in stage.items()
+    }
+    keyed = CentralizedTableStrategy(model, table)
+    stages = [stage for stage in manager_histories(vf) if stage]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        stage = data.draw(st.sampled_from(stages))
+        obs_seq, act_seq = data.draw(st.sampled_from(stage))
+        t = len(act_seq)
+        change = data.draw(st.sampled_from(["none", "in_range", "past", "negative"]))
+        if t and change != "none":
+            s, k = data.draw(st.integers(0, t - 1)), data.draw(st.integers(0, model.num_members - 1))
+            on_obs = data.draw(st.booleans())
+            labels = obs_seq if on_obs else act_seq
+            size = (model.observation_sizes if on_obs else model.action_sizes)[k]
+            label = data.draw(
+                {
+                    "in_range": st.integers(0, size - 1),
+                    "past": st.integers(size, size + 2),
+                    "negative": st.integers(-3, -1),
+                }[change]
+            )
+            changed = labels[s][:k] + (label,) + labels[s][k + 1 :]
+            changed = labels[:s] + (changed,) + labels[s + 1 :]
+            obs_seq, act_seq = (changed, act_seq) if on_obs else (obs_seq, changed)
+        got = _answer(mgr.strategy, obs_seq, act_seq, t)
+        assert got == _answer(keyed, obs_seq, act_seq, t)
+        assert (t == T) <= isinstance(got, str)
+        refusal = f"no action for history {history_key(act_seq, obs_seq)!r} at t={t + 1}"
+        assert _answer(mgr.strategy, obs_seq, act_seq, t + 1) == refusal
+
+    check()
+
+
+def test_solve_manager_builds_its_keys_once_before_forking(capsys, toy2, tmp_path, monkeypatch):
+    """solve-manager spells each decision stage's keys once per report,
+    in either format, before it forks a renderer: on a T = 3 tree the
+    child-key builder runs twice (stage 0's key is ""), both times before
+    the first fork, and the renderers inherit the keys."""
+    argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
+    forked = _use_renderers(monkeypatch, 3)
+    child_keys = teamdp.cli._child_keys
+    calls = []
+
+    def counted(keys, index, suffixes):
+        calls.append(len(forked))
+        return child_keys(keys, index, suffixes)
+
+    monkeypatch.setattr(teamdp.cli, "_child_keys", counted)
+    for fmt in ("json", "csv"):
+        calls.clear()
+        forked.clear()
+        assert run([*argv, "--format", fmt]) == 0
+        assert calls == [0, 0]
+        assert len(forked) == 2
+    capsys.readouterr()
     _assert_no_child_left()
 
 

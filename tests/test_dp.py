@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from teamdp import (
     BudgetExceededError,
+    CentralizedTableStrategy,
     ConstantMemberStrategy,
     DecentralizedStrategy,
     IncompleteHistoryError,
@@ -32,6 +33,7 @@ from teamdp import (
     InvariantError,
     ManagerProjectionStrategy,
     MemberTableStrategy,
+    StrategyUndefinedError,
     UndefinedCoStrategyError,
     backup,
     compare_solutions,
@@ -102,7 +104,6 @@ def test_manager_is_deterministic(toy2):
     a = solve_manager(model, structure)
     b = solve_manager(model, structure)
     assert a.root_value == b.root_value
-    assert a.strategy.table == b.strategy.table
     assert value_function_reference(a.value_function) == value_function_reference(
         b.value_function
     )
@@ -129,12 +130,11 @@ def test_manager_node_budget_is_checked_per_stage(toy2):
         assert (info.value.budget, info.value.observed) == (budget, budget + 1)
 
 
-def _history_arrays(keys, t: int, K: int):
-    """``(obs, act)``, each ``(H, t, K)``, of the history keys ``keys`` of
-    stage t, read off the key text ``u0=..;y1=..;u1=..``."""
-    fields = [[part.split("=")[1].split(",") for part in key.split(";")] for key in keys if t]
-    both = np.array(fields, dtype=np.intp).reshape(len(keys), t, 2, K)
-    return both[:, :, 1], both[:, :, 0]
+def _history(key: str):
+    """``(obs_seq, act_seq)`` of a history key, read off the key text
+    ``u0=..;y1=..;u1=..``."""
+    fields = [tuple(map(int, part.split("=")[1].split(","))) for part in key.split(";") if key]
+    return tuple(fields[1::2]), tuple(fields[0::2])
 
 
 # instances of the walk checks: pruned branches, labels past 10, 3 members
@@ -155,7 +155,7 @@ def _walk_instance(name, toy2):
 
 @pytest.mark.parametrize("instance", list(_WALK_MODELS))
 def test_stage_mappings_match_eager_dicts(instance, toy2):
-    """``ValueFunction.rows`` walks every node's history, read off the
+    """``ValueFunction.row`` walks every node's history, read off the
     keys of the keyed reference, to that node's row; the arrays read there
     hold the beliefs (same bytes), values (same bits) and argmin tuples
     (None past the last decision stage) of a fresh ``_solve_tree``, and
@@ -169,56 +169,62 @@ def test_stage_mappings_match_eager_dicts(instance, toy2):
     stages = manager_stages(vf)
     assert len(stages) == T + 1
     for t, ref in enumerate(stages):
-        rows = vf.rows(model, *_history_arrays(list(ref), t, K))
-        assert rows.tolist() == list(range(len(ref)))
-        for i, (row, node) in enumerate(zip(rows.tolist(), ref.values())):
+        rows = [vf.row(model, *_history(key)) for key in ref]
+        assert rows == list(range(len(ref)))
+        for i, (row, node) in enumerate(zip(rows, ref.values())):
             assert vf.beliefs[t][row].tobytes() == beliefs[t][i].tobytes()
             assert vf.values[t][row].hex() == values[t][i].hex() == node.value.hex()
             argmin = vf.actions[vf.argmins[t][row]] if t < T else None
             want = tiebreak_joint_actions(model)[argmins[t][i]] if t < T else None
             assert argmin == want == node.argmin
         if t:
-            unknown = np.full((1, t, K), 9)
-            assert vf.rows(model, unknown, unknown).tolist() == [-1]
+            unknown = ((9,) * K,) * t
+            assert vf.row(model, unknown, unknown) == -1
 
 
 def test_rows_walk_refuses_off_tree_histories(toy2):
     """The walk gives -1 for a history through a zero-weight branch and
     for a label out of its member's range, such as an action label equal
-    to its member's action count, even where the unchecked position would
-    be a live branch's; at t = 0 every history is the root."""
+    to its member's action count or a negative one, even where the
+    unchecked position would be a live branch's; the empty history is the
+    root, and a history longer than T is refused."""
     model = _WALK_MODELS["zero_entry"]()
     vf = solve_manager(model, toy2[1]).value_function
-    for H in (0, 1, 5):
-        empty = np.zeros((H, 0, 2), dtype=np.intp)
-        assert vf.rows(model, empty, empty).tolist() == [0] * H
+    assert vf.row(model, (), ()) == 0
     parent, a, y = np.argwhere(vf.index[1] < 0)[0]
-    obs, act = _history_arrays([list(manager_stages(vf)[1])[parent]], 1, 2)
+    obs, act = _history(list(manager_stages(vf)[1])[parent])
     u1, y2 = tiebreak_joint_actions(model)[a], model.joint_observations[y]
-    dead = np.concatenate([obs, [[y2]]], axis=1), np.concatenate([act, [[u1]]], axis=1)
-    assert vf.rows(model, *dead).tolist() == [-1]
-    # a live branch of action (0, 1), observation (1, y_1)
+    assert vf.row(model, obs + (y2,), act + (u1,)) == -1
     joint, ys = tiebreak_joint_actions(model), model.joint_observations
-    live = np.argwhere(vf.index[0][0] >= 0)
+    live = np.argwhere(vf.index[0][0] >= 0).tolist()
+    walk = lambda u, y: vf.row(model, (y,), (u,))
+    # a live branch of action (0, 1), observation (1, y_1)
     a, y = next((a, y) for a, y in live if joint[a] == (0, 1) and ys[y][0])
     y1 = ys[y]
-    walk = lambda u, y: vf.rows(model, np.array([[y]]), np.array([[u]])).tolist()
-    assert walk((0, 1), y1) == [vf.index[0][0, a, y]]
+    assert walk((0, 1), y1) == vf.index[0][0, a, y]
     # unchecked, each of these would land on that live branch: u's
     # tie-break position is u_0 + 2 u_1, y's flat position 2 y_0 + y_1
     for u, y in [((2, 0), y1), ((-2, 2), y1), ((0, 1), (0, y1[1] + 2)), ((0, 1), (2, y1[1] - 2))]:
-        assert walk(u, y) == [-1]
+        assert walk(u, y) == -1
+    # a live branch of action (1, 0), observation (0, y_1), which a
+    # negative label alone would reach: -1 + 2 * 1 = 1 and 2 * 1 + (y_1 - 2)
+    a, y = next((a, y) for a, y in live if joint[a] == (1, 0) and not ys[y][0])
+    y1 = ys[y]
+    assert walk((1, 0), y1) == vf.index[0][0, a, y]
+    for u, y in [((-1, 1), y1), ((1, 0), (1, y1[1] - 2))]:
+        assert walk(u, y) == -1
+    too_long = ((0, 0),) * (model.horizon + 1)
     with pytest.raises(ValueError, match="history length"):
-        vf.rows(model, *_history_arrays([], model.horizon + 1, 2))
+        vf.row(model, too_long, too_long)
 
 
 def test_solve_manager_keeps_no_horizon_keys(toy2):
-    """solve_manager builds history keys for the decision stages alone.
-    On a T = 4 tree of 69,905 nodes (65,536 at the horizon) the solution
-    retains under 5 MB as tracemalloc counts it: 3.4 MB of stage arrays,
-    decision keys and strategy table, against 10.2 MB when every horizon
-    key was kept.  The keyed reference's horizon keys walk to the horizon
-    rows in order."""
+    """solve_manager builds no history key: on a T = 4 tree of 69,905
+    nodes (65,536 at the horizon) the solution retains under 3 MB as
+    tracemalloc counts it, 2.8 MB of stage arrays, against 3.4 MB with the
+    decision keys and a strategy table, and 10.2 MB when every horizon key
+    was kept.  The keyed reference's horizon keys walk to the horizon rows
+    in order."""
     import tracemalloc
 
     model = random_model(41, num_states=3, horizon=4, obs_sizes=(2, 2))
@@ -231,12 +237,10 @@ def test_solve_manager_keeps_no_horizon_keys(toy2):
     finally:
         tracemalloc.stop()
     vf = sol.value_function
-    assert retained < 5 * 10**6
-    assert len(vf.decision_keys) == T
+    assert retained < 3 * 10**6
     horizon = list(manager_stages(vf)[T])
     assert len(horizon) == len(vf.values[T]) == 65536
-    rows = vf.rows(model, *_history_arrays(horizon, T, 2))
-    assert np.array_equal(rows, np.arange(65536))
+    assert [vf.row(model, *_history(key)) for key in horizon] == list(range(65536))
 
 
 def _oracle_prefixes(model):
@@ -877,12 +881,13 @@ def _member_solutions(model, structure):
 def test_compare_joins_stage_arrays(monkeypatch, toy2):
     """compare_solutions reads the member and manager stage arrays: with
     the particle tuples failing, it reproduces the unpatched reports, and
-    no line of ``teamdp.dp`` builds a history key: the manager rows come
-    from the walk.  (The co-strategy lookups and exact_cost still build
-    theirs, which shows the counter is live.)"""
+    it builds no history key anywhere: the manager rows, for the join and
+    for the co-strategy lookups, come from the walk.  (A refused manager
+    lookup spells its history's key, which shows the counter is live.)"""
     import sys
 
     import teamdp.dp
+    import teamdp.strategies
     k3 = random_model(23, num_members=3, num_states=2, positive=False)
     cases = [toy2, (k3, InformationStructure("delayed_sharing", delays=(1, 1, 1)))]
     want = [compare_solutions(model, structure).to_json_dict() for model, structure in cases]
@@ -903,25 +908,31 @@ def test_compare_joins_stage_arrays(monkeypatch, toy2):
     for module in ("model", "strategies", "oracle"):
         monkeypatch.setattr(f"teamdp.{module}.history_key", counted_key)
     for (model, structure), report in zip(cases, want):
-        callers.clear()
         assert compare_solutions(model, structure).to_json_dict() == report
-        assert callers and teamdp.dp.__file__ not in callers
-    assert raised == []
+    assert callers == [] and raised == []
+    off_tree = ((9, 9),)
+    with pytest.raises(StrategyUndefinedError, match="'u0=9,9;y1=9,9' at t=1"):
+        solve_manager(*toy2).strategy.joint_action(off_tree, off_tree, 1)
+    assert callers == [teamdp.strategies.__file__]
 
 
 def test_compare_refuses_a_member_history_off_the_manager_tree(monkeypatch, toy2):
     """A -1 from the walk is a broken invariant, never a read of the last
-    row."""
-    from teamdp.dp import ValueFunction
+    row.  Only the join's value function walks off the tree; the manager
+    strategy's, which the co-strategies read, is left as it is."""
+    import copy
 
-    walk = ValueFunction.rows
+    import teamdp.dp
 
-    def off_tree(self, model, obs, act):
-        rows = walk(self, model, obs, act)
-        rows[-1:] = -1
-        return rows
+    solve = teamdp.dp.solve_manager
 
-    monkeypatch.setattr(ValueFunction, "rows", off_tree)
+    def off_tree(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.value_function = copy.copy(sol.value_function)
+        sol.value_function.row = lambda model, obs_seq, act_seq: -1
+        return sol
+
+    monkeypatch.setattr(teamdp.dp, "solve_manager", off_tree)
     with pytest.raises(InvariantError, match="stage 0 is off the manager tree"):
         compare_solutions(*toy2)
 
