@@ -30,13 +30,16 @@ the report is written that JSON writes them between quotes as they are.
 A stage's rows are ordered by parent key and branch suffix
 (``_stage_rows``), so no horizon key is built.
 
-``_write_blocks`` writes the blocks in order and spreads a value
-function's over the CPUs this process may run on: block j goes to
-process j mod P.  Process 0 is this one; the others are forked, each
-sorts a stage when it reaches it and sends its blocks' bytes over its
-own pipe, and this process decodes each once and writes it.  If a
-renderer dies, this process renders that block and every later one
-itself, so the bytes depend neither on the CPU count nor on a fault.
+``_write_blocks`` writes the blocks in order.  Those of a value
+function of more than ``_FORK_ROWS`` rows go to the P CPUs this process
+may run on, block j to process j mod P: process 0 is this one; the
+others are forked, sort a stage when they reach it and send each block's
+bytes over a pipe, which this process decodes once and writes, or
+renders that block and every later one itself once a renderer dies, so
+the bytes depend neither on the CPU count nor on a fault.  Fewer rows
+repay no fork's CPU (heap copy-on-write, a stage sort per process,
+frames decoded again): on two vCPUs one process was as fast up to 113k
+rows (manager-t4: 69,905), the fork faster from 266k (T = 5: by 21%).
 
 ``--out`` is opened before any scenario work; one that cannot be opened,
 or that names the ``--scenario`` file (which opening would destroy), is a
@@ -51,9 +54,9 @@ loads OpenSSL's libcrypto through ``hashlib``.
 Start-up pays only for what a subcommand runs.  This module imports
 ``errors``, ``model`` and ``scenario`` (and with them numpy); each handler
 imports the rest when it runs: ``validate`` nothing more,
-``solve-manager`` ``dp`` (which brings ``filters`` and ``strategies``),
-``solve-member`` ``dp`` and ``strategies``, ``oracle-centralized`` and
-``oracle-decentralized`` ``oracle`` (with ``strategies``), ``compare``
+``solve-manager`` ``dp`` and ``strategies`` (``filters`` is the member
+side's), ``solve-member`` these and ``filters``, ``oracle-centralized``
+and ``oracle-decentralized`` ``oracle`` (with ``strategies``), ``compare``
 ``dp`` (whose ``compare_solutions`` imports ``oracle``), ``simulate``
 ``dp``, ``oracle`` and ``sim``, and ``gaussian-example`` ``gaussian``.
 ``floattext`` is imported only where a value function is written, before
@@ -467,6 +470,7 @@ def _writers(obj):
 # most rows of one render job, and key text of one strategy-table job
 _BLOCK_ROWS = 1024
 _BLOCK_BYTES = 1 << 14
+_FORK_ROWS = 200_000  # most rows of a value function rendered unforked
 
 
 def _branch_suffixes(vf, t: int) -> list[str]:
@@ -706,15 +710,16 @@ def _write_blocks(pieces: list, write, rows: int = 0) -> None:
     """Write ``pieces`` in order: a str as it is, a render job (a function
     that returns the UTF-8 bytes of a block) as the text of its bytes.
     Job j goes to process j mod P, with P the CPU count but at most the
-    job count, and 1 for a value function of ``rows`` <= ``_BLOCK_ROWS``
-    rows or a strategy table (no ``rows``).  Process 0 is this one; the others
+    job count, for a value function of more than ``_FORK_ROWS`` ``rows``,
+    and 1 for a smaller one, where forks cost more CPU than they save, or
+    a strategy table (no ``rows``).  Process 0 is this one; the others
     are forked now (``_fork_renderer``).  After a short frame or a failed
     fork this process renders every job left itself.  Every renderer is
     reaped on every path: its pipe is closed first, so one blocked on a
     full pipe gets EPIPE and exits."""
     jobs = [piece for piece in pieces if not isinstance(piece, str)]
     processes = 1
-    if rows > _BLOCK_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if rows > _FORK_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         processes = min(len(os.sched_getaffinity(0)), len(jobs))
     pids, readers = [], []
     try:
@@ -835,11 +840,14 @@ def _write_csv(report: dict, args, write) -> None:
 def _emit(report: dict, args, f) -> None:
     """Write the report to the open output ``f``; ``args`` is None when
     the command line did not parse."""
-    if getattr(args, "format", "json") == "csv":
-        _write_csv(report, args, f.write)
-    else:
-        _encode(report, f.write)
-        f.write("\n")
+    try:
+        if getattr(args, "format", "json") == "csv":
+            _write_csv(report, args, f.write)
+        else:
+            _encode(report, f.write)
+            f.write("\n")
+    finally:
+        _keys.cache_clear()  # no value function outlives its report
 
 
 _HANDLERS = {
@@ -996,8 +1004,11 @@ def _dispatch(args, f, started: float) -> int:
 
 def main() -> None:
     """The ``teamdp`` command: run, flush the standard streams that exist
-    and end the process at once, with no interpreter teardown.  ``run``
-    has closed ``--out`` and reaped every renderer by then."""
+    and end at once, with no interpreter teardown, ``--out`` closed and
+    every renderer (forked above ``_FORK_ROWS`` rows) reaped by ``run``.
+    Freeing an untouched 4 MiB buffer first raises glibc's mmap and trim
+    thresholds: blocks rendered here reuse pages, not fault in new ones."""
+    bytes(1 << 22)  # allocated untouched and freed at once
     code = run()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

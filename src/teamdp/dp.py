@@ -46,7 +46,8 @@ optimized.
 The member tree is held as arrays too.  The stage kernel
 ``filters._member_stage`` expands every node of a stage at once, under
 every own action, and returns the immediate costs ``(N, O)`` and, per
-child node, its parent row, own action and branch weight.
+child node, its parent row, own action and branch weight (only the
+member side imports ``filters``, so a manager solve never loads it).
 ``solve_member`` and ``evaluate_member_value`` run it forward once per
 stage and then back up over the arrays with ``np.bincount`` in branch
 order (``_member_tree``); ``evaluate_member_value`` does so over the
@@ -73,12 +74,12 @@ from .errors import (
     InvariantError,
     UndefinedCoStrategyError,
 )
-from .filters import _likelihood_vec, _member_stage, _particle_stage, _root_stage
 from .model import (
     DEFAULT_NODE_BUDGET,
     HistoryView,
     InformationStructure,
     TeamModel,
+    _likelihood_vec,
     prefix_view,
     tiebreak_joint_actions,
     view_key_format,
@@ -404,12 +405,16 @@ def _view_keys(structure: InformationStructure, member: int, obs: np.ndarray, ac
     return [fmt % row for row in map(tuple, values.tolist())]
 
 
-def _member_tree(model, structure, k, others, stage, node_budget=None):
-    """Forward over the member tree reachable from one stage under every
-    own action, then backward: terminal values summed in particle order,
+def _member_tree(model, structure, k, others, start=None, node_budget=None):
+    """Forward over the member tree reachable from the root, or from the
+    ``(time, particles)`` of ``start`` as one node, under every own
+    action, then backward: terminal values summed in particle order,
     then per node and own action the stage cost plus the branch terms
     added in branch order, and the first own action attaining the
     minimum.  Returns the stages, per-stage values and argmin columns."""
+    from .filters import _member_stage, _particle_stage, _root_stage
+
+    stage = _root_stage(model) if start is None else _particle_stage(model, *start)
     stages, steps = [stage], []
     own = range(model.action_sizes[k])
     used = stage.num_nodes
@@ -455,9 +460,7 @@ def solve_member(
     for j in range(K):
         if j != k and j not in others:
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
-    stages, values, argmins = _member_tree(
-        model, structure, k, others, _root_stage(model), node_budget
-    )
+    stages, values, argmins = _member_tree(model, structure, k, others, None, node_budget)
     node_stages: list[dict[str, MemberNode]] = []
     beliefs: dict[str, np.ndarray] = {}
     for t, stage in enumerate(stages):
@@ -509,8 +512,7 @@ def evaluate_member_value(
         t, particles = conditional
     _check_range("member", member, model.num_members)
     _check_range("time", t, model.horizon + 1)
-    stage = _particle_stage(model, t, particles)
-    _, values, _ = _member_tree(model, structure, member, others_strategies or {}, stage)
+    _, values, _ = _member_tree(model, structure, member, others_strategies or {}, (t, particles))
     return float(values[0][0])
 
 

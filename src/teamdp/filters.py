@@ -47,6 +47,7 @@ from .model import (
     HistoryView,
     InformationStructure,
     TeamModel,
+    _likelihood_vec,
     view_known,
     view_slots,
 )
@@ -117,13 +118,6 @@ class JointConditional:
 
 def _predict_vec(model: TeamModel, vec: np.ndarray, a: int) -> np.ndarray:
     return vec @ model.transition[:, a, :]
-
-
-def _likelihood_vec(model: TeamModel, joint_obs) -> np.ndarray:
-    like = model.observation_kernels[0][:, joint_obs[0]].copy()
-    for k in range(1, model.num_members):
-        like *= model.observation_kernels[k][:, joint_obs[k]]
-    return like
 
 
 def predict(model: TeamModel, belief: Belief, joint_action) -> Belief:

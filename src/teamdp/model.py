@@ -174,6 +174,13 @@ def tiebreak_joint_actions(model: TeamModel) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(reversed(p)) for p in rev)
 
 
+def _likelihood_vec(model: TeamModel, joint_obs) -> np.ndarray:
+    like = model.observation_kernels[0][:, joint_obs[0]].copy()
+    for k in range(1, model.num_members):
+        like *= model.observation_kernels[k][:, joint_obs[k]]
+    return like
+
+
 @dataclass(frozen=True)
 class InformationStructure:
     """How observations and actions circulate inside the team.

@@ -4,7 +4,8 @@ Every strategy here is deterministic.  Team-scoped strategies expose
 ``joint_action(obs_seq, act_seq, t)`` and member-scoped ones expose
 ``member_action(obs_seq, act_seq, t)``, where ``obs_seq[i]`` is the joint
 observation at time i+1 and ``act_seq[i]`` the joint action at time i
-(the package-wide convention from :mod:`teamdp.model`).
+(the package-wide convention from :mod:`teamdp.model`); every table form
+refuses prefixes whose length is not t, whatever its default.
 
 Forms:
 
@@ -58,12 +59,9 @@ class CentralizedTableStrategy:
 
     def joint_action(self, obs_seq, act_seq, t) -> tuple[int, ...]:
         key = history_key(act_seq, obs_seq)
-        try:
-            return self.table[key]
-        except KeyError:
-            if self.default is not None:
-                return self.default
-            raise StrategyUndefinedError(f"no action for history {key!r} at t={t}") from None
+        if len(obs_seq) == len(act_seq) == t and (key in self.table or self.default is not None):
+            return self.table.get(key, self.default)
+        raise StrategyUndefinedError(f"no action for history {key!r} at t={t}")
 
     def to_json_dict(self) -> dict:
         """The report form; ``table`` is the strategy's own table, whose
@@ -118,6 +116,9 @@ class MemberTableStrategy:
         self.fallbacks = 0  # lookups answered with ``default``
 
     def member_action(self, obs_seq, act_seq, t) -> int:
+        if len(obs_seq) != t or len(act_seq) != t:
+            raise StrategyUndefinedError(f"member {self.member} has no action for {len(obs_seq)} "
+                                         f"observations and {len(act_seq)} actions at t={t}")
         fmt, slots = view_key_format(self.structure, self.model.num_members, t, self.member)
         key = fmt % tuple(
             obs_seq[s - 1][j] if kind == "obs" else act_seq[s][j] for s, j, kind in slots

@@ -706,10 +706,11 @@ def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, t
 
 
 def test_solve_manager_writes_nothing_on_stderr(capsys, toy2, tmp_path):
-    """A forked-renderer run of the command, to a stdout pipe and to
-    --out, writes the whole report before the process ends at once:
-    exit 0, the in-process bytes but for the run time, and nothing on
-    stderr."""
+    """A run of the command on a value function of more than one block
+    but below ``_FORK_ROWS`` rows, so rendered by the ``teamdp`` process
+    alone, to a stdout pipe and to --out, writes the whole report before
+    the process ends at once: exit 0, the in-process bytes but for the
+    run time, and nothing on stderr."""
     argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
     assert run(argv) == 0
     want = WALL_TIME.sub("", capsys.readouterr().out)
@@ -732,9 +733,9 @@ def test_solve_manager_writes_nothing_on_stderr(capsys, toy2, tmp_path):
 
 
 def _use_renderers(monkeypatch, processes: int) -> list:
-    """Make the CPU count ``processes``, so that ``processes`` processes
-    render a value function of more than one block; returns the pids of
-    the renderers forked from then on."""
+    """Make the CPU count ``processes`` and ``_FORK_ROWS`` 0, so that
+    ``processes`` processes render a value function of at least that many
+    blocks; returns the pids of the renderers forked from then on."""
     forked = []
     fork = os.fork
 
@@ -746,7 +747,36 @@ def _use_renderers(monkeypatch, processes: int) -> list:
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
+    monkeypatch.setattr(teamdp.cli, "_FORK_ROWS", 0)
     return forked
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_renderers_fork_above_fork_rows(toy2, monkeypatch, fmt):
+    """A value function of exactly ``_FORK_ROWS`` rows is rendered by
+    this process alone, and one of a row more by P processes, P - 1 of
+    them forked, with the same bytes."""
+    vf = solve_manager(*toy2).value_function
+    rows = sum(map(len, vf.values))
+    assert len(vf.values) == 3  # three blocks, one per stage
+    forked = _use_renderers(monkeypatch, 3)
+    texts = []
+    for fork_rows, renderers in ((rows, 0), (rows - 1, 2)):
+        monkeypatch.setattr(teamdp.cli, "_FORK_ROWS", fork_rows)
+        forked.clear()
+        texts.append(_encoded(vf) if fmt == "json" else _flattened({"value_function": vf}))
+        assert len(forked) == renderers
+    assert texts[0] == texts[1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_manager_keeps_no_keys_after_its_report(capsys, scenario_path, fmt):
+    """Once its report is written, an in-process solve-manager run keeps
+    neither its value function nor its keys in the writer's key cache."""
+    assert run(["solve-manager", "--scenario", scenario_path, "--format", fmt]) == 0
+    assert "value_function" in capsys.readouterr().out
+    assert teamdp.cli._keys.cache_info().currsize == 0
 
 
 def _assert_no_child_left():
@@ -1255,9 +1285,10 @@ def test_unwritable_stdout_is_a_usage_error(toy2, scenario_path, tmp_path, targe
 
 
 def test_stdout_closed_mid_value_function_is_a_usage_error(toy2, tmp_path):
-    """A reader that goes away while the value function is being written,
-    renderers running, gives exit 64 and one usage line on stderr; the
-    stderr pipe reaches its end, so no renderer outlives the run."""
+    """A reader that goes away while the value function is being written
+    (by the ``teamdp`` process alone, as it is below ``_FORK_ROWS`` rows)
+    gives exit 64 and one usage line on stderr, and the stderr pipe
+    reaches its end."""
     argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "teamdp", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE

@@ -218,6 +218,40 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
         vf.row(model, too_long, too_long)
 
 
+def test_table_strategies_refuse_prefixes_not_of_length_t():
+    """A keyed team table and a solved member table refuse a prefix
+    whose length is not t, whatever their default, as the manager
+    strategy does: on ``random_model(1, horizon=2)`` under delays (1,1)
+    the one-step prefix at t = 0 was answered with the t = 1 node's (team)
+    or the t = 0 node's (member) action, and the empty prefix at t = 1
+    raised IndexError (member)."""
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    mgr = solve_manager(model, structure)
+    stages = manager_stages(mgr.value_function)[: model.horizon]
+    table = {key: node.argmin for stage in stages for key, node in stage.items()}
+    member = solve_member(model, structure, 0, {1: ManagerProjectionStrategy(1, mgr.strategy)})
+    strategy = member.strategy
+    assert strategy.default == 0
+    one = ((0, 0),)
+    (root,) = member.nodes[0].values()
+    assert strategy.member_action((), (), 0) == root.argmin
+    for default in (None, (0, 0)):
+        team = CentralizedTableStrategy(model, table, default=default)
+        assert team.joint_action(one, one, 1) == mgr.strategy.joint_action(one, one, 1)
+        with pytest.raises(StrategyUndefinedError, match=r"history 'u0=0,0;y1=0,0' at t=0"):
+            team.joint_action(one, one, 0)
+        with pytest.raises(StrategyUndefinedError, match=r"history '' at t=1"):
+            team.joint_action((), (), 1)
+    with pytest.raises(StrategyUndefinedError, match="1 observations and 1 actions at t=0"):
+        strategy.member_action(one, one, 0)
+    with pytest.raises(StrategyUndefinedError, match="0 observations and 0 actions at t=1"):
+        strategy.member_action((), (), 1)
+    with pytest.raises(StrategyUndefinedError, match="1 observations and 0 actions at t=1"):
+        strategy.member_action(one, (), 1)
+    assert strategy.fallbacks == 0
+
+
 def test_solve_manager_keeps_no_horizon_keys(toy2):
     """solve_manager builds no history key: on a T = 4 tree of 69,905
     nodes (65,536 at the horizon) the solution retains under 3 MB as

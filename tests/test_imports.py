@@ -109,7 +109,7 @@ _OPENSSL = {"_hashlib", "hashlib"}
             },
         ),
         ("compare", {"jsonschema", "teamdp.sim", "teamdp.gaussian", _DIGITS, *_OPENSSL}),
-        ("simulate", {"jsonschema", "teamdp.gaussian", _DIGITS, *_OPENSSL}),
+        ("simulate", {"jsonschema", "teamdp.gaussian", "teamdp.filters", _DIGITS, *_OPENSSL}),
         (
             "gaussian-example",
             {
@@ -119,11 +119,17 @@ _OPENSSL = {"_hashlib", "hashlib"}
         ),
         (
             "solve-manager --format csv",
-            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS, *_OPENSSL},
+            {
+                "jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", "teamdp.filters",
+                *_POOLS, *_OPENSSL,
+            },
         ),
         (
             "solve-manager",
-            {"jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", *_POOLS, *_OPENSSL},
+            {
+                "jsonschema", "teamdp.oracle", "teamdp.sim", "teamdp.gaussian", "teamdp.filters",
+                *_POOLS, *_OPENSSL,
+            },
         ),
     ],
 )
