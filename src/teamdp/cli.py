@@ -24,22 +24,17 @@ template's segments and the block's fields (keys, argmin texts and
 ``floattext.texts`` of the floats, each an ``(n, w)`` uint8 matrix
 padded with NUL) side by side, every template byte kept and every field
 byte but NUL.  Only this module spells history keys: ``_keys`` builds
-the decision stages' keys once per written value function, before any
-renderer is forked, and ``_check_key_texts`` makes sure before any of
-the report is written that JSON writes them between quotes as they are.
-A stage's rows are ordered by parent key and branch suffix
-(``_stage_rows``), so no horizon key is built.
+the decision stages' keys once per written value function, and
+``_check_key_texts`` makes sure before any of the report is written that
+JSON writes them between quotes as they are.  A stage's rows are
+ordered by parent key and branch suffix (``_write_stage``), so no
+horizon key is built.
 
-``_write_blocks`` writes the blocks in order.  Those of a value
-function of more than ``_FORK_ROWS`` rows go to the P CPUs this process
-may run on, block j to process j mod P: process 0 is this one; the
-others are forked, sort a stage when they reach it and send each block's
-bytes over a pipe, which this process decodes once and writes, or
-renders that block and every later one itself once a renderer dies, so
-the bytes depend neither on the CPU count nor on a fault.  Fewer rows
-repay no fork's CPU (heap copy-on-write, a stage sort per process,
-frames decoded again): on two vCPUs one process was as fast up to 113k
-rows (manager-t4: 69,905), the fork faster from 266k (T = 5: by 21%).
+The ``teamdp`` process renders the blocks in order and writes each
+one's text as soon as it is rendered, so no block outlives its write:
+the value-function writers sort a stage when they reach it
+(``_write_stage``), the strategy-table writers every key at once
+(``_write_table_rows``).
 
 ``--out`` is opened before any scenario work; one that cannot be opened,
 or that names the ``--scenario`` file (which opening would destroy), is a
@@ -59,8 +54,8 @@ side's), ``solve-member`` these and ``filters``, ``oracle-centralized``
 and ``oracle-decentralized`` ``oracle`` (with ``strategies``), ``compare``
 ``dp`` (whose ``compare_solutions`` imports ``oracle``), ``simulate``
 ``dp``, ``oracle`` and ``sim``, and ``gaussian-example`` ``gaussian``.
-``floattext`` is imported only where a value function is written, before
-any renderer is forked, and writing a report imports no solver.
+``floattext`` is imported only where a value function is written, and
+writing a report imports no solver.
 
 The command (``python -m teamdp`` and the installed ``teamdp``, both
 through ``teamdp.__main__``) also does two things at the process level
@@ -467,10 +462,9 @@ def _writers(obj):
     return None
 
 
-# most rows of one render job, and key text of one strategy-table job
+# most rows of one block, and most key text of one strategy-table block
 _BLOCK_ROWS = 1024
 _BLOCK_BYTES = 1 << 14
-_FORK_ROWS = 200_000  # most rows of a value function rendered unforked
 
 
 def _branch_suffixes(vf, t: int) -> list[str]:
@@ -538,19 +532,43 @@ def _rows(n: int, parts: list) -> np.ndarray:
     return chars[keep]
 
 
+def _text(chars: np.ndarray) -> str:
+    """The text of the UTF-8 bytes ``chars``, as ``_rows`` encodes it."""
+    return str(chars, "utf-8", "surrogatepass")
+
+
 def _ranks(texts: list) -> np.ndarray:
     """The position of each of the ASCII ``texts`` in sorted order."""
     return np.argsort(np.argsort(np.array(texts, dtype=bytes)))
 
 
-def _stage_rows(vf, t: int) -> tuple:
-    """Stage ``t`` of ``vf``: its rows in key order, its live branches,
-    and its parent keys and suffixes as ``_chars``.  Row r of stage t >= 1
-    is the r-th live branch ``p * len(tails) + s`` of ``index[t - 1]``,
-    with key ``heads[p] + tails[s]``; the root's is "" plus "".  Rows sort
-    by parent, then suffix, parents by their key plus ``;`` (as every
-    suffix of t >= 1 starts), as ``...;y1=0,1`` is a proper prefix of
-    ``...;y1=0,10`` and ``;`` sorts after the digits."""
+def _stage_block(render, vf, t: int, rows: np.ndarray, branches, heads, tails) -> str:
+    """The text of ``render(t, keys, argmins, floats)`` of ``rows`` of
+    stage ``t`` of ``vf`` (see ``_write_stage``): parent key and suffix,
+    argmin (None at the horizon), and the texts of belief and value
+    (``floattext.texts`` where repr writes them all in fixed notation,
+    else ``_float``'s).  No field outlives the call."""
+    from . import floattext
+
+    parent, suffix = np.divmod(branches[rows], len(tails))
+    x = np.column_stack([vf.beliefs[t][rows], vf.values[t][rows]])
+    if floattext.fixed(x):
+        floats = floattext.texts(x)
+    else:
+        floats = _chars(list(map(_float, x.ravel().tolist()))).reshape(*x.shape, -1)
+    argmins = None if t == vf.horizon else vf.argmins[t][rows]
+    return _text(render(t, [heads[parent], tails[suffix]], argmins, floats))
+
+
+def _write_stage(vf, t: int, render, write, sep: str = "") -> None:
+    """Write stage ``t`` of ``vf`` in key order, a ``_stage_block`` of at
+    most ``_BLOCK_ROWS`` rows at a time, ``sep`` between two blocks.  The
+    stage is sorted here: row r of stage t >= 1 is the r-th live branch
+    ``p * len(tails) + s`` of ``index[t - 1]``, with key ``heads[p] +
+    tails[s]``; the root's is "" plus "".  Rows sort by parent, then
+    suffix, parents by their key plus ``;`` (as every suffix of t >= 1
+    starts), as ``...;y1=0,1`` is a proper prefix of ``...;y1=0,10`` and
+    ``;`` sorts after the digits."""
     if t:
         heads, tails = _keys(vf)[t - 1]
         branches = np.flatnonzero(vf.index[t - 1] >= 0)
@@ -560,49 +578,31 @@ def _stage_rows(vf, t: int) -> tuple:
     order = np.lexsort(
         (_ranks(tails)[branches % width], _ranks([h + ";" for h in heads])[branches // width])
     )
-    return order, branches, _chars(heads), _chars(tails)
+    heads, tails = _chars(heads), _chars(tails)
+    for lo in range(0, len(order), _BLOCK_ROWS):
+        if lo and sep:
+            write(sep)
+        write(_stage_block(render, vf, t, order[lo : lo + _BLOCK_ROWS], branches, heads, tails))
 
 
-def _stage_blocks(vf, render) -> list:
-    """The jobs of each stage of ``vf``, a ``_block`` per ``_BLOCK_ROWS``
-    rows, sharing one ``_stage_rows`` at a time: a process builds a
-    stage's on its first block of it and drops it at the next stage.
-    ``floattext`` is imported and the keys are built before any fork."""
-    from . import floattext  # noqa: F401
-
-    _keys(vf)
-    stage = lru_cache(maxsize=1)(partial(_stage_rows, vf))
-    return [
-        [partial(_block, render, vf, stage, t, lo) for lo in range(0, len(values), _BLOCK_ROWS)]
-        for t, values in enumerate(vf.values)
-    ]
-
-
-def _block(render, vf, stage, t: int, lo: int) -> bytes:
-    """``render(t, keys, argmins, floats)`` of the ``_BLOCK_ROWS`` rows in
-    key order from ``lo`` on: parent key and suffix, argmin (None at the
-    horizon), and the texts of belief and value (``floattext.texts``
-    where repr writes them all in fixed notation, else ``_float``'s)."""
-    from . import floattext
-
-    order, branches, heads, tails = stage(t)
-    rows = order[lo : lo + _BLOCK_ROWS]
-    parent, suffix = np.divmod(branches[rows], len(tails))
-    x = np.column_stack([vf.beliefs[t][rows], vf.values[t][rows]])
-    if floattext.fixed(x):
-        floats = floattext.texts(x)
-    else:
-        floats = _chars(list(map(_float, x.ravel().tolist()))).reshape(*x.shape, -1)
-    argmins = None if t == vf.horizon else vf.argmins[t][rows]
-    return render(t, [heads[parent], tails[suffix]], argmins, floats)
-
-
-def _members(jobs: list, close: str) -> list:
-    """The pieces of a JSON object of the rows of ``jobs``."""
-    pieces = ["{"]
-    for n, job in enumerate(jobs):
-        pieces += [",", job] if n else [job]
-    return pieces + [close] if jobs else ["{}"]
+def _write_table_rows(vf, render, write, sep: str = "") -> None:
+    """Write the strategy table of ``vf``, its keys sorted over all stages
+    (as ``sort_keys`` sorts them), a block of at most ``_BLOCK_ROWS`` keys
+    and ``_BLOCK_BYTES`` of key text, or one key, at a time, as the text
+    of ``render(keys, argmins)``, ``sep`` between two blocks."""
+    keys = [key for stage, _ in _keys(vf) for key in stage]
+    argmins = np.concatenate([np.zeros(0, dtype=np.intp), *vf.argmins])
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    ends = np.cumsum([len(keys[i]) for i in order.tolist()])
+    lo = 0
+    while lo < len(order):
+        hi = np.searchsorted(ends, ends[lo] - len(keys[order[lo]]) + _BLOCK_BYTES, "right")
+        hi = min(max(hi, lo + 1), lo + _BLOCK_ROWS)
+        if lo and sep:
+            write(sep)
+        rows = order[lo:hi]
+        write(_text(render(_chars([keys[i] for i in rows.tolist()]), argmins[rows])))
+        lo = hi
 
 
 def _write_value_function(vf, indent: str, write) -> None:
@@ -615,20 +615,23 @@ def _write_value_function(vf, indent: str, write) -> None:
     forms = _chars([json.dumps(u, indent=2).replace("\n", i4) for u in vf.actions])
     S = vf.beliefs[0].shape[1]
 
-    def render(t, keys, argmins, floats) -> bytes:
+    def render(t, keys, argmins, floats) -> np.ndarray:
         argmin = "null" if argmins is None else forms[argmins]
         parts = [i3 + '"', *keys, '": {' + i4 + '"argmin": ', argmin, "," + i4 + '"belief": [']
         for x in range(S):
             parts += [i4 + "  ", floats[:, x], "," if x + 1 < S else i4 + "]," + i4 + '"value": ']
-        return _rows(len(floats), [*parts, floats[:, S], i3 + "},"])[:-1].tobytes()
+        return _rows(len(floats), [*parts, floats[:, S], i3 + "},"])[:-1]
 
-    pieces = ["{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [']
+    write("{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [')
     # one text each, shared by every stage
     after, close = "," + i2, i2 + "}"
-    for t, jobs in enumerate(_stage_blocks(vf, render)):
-        pieces += [after if t else i2, *_members(jobs, close)]
-    pieces.append(i1 + "]" + indent + "}")
-    _write_blocks(pieces, write, sum(map(len, vf.values)))
+    for t, values in enumerate(vf.values):
+        write(after if t else i2)
+        write("{" if len(values) else "{}")
+        if len(values):
+            _write_stage(vf, t, render, write, ",")
+            write(close)
+    write(i1 + "]" + indent + "}")
 
 
 def _flatten_value_function(prefix: str, vf, write) -> None:
@@ -638,7 +641,7 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
     digits = [_chars(list(map(str, column))) for column in zip(*vf.actions)]
     leaves = [*(f".belief[{x}]," for x in range(vf.beliefs[0].shape[1])), ".value,"]
 
-    def render(t, keys, argmins, floats) -> bytes:
+    def render(t, keys, argmins, floats) -> np.ndarray:
         key = [f"{lead}stages[{t}].", *keys]
         if argmins is None:
             parts = [*key, ".argmin,null\n"]
@@ -648,33 +651,11 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
                 parts += [*key, f".argmin[{k}],", column[argmins], "\n"]
         for x, leaf in enumerate(leaves):
             parts += [*key, leaf, floats[:, x], "\n"]
-        return _rows(len(floats), parts).tobytes()
+        return _rows(len(floats), parts)
 
-    pieces = [f"{lead}horizon,{vf.horizon}\n"]
-    for jobs in _stage_blocks(vf, render):
-        pieces += jobs
-    _write_blocks(pieces, write, sum(map(len, vf.values)))
-
-
-def _table_blocks(vf, render) -> list:
-    """The jobs ``render(keys, argmins)`` of the strategy table of ``vf``,
-    its keys sorted over all stages (as ``sort_keys`` sorts them) in blocks
-    of at most ``_BLOCK_ROWS`` keys and ``_BLOCK_BYTES``, or one key."""
-    keys = [key for stage, _ in _keys(vf) for key in stage]
-    argmins = np.concatenate([np.zeros(0, dtype=np.intp), *vf.argmins])
-    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
-    ends = np.cumsum([len(keys[i]) for i in order.tolist()])
-    jobs, lo = [], 0
-    while lo < len(order):
-        hi = np.searchsorted(ends, ends[lo] - len(keys[order[lo]]) + _BLOCK_BYTES, "right")
-        hi = min(max(hi, lo + 1), lo + _BLOCK_ROWS)
-        jobs.append(partial(_table_block, render, keys, argmins, order[lo:hi]))
-        lo = hi
-    return jobs
-
-
-def _table_block(render, keys: list, argmins: np.ndarray, rows: np.ndarray) -> bytes:
-    return render(_chars([keys[i] for i in rows.tolist()]), argmins[rows])
+    write(f"{lead}horizon,{vf.horizon}\n")
+    for t in range(len(vf.values)):
+        _write_stage(vf, t, render, write)
 
 
 def _write_table(strategy, indent: str, write) -> None:
@@ -684,10 +665,14 @@ def _write_table(strategy, indent: str, write) -> None:
     vf = strategy.value_function
     forms = _chars([json.dumps(u, indent=2).replace("\n", i1) for u in vf.actions])
 
-    def render(keys, argmins) -> bytes:
-        return _rows(len(keys), [i1 + '"', keys, '": ', forms[argmins], ","])[:-1].tobytes()
+    def render(keys, argmins) -> np.ndarray:
+        return _rows(len(keys), [i1 + '"', keys, '": ', forms[argmins], ","])[:-1]
 
-    _write_blocks(_members(_table_blocks(vf, render), indent + "}"), write)
+    rows = sum(map(len, vf.argmins))
+    write("{" if rows else "{}")
+    if rows:
+        _write_table_rows(vf, render, write, ",")
+        write(indent + "}")
 
 
 def _flatten_table(prefix: str, strategy, write) -> None:
@@ -697,106 +682,13 @@ def _flatten_table(prefix: str, strategy, write) -> None:
     vf = strategy.value_function
     digits = [_chars(list(map(str, column))) for column in zip(*vf.actions)]
 
-    def render(keys, argmins) -> bytes:
+    def render(keys, argmins) -> np.ndarray:
         parts = []
         for k, column in enumerate(digits):
             parts += [lead, keys, f"[{k}],", column[argmins], "\n"]
-        return _rows(len(keys), parts).tobytes()
+        return _rows(len(keys), parts)
 
-    _write_blocks(_table_blocks(vf, render), write)
-
-
-def _write_blocks(pieces: list, write, rows: int = 0) -> None:
-    """Write ``pieces`` in order: a str as it is, a render job (a function
-    that returns the UTF-8 bytes of a block) as the text of its bytes.
-    Job j goes to process j mod P, with P the CPU count but at most the
-    job count, for a value function of more than ``_FORK_ROWS`` ``rows``,
-    and 1 for a smaller one, where forks cost more CPU than they save, or
-    a strategy table (no ``rows``).  Process 0 is this one; the others
-    are forked now (``_fork_renderer``).  After a short frame or a failed
-    fork this process renders every job left itself.  Every renderer is
-    reaped on every path: its pipe is closed first, so one blocked on a
-    full pipe gets EPIPE and exits."""
-    jobs = [piece for piece in pieces if not isinstance(piece, str)]
-    processes = 1
-    if rows > _FORK_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        processes = min(len(os.sched_getaffinity(0)), len(jobs))
-    pids, readers = [], []
-    try:
-        try:
-            for c in range(1, processes):
-                pid, reader = _fork_renderer(jobs[c::processes], readers)
-                pids.append(pid)
-                readers.append(reader)
-        except OSError:  # no pipe or no process to be had
-            _close_all(readers)
-        j = 0
-        for piece in pieces:
-            if not isinstance(piece, str):
-                c, j = j % processes, j + 1
-                data = _receive(readers[c - 1]) if c and readers else None
-                if data is None:
-                    if c:  # no renderers, or a short frame: its renderer died
-                        _close_all(readers)
-                    data = piece()
-                piece = data.decode("utf-8", "surrogatepass")
-            write(piece)
-    finally:
-        _close_all(readers)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _close_all(readers: list) -> None:
-    for reader in readers:
-        reader.close()
-    readers.clear()
-
-
-def _fork_renderer(jobs: list, readers: list):
-    """Fork a process that renders ``jobs`` in order and sends each one's
-    bytes over its own pipe as a frame, their length in 8 bytes and then
-    the bytes; it closes ``readers``, the pipes of earlier renderers, and
-    ends in ``os._exit``, flushing none of the stdio buffers it inherited.
-    Returns its pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            for reader in readers:
-                reader.close()
-            for job in jobs:
-                _send(w, job())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _send(fd: int, data: bytes) -> None:
-    for chunk in (len(data).to_bytes(8, "little"), data):
-        view = memoryview(chunk)
-        while view:
-            view = view[os.write(fd, view) :]
-
-
-def _receive(reader) -> bytes | None:
-    """The next frame on ``reader``, or None when it comes short: its
-    renderer died.  A pipe writes the 8-byte length whole."""
-    head = reader.read(8)
-    if len(head) < 8:
-        return None
-    size = int.from_bytes(head, "little")
-    data = reader.read(size)
-    return data if len(data) == size else None
+    _write_table_rows(vf, render, write)
 
 
 def _flatten(prefix: str, value, write) -> None:
@@ -1004,10 +896,10 @@ def _dispatch(args, f, started: float) -> int:
 
 def main() -> None:
     """The ``teamdp`` command: run, flush the standard streams that exist
-    and end at once, with no interpreter teardown, ``--out`` closed and
-    every renderer (forked above ``_FORK_ROWS`` rows) reaped by ``run``.
-    Freeing an untouched 4 MiB buffer first raises glibc's mmap and trim
-    thresholds: blocks rendered here reuse pages, not fault in new ones."""
+    and end at once, with no interpreter teardown, ``--out`` closed by
+    ``run``.  Freeing an untouched 4 MiB buffer first raises glibc's mmap
+    and trim thresholds: blocks rendered here reuse pages, not fault in
+    new ones."""
     bytes(1 << 22)  # allocated untouched and freed at once
     code = run()
     for stream in (sys.stdout, sys.stderr):

@@ -79,6 +79,7 @@ from .model import (
     HistoryView,
     InformationStructure,
     TeamModel,
+    _check_range,
     _likelihood_vec,
     prefix_view,
     tiebreak_joint_actions,
@@ -112,12 +113,6 @@ def _as_vec(model: TeamModel, belief) -> np.ndarray:
     if vec.shape != (model.num_states,):
         raise ValueError(f"belief of shape {vec.shape}, not ({model.num_states},)")
     return vec
-
-
-def _check_range(what: str, value: int, stop: int) -> None:
-    """Raise ValueError unless 0 <= value < stop."""
-    if not 0 <= value < stop:
-        raise ValueError(f"{what} {value} outside 0..{stop - 1}")
 
 
 def _state_sum(beliefs: np.ndarray, per_state: np.ndarray) -> np.ndarray:

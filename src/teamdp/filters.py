@@ -47,6 +47,7 @@ from .model import (
     HistoryView,
     InformationStructure,
     TeamModel,
+    _check_range,
     _likelihood_vec,
     view_known,
     view_slots,
@@ -464,12 +465,15 @@ def member_conditional(
     stage: at each s < t it expands with the view's own action at s and
     keeps the branch whose newly revealed slot values match the view, so
     the result equals the member DP's node at this view bit for bit.
-    Raises UndefinedCoStrategyError if a co-strategy is missing or
+    Raises ValueError for a view's member outside 0..K-1 or time outside
+    0..T, UndefinedCoStrategyError if a co-strategy is missing or
     undefined, ZeroLikelihoodError if the view is impossible under the
     profile.
     """
     if view.member is None:
         raise ValueError("member view required")
+    _check_range("member", view.member, model.num_members)
+    _check_range("time", view.time, model.horizon + 1)
     _check_view_layout(model, structure, view)
     k, t = view.member, view.time
     K = model.num_members
@@ -521,10 +525,13 @@ def recombine(
     co-members' realized private streams given the state and the member's
     view, then renormalizes.  Scaling ``belief`` by a positive constant
     does not change the output.  With a single member this is the
-    identity.
+    identity.  Raises ValueError for a ``member`` outside 0..K-1 or a
+    view time outside 0..T.
     """
     if team_views.member is not None:
         raise ValueError("team-level views required")
+    _check_range("member", member, model.num_members)
+    _check_range("time", team_views.time, model.horizon + 1)
     if model.num_members == 1:
         return belief
     k, t = member, team_views.time

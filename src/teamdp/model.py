@@ -174,6 +174,12 @@ def tiebreak_joint_actions(model: TeamModel) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(reversed(p)) for p in rev)
 
 
+def _check_range(what: str, value: int, stop: int) -> None:
+    """Raise ValueError unless 0 <= value < stop."""
+    if not 0 <= value < stop:
+        raise ValueError(f"{what} {value} outside 0..{stop - 1}")
+
+
 def _likelihood_vec(model: TeamModel, joint_obs) -> np.ndarray:
     like = model.observation_kernels[0][:, joint_obs[0]].copy()
     for k in range(1, model.num_members):

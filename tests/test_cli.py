@@ -556,6 +556,11 @@ _VALUE_FUNCTION_MODELS = {
         '"u0=0,0;y1=0,1;u1=0,0;y2=0,0"',
     ),
     "horizon_1": (lambda toy2: random_model(331, horizon=1), ""),
+    # unvalidated: no decision stage, so the strategy table is empty
+    "horizon_0": (
+        lambda toy2: dataclasses.replace(toy2[0], horizon=0, stage_cost=toy2[0].stage_cost[:0]),
+        '"stages": [\n    {\n      "": {\n        "argmin": null,',
+    ),
     # K = 3 argmin columns and 12 joint actions: stages of 1, 96 and 9,216
     # rows
     "three_members": (
@@ -706,11 +711,10 @@ def test_nothing_but_a_key_read_builds_the_horizon_keys(capsys, scenario_path, t
 
 
 def test_solve_manager_writes_nothing_on_stderr(capsys, toy2, tmp_path):
-    """A run of the command on a value function of more than one block
-    but below ``_FORK_ROWS`` rows, so rendered by the ``teamdp`` process
-    alone, to a stdout pipe and to --out, writes the whole report before
-    the process ends at once: exit 0, the in-process bytes but for the
-    run time, and nothing on stderr."""
+    """A run of the command on a value function of more than one block,
+    to a stdout pipe and to --out, writes the whole report before the
+    process ends at once: exit 0, the in-process bytes but for the run
+    time, and nothing on stderr."""
     argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
     assert run(argv) == 0
     want = WALL_TIME.sub("", capsys.readouterr().out)
@@ -732,44 +736,6 @@ def test_solve_manager_writes_nothing_on_stderr(capsys, toy2, tmp_path):
         assert WALL_TIME.sub("", text) == want
 
 
-def _use_renderers(monkeypatch, processes: int) -> list:
-    """Make the CPU count ``processes`` and ``_FORK_ROWS`` 0, so that
-    ``processes`` processes render a value function of at least that many
-    blocks; returns the pids of the renderers forked from then on."""
-    forked = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
-    monkeypatch.setattr(teamdp.cli, "_FORK_ROWS", 0)
-    return forked
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_renderers_fork_above_fork_rows(toy2, monkeypatch, fmt):
-    """A value function of exactly ``_FORK_ROWS`` rows is rendered by
-    this process alone, and one of a row more by P processes, P - 1 of
-    them forked, with the same bytes."""
-    vf = solve_manager(*toy2).value_function
-    rows = sum(map(len, vf.values))
-    assert len(vf.values) == 3  # three blocks, one per stage
-    forked = _use_renderers(monkeypatch, 3)
-    texts = []
-    for fork_rows, renderers in ((rows, 0), (rows - 1, 2)):
-        monkeypatch.setattr(teamdp.cli, "_FORK_ROWS", fork_rows)
-        forked.clear()
-        texts.append(_encoded(vf) if fmt == "json" else _flattened({"value_function": vf}))
-        assert len(forked) == renderers
-    assert texts[0] == texts[1]
-    _assert_no_child_left()
-
-
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_solve_manager_keeps_no_keys_after_its_report(capsys, scenario_path, fmt):
     """Once its report is written, an in-process solve-manager run keeps
@@ -785,7 +751,7 @@ def _assert_no_child_left():
 
 
 # a CSV prefix of multi-byte characters, a lone surrogate, a "%" and a
-# NUL, so that every frame holds text that UTF-8 writes in more than one
+# NUL, so that every block holds text that UTF-8 writes in more than one
 # byte, and template bytes that no field holds, which the row kernel
 # must keep
 _WIDE_PREFIX = "\u2603\u00e9%\ud800\x00" * 8
@@ -812,46 +778,41 @@ def _block_notations(vf, rows: int) -> set:
     return found
 
 
-@pytest.mark.parametrize("processes", [1, 2, 3])
 @pytest.mark.parametrize(
     "case", ["past_block", "zero_entry", "huge_value", "last_eleven_obs", "three_members"]
 )
-def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, processes):
-    """Both formats of a value function are the same bytes whatever the
-    number of renderer processes.  last_eleven_obs's stage 2 has 7,744
-    rows, with parent keys that are prefixes of others, and
-    three_members's 9,216, with three argmin columns.  zero_entry's
+def test_value_function_blocks_give_the_same_bytes(toy2, monkeypatch, case):
+    """Both formats of a value function of several blocks, each rendered
+    and written in turn, are the reference's bytes.  last_eleven_obs's
+    stage 2 has 7,744 rows, with parent keys that are prefixes of others,
+    and three_members's 9,216, with three argmin columns.  zero_entry's
     1,765 rows, pruned branches leaving gaps in the row order, are cut
-    into 64-row blocks, so that they are more than one block's rows and
-    go to renderers too; huge_value's 273 rows are cut into 1-row blocks, of which repr
-    writes 48 in fixed notation and the others with a value in exponent
-    notation, so that digit and repr blocks mix across renderers."""
+    into 64-row blocks, so that they are more than one block's rows;
+    huge_value's 273 rows are cut into 1-row blocks, of which repr writes
+    48 in fixed notation and the others with a value in exponent
+    notation, so that digit and repr blocks mix in one stage."""
     build, _ = _VALUE_FUNCTION_MODELS[case]
     vf = solve_manager(build(toy2), toy2[1]).value_function
     if case in _SMALL_BLOCKS:
         monkeypatch.setattr(teamdp.cli, "_BLOCK_ROWS", _SMALL_BLOCKS[case])
     if case == "huge_value":
         assert _block_notations(vf, _SMALL_BLOCKS[case]) == {True, False}
-    forked = _use_renderers(monkeypatch, processes)
     ref = value_function_reference(vf)
     expected = json.dumps(ref, indent=2, sort_keys=True)
     assert _first_difference(_encoded(vf), expected) is None
     csv = _flattened({_WIDE_PREFIX: ref})
     assert _first_difference(_flattened({_WIDE_PREFIX: vf}), csv) is None
-    assert len(forked) == 2 * (processes - 1)
-    _assert_no_child_left()
 
 
-@pytest.mark.parametrize("processes", [1, 2, 3])
 @pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
-def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case, processes):
+def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case):
     """solve-manager writes its strategy table from the value function's
     decision keys and argmins, sorted over all stages, with the bytes the
     json module and ``_flatten`` write for the keyed reference's dict of
     every decision node's argmin, in blocks as the defaults cut them and
-    in blocks of at most 3 keys and 64 bytes of key text, whatever the
-    number of renderer processes.  last_eleven_obs has parent keys that
-    are prefixes of others, and three_members three action components."""
+    in blocks of at most 3 keys and 64 bytes of key text.
+    last_eleven_obs has parent keys that are prefixes of others, and
+    three_members three action components."""
     build, _ = _VALUE_FUNCTION_MODELS[case]
     model = build(toy2)
     results, _, _ = _cmd_solve_manager(model, toy2[1], argparse.Namespace(node_budget=10**6))
@@ -860,14 +821,12 @@ def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case, processes):
     table = {key: node.argmin for stage in stages for key, node in stage.items()}
     expected = {"strategy": {**sol.strategy.to_json_dict(), "table": table}}
     written = {"strategy": results["strategy"]}
-    _use_renderers(monkeypatch, processes)
     for cut in ({}, {"_BLOCK_ROWS": 3, "_BLOCK_BYTES": 64}):
         for name, value in cut.items():
             monkeypatch.setattr(teamdp.cli, name, value)
         text = json.dumps(expected, indent=2, sort_keys=True)
         assert _first_difference(_encoded(written), text) is None
         assert _first_difference(_flattened(written), _flattened(expected)) is None
-    _assert_no_child_left()
 
 
 def _answer(strategy, obs_seq, act_seq, t):
@@ -926,79 +885,24 @@ def test_separated_strategy_answers_as_a_keyed_table(toy2, case):
     check()
 
 
-def test_solve_manager_builds_its_keys_once_before_forking(capsys, toy2, tmp_path, monkeypatch):
+def test_solve_manager_builds_its_keys_once(capsys, toy2, tmp_path, monkeypatch):
     """solve-manager spells each decision stage's keys once per report,
-    in either format, before it forks a renderer: on a T = 3 tree the
-    child-key builder runs twice (stage 0's key is ""), both times before
-    the first fork, and the renderers inherit the keys."""
+    in either format: on a T = 3 tree the child-key builder runs twice
+    (stage 0's key is ""), for the key check and both tables."""
     argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]
-    forked = _use_renderers(monkeypatch, 3)
     child_keys = teamdp.cli._child_keys
     calls = []
 
     def counted(keys, index, suffixes):
-        calls.append(len(forked))
+        calls.append(suffixes[0])
         return child_keys(keys, index, suffixes)
 
     monkeypatch.setattr(teamdp.cli, "_child_keys", counted)
     for fmt in ("json", "csv"):
         calls.clear()
-        forked.clear()
         assert run([*argv, "--format", fmt]) == 0
-        assert calls == [0, 0]
-        assert len(forked) == 2
+        assert [suffix.partition("=")[0] for suffix in calls] == ["u0", ";u1"]
     capsys.readouterr()
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("death", ["after_first_frame", "mid_frame"])
-def test_a_dead_renderer_leaves_the_bytes_unchanged(toy2, monkeypatch, death):
-    """Renderers that die after their first frame, or 1,000 bytes into
-    it, leave the bytes as they were: this process renders that block and
-    every later one itself, and reaps every renderer."""
-    vf = solve_manager(random_model(332, horizon=3, obs_sizes=(2, 3)), toy2[1]).value_function
-    forked = _use_renderers(monkeypatch, 3)
-    send = teamdp.cli._send
-
-    def send_then_die(fd, data):
-        if death == "after_first_frame":
-            send(fd, data)
-        else:
-            os.write(fd, len(data).to_bytes(8, "little") + data[:1000])
-        os._exit(0)
-
-    monkeypatch.setattr(teamdp.cli, "_send", send_then_die)
-    ref = value_function_reference(vf)
-    expected = json.dumps(ref, indent=2, sort_keys=True)
-    assert _first_difference(_encoded(vf), expected) is None
-    csv = _flattened({"value_function": ref})
-    assert _first_difference(_flattened({"value_function": vf}), csv) is None
-    assert len(forked) == 4
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize(
-    "error",
-    [OSError(errno.EPIPE, os.strerror(errno.EPIPE)), ValueError("I/O operation on closed file.")],
-    ids=["broken_pipe", "closed_file"],
-)
-def test_a_failed_write_reaps_every_renderer(toy2, monkeypatch, error):
-    """A write that fails while renderers run, each blocked on a full
-    pipe by then, raises its error once every renderer is reaped."""
-    vf = solve_manager(random_model(332, horizon=3, obs_sizes=(2, 3)), toy2[1]).value_function
-    forked = _use_renderers(monkeypatch, 3)
-    blocks = []
-
-    def write(text):
-        if len(text) > 10**5:  # a block of stage 2 or 3
-            blocks.append(len(text))
-            if len(blocks) == 2:
-                raise error
-
-    with pytest.raises(type(error)):
-        _encode(vf, write)
-    assert len(forked) == 2
-    _assert_no_child_left()
 
 
 class _Sink:
@@ -1286,7 +1190,6 @@ def test_unwritable_stdout_is_a_usage_error(toy2, scenario_path, tmp_path, targe
 
 def test_stdout_closed_mid_value_function_is_a_usage_error(toy2, tmp_path):
     """A reader that goes away while the value function is being written
-    (by the ``teamdp`` process alone, as it is below ``_FORK_ROWS`` rows)
     gives exit 64 and one usage line on stderr, and the stderr pipe
     reaches its end."""
     argv = ["solve-manager", "--scenario", _past_block_scenario(toy2, tmp_path)]

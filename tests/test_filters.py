@@ -11,6 +11,7 @@ from teamdp import (
     Belief,
     ConstantMemberStrategy,
     DecentralizedStrategy,
+    HistoryView,
     IncompleteHistoryError,
     InformationStructure,
     MemberTableStrategy,
@@ -373,6 +374,42 @@ def test_member_belief_zero_probability_view(toy2):
     view = extract_views(structure, traj, 2, 0)
     with pytest.raises(ZeroLikelihoodError):
         member_belief(model, structure, co, view)
+
+
+def test_member_side_filters_refuse_out_of_range_members_and_times():
+    """A member outside 0..K-1 or a time outside 0..T is a ValueError
+    before any index is taken: member 5 used to raise IndexError from
+    ``structure.delays[5]``, and member -1 (K - 1's delay), time -1 and,
+    with K = 1, any member or time given to recombine were answered."""
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    co = {k: ConstantMemberStrategy(k, 0) for k in range(2)}
+    traj = Trajectory(states=(0, 0, 0), observations=((0, 0), (0, 0)), actions=((0, 0), (0, 0)))
+    one, zero = extract_views(structure, traj, 1, 0), extract_views(structure, traj, 0, 1)
+    views = {
+        "member 5 outside 0..1": HistoryView(1, 5, one.common, one.private),
+        "member -1 outside 0..1": HistoryView(0, -1, zero.common, zero.private),
+        "time -1 outside 0..2": HistoryView(-1, 0, (), ()),
+    }
+    for message, view in views.items():
+        for query in (member_conditional, member_belief):
+            with pytest.raises(ValueError, match=message):
+                query(model, structure, co, view)
+    belief = member_belief(model, structure, co, extract_views(structure, traj, 0, 0))
+    team = extract_views(structure, traj, 0, None)
+    for member in (5, -1):
+        with pytest.raises(ValueError, match=f"member {member} outside 0..1"):
+            recombine(model, structure, member, belief, co, team)
+    with pytest.raises(ValueError, match="time -1 outside 0..2"):
+        recombine(model, structure, 0, belief, co, HistoryView(-1, None, (), ((), ())))
+    # K = 1 returns the belief unread, so it must check first
+    chain = random_model(1, num_members=1, horizon=2)
+    alone = InformationStructure("delayed_sharing", delays=(1,))
+    prior = b(chain.initial_dist)
+    with pytest.raises(ValueError, match="member 1 outside 0..0"):
+        recombine(chain, alone, 1, prior, {}, HistoryView(0, None, (), ((),)))
+    with pytest.raises(ValueError, match="time 3 outside 0..2"):
+        recombine(chain, alone, 0, prior, {}, HistoryView(3, None, (), ((),)))
 
 
 def test_member_conditional_weights_and_marginal(toy2):

@@ -83,8 +83,8 @@ sys.exit(code)
 """
 
 
-# modules for starting processes, which the value-function renderers do
-# without: any of them would add to the start-up of every subcommand
+# modules for starting processes, which no subcommand starts: any of them
+# would add to the start-up of every subcommand
 _POOLS = {"multiprocessing", "concurrent.futures", "subprocess"}
 
 
