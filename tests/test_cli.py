@@ -750,6 +750,21 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _count_forks(monkeypatch) -> list:
+    """Returns the pids of the processes forked from then on."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
 # a CSV prefix of multi-byte characters, a lone surrogate, a "%" and a
 # NUL, so that every block holds text that UTF-8 writes in more than one
 # byte, and template bytes that no field holds, which the row kernel
@@ -778,15 +793,21 @@ def _block_notations(vf, rows: int) -> set:
     return found
 
 
+# the number of processes that render a report table: the ``teamdp``
+# process alone, which forks none
+_RENDERER_PROCESSES = [1]
+
+
+@pytest.mark.parametrize("processes", _RENDERER_PROCESSES)
 @pytest.mark.parametrize(
     "case", ["past_block", "zero_entry", "huge_value", "last_eleven_obs", "three_members"]
 )
-def test_value_function_blocks_give_the_same_bytes(toy2, monkeypatch, case):
+def test_renderer_processes_give_the_same_bytes(toy2, monkeypatch, case, processes):
     """Both formats of a value function of several blocks, each rendered
-    and written in turn, are the reference's bytes.  last_eleven_obs's
-    stage 2 has 7,744 rows, with parent keys that are prefixes of others,
-    and three_members's 9,216, with three argmin columns.  zero_entry's
-    1,765 rows, pruned branches leaving gaps in the row order, are cut
+    and written in turn by this process, are the reference's bytes, and
+    no renderer is forked.  last_eleven_obs's stage 2 has 7,744 rows,
+    with parent keys that are prefixes of others, and three_members's
+    9,216, with three argmin columns.  zero_entry's 1,765 rows, pruned branches leaving gaps in the row order, are cut
     into 64-row blocks, so that they are more than one block's rows;
     huge_value's 273 rows are cut into 1-row blocks, of which repr writes
     48 in fixed notation and the others with a value in exponent
@@ -797,21 +818,25 @@ def test_value_function_blocks_give_the_same_bytes(toy2, monkeypatch, case):
         monkeypatch.setattr(teamdp.cli, "_BLOCK_ROWS", _SMALL_BLOCKS[case])
     if case == "huge_value":
         assert _block_notations(vf, _SMALL_BLOCKS[case]) == {True, False}
+    forked = _count_forks(monkeypatch)
     ref = value_function_reference(vf)
     expected = json.dumps(ref, indent=2, sort_keys=True)
     assert _first_difference(_encoded(vf), expected) is None
     csv = _flattened({_WIDE_PREFIX: ref})
     assert _first_difference(_flattened({_WIDE_PREFIX: vf}), csv) is None
+    assert len(forked) == processes - 1
+    _assert_no_child_left()
 
 
+@pytest.mark.parametrize("processes", _RENDERER_PROCESSES)
 @pytest.mark.parametrize("case", list(_VALUE_FUNCTION_MODELS))
-def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case):
+def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case, processes):
     """solve-manager writes its strategy table from the value function's
     decision keys and argmins, sorted over all stages, with the bytes the
     json module and ``_flatten`` write for the keyed reference's dict of
     every decision node's argmin, in blocks as the defaults cut them and
-    in blocks of at most 3 keys and 64 bytes of key text.
-    last_eleven_obs has parent keys that are prefixes of others, and
+    in blocks of at most 3 keys and 64 bytes of key text, rendered by
+    this process with no renderer forked.  last_eleven_obs has parent keys that are prefixes of others, and
     three_members three action components."""
     build, _ = _VALUE_FUNCTION_MODELS[case]
     model = build(toy2)
@@ -821,12 +846,15 @@ def test_strategy_table_matches_json_dumps(toy2, monkeypatch, case):
     table = {key: node.argmin for stage in stages for key, node in stage.items()}
     expected = {"strategy": {**sol.strategy.to_json_dict(), "table": table}}
     written = {"strategy": results["strategy"]}
+    forked = _count_forks(monkeypatch)
     for cut in ({}, {"_BLOCK_ROWS": 3, "_BLOCK_BYTES": 64}):
         for name, value in cut.items():
             monkeypatch.setattr(teamdp.cli, name, value)
         text = json.dumps(expected, indent=2, sort_keys=True)
         assert _first_difference(_encoded(written), text) is None
         assert _first_difference(_flattened(written), _flattened(expected)) is None
+    assert len(forked) == processes - 1
+    _assert_no_child_left()
 
 
 def _answer(strategy, obs_seq, act_seq, t):
