@@ -11,9 +11,23 @@ Submodules are imported on first use (PEP 562): ``teamdp.<name>`` and
 ``from teamdp import <name>`` import the submodule that defines the name,
 so a program pays only for the parts it touches.  ``from teamdp import *``
 imports them all.
+
+Importing the package tells OpenBLAS to start no worker pool: while numpy
+is not loaded yet, it sets ``OPENBLAS_NUM_THREADS=1`` unless the
+environment already sets it.  At its load OpenBLAS starts one worker
+thread per further CPU, and those threads take the CPU from the import,
+while teamdp's only BLAS call, a belief times one action's transition
+matrix, is far too small to use them.  The package itself loads no numpy,
+so the setting comes before numpy's load unless the program imported
+numpy first, in which case the environment is left as it is.
 """
 
 from importlib import import_module as _import_module
+from os import environ as _environ
+from sys import modules as _modules
+
+if "numpy" not in _modules:
+    _environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -57,17 +57,18 @@ and ``oracle-decentralized`` ``oracle`` (with ``strategies``), ``compare``
 ``floattext`` is imported only where a value function is written, and
 writing a report imports no solver.
 
-The command (``python -m teamdp`` and the installed ``teamdp``, both
-through ``teamdp.__main__``) also does two things at the process level
-that ``run`` does not: it sets ``OPENBLAS_NUM_THREADS=1`` unless the
-environment already sets it, before numpy loads, so OpenBLAS starts no
-idle worker threads whose start would take the CPU from the import; and
-``main`` ends the process with ``os._exit`` once the report is out and
-the standard streams that exist are flushed, with no interpreter
-teardown, so no atexit hook runs (profile or trace ``run``, as
-``perfbench/trace.py`` does).  A closed stdout counts as one that cannot
-be written; a closed or failing stderr is not written to and changes no
-exit code.
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the
+environment already sets it or numpy is already loaded, so when this
+module loads numpy OpenBLAS starts no idle worker threads whose start
+would take the CPU from the import; that holds for ``run`` and the
+command alike.  The command (``python -m teamdp`` and the installed
+``teamdp``, both through ``teamdp.__main__``) also does one thing at the
+process level that ``run`` does not: ``main`` ends the process with
+``os._exit`` once the report is out and the standard streams that exist
+are flushed, with no interpreter teardown, so no atexit hook runs
+(profile or trace ``run``, as ``perfbench/trace.py`` does).  A closed
+stdout counts as one that cannot be written; a closed or failing stderr
+is not written to and changes no exit code.
 
 ``-h``/``--help`` is a run too: its report has ``metadata.command``
 "help" and the parser's help text in ``results.usage``.

@@ -55,15 +55,18 @@ tree reachable from its conditional alone, so at a solved node it returns
 the node's value bit for bit.  A node's view key is formatted from its
 stage's ``(H, t, K)`` history arrays by slot column, one ``%`` on
 :func:`teamdp.model.view_key_format` per node, with no
-:class:`HistoryView` or string joins; the co-strategies format their
-lookup keys from the same format.  Node beliefs, the views and the
-particle tuples of :class:`MemberNode` are built only at the edge, the
-last two on first read.
+:class:`HistoryView` or string joins; a member table co-strategy looks
+up a whole stage with the same formatter.  A solve formats the keys of
+the decision stages and the strategy table from them, and nothing that
+only a report reads: the node dicts of :class:`MemberSolution`, the
+horizon stage's keys and the node beliefs are built on first read, and
+a node's view and particle tuples on first read of each.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,14 +85,15 @@ from .model import (
     _check_range,
     _likelihood_vec,
     prefix_view,
-    tiebreak_joint_actions,
     view_key_format,
+    tiebreak_joint_actions,
 )
 from .strategies import (
     DecentralizedStrategy,
     ManagerProjectionStrategy,
     MemberSeparatedStrategy,
     SeparatedTeamStrategy,
+    _check_members,
 )
 
 __all__ = [
@@ -378,16 +382,6 @@ class MemberNode:
         return self._stage.marginals[self._row].copy()
 
 
-@dataclass
-class MemberSolution:
-    member: int
-    nodes: tuple  # per stage: dict key -> MemberNode
-    stages: tuple  # per stage: the filters._MemberStage its nodes point to
-    strategy: MemberSeparatedStrategy
-    root_value: float
-    node_counts: tuple[int, ...]
-
-
 def _view_keys(structure: InformationStructure, member: int, obs: np.ndarray, act: np.ndarray):
     """Member ``member``'s view keys of the histories held in ``obs`` and
     ``act`` (each ``(N, t, K)``), equal to ``view_key(prefix_view(...))``
@@ -398,6 +392,70 @@ def _view_keys(structure: InformationStructure, member: int, obs: np.ndarray, ac
     cols = [(s - 1) * K + j if kind == "obs" else (t + s) * K + j for s, j, kind in slots]
     values = np.concatenate([obs.reshape(N, t * K), act.reshape(N, t * K)], axis=1)[:, cols]
     return [fmt % row for row in map(tuple, values.tolist())]
+
+
+def _first_histories(stage) -> tuple[np.ndarray, np.ndarray]:
+    """The joint observations and actions ``(N, t, K)`` of each node's
+    first history; all of a node's histories give its view."""
+    first = stage.hist[stage.bounds[:-1]]
+    return stage.obs[first], stage.act[first]
+
+
+def _keyed(keys: list, items) -> dict:
+    """``dict(zip(keys, items))``, refusing a key that repeats: a view
+    records the member's whole past, so no two (parent, action,
+    innovation) paths share a node."""
+    out = dict(zip(keys, items))
+    if len(out) < len(keys):
+        seen: set = set()
+        key = next(key for key in keys if key in seen or seen.add(key))
+        raise InvariantError(f"two member-tree paths reach view {key!r}")
+    return out
+
+
+def _keyed_stages(structure, member, keys, horizon, per_stage) -> list:
+    """Per stage, the dict from each node's view key to its item of
+    ``per_stage[t]``.  ``keys`` are the decision stages' view keys; the
+    horizon stage's are formatted here, from its nodes' first histories
+    ``horizon``."""
+    keys = [*keys, _view_keys(structure, member, *horizon)]
+    return [_keyed(stage_keys, items) for stage_keys, items in zip(keys, per_stage)]
+
+
+@dataclass(eq=False)
+class MemberSolution:
+    """One member's dynamic program, held as its stages of arrays: per
+    stage the :class:`teamdp.filters._MemberStage` and the node values
+    ``(N,)``, per decision stage the argmin own action of each node
+    ``(N,)``, and the strategy, whose table maps the decision stages'
+    view keys to those argmins.  ``nodes``, per stage the dict from view
+    key to :class:`MemberNode`, is built on first read, as are the
+    horizon stage's view keys (here and in the strategy's node beliefs);
+    a view reached twice raises InvariantError where its stage's keys are
+    first built."""
+
+    member: int
+    structure: InformationStructure
+    stages: tuple
+    values: tuple
+    argmins: tuple
+    strategy: MemberSeparatedStrategy
+    root_value: float
+    node_counts: tuple[int, ...]
+    decision_keys: list = field(repr=False)  # per decision stage, its nodes' view keys
+
+    @cached_property
+    def nodes(self) -> tuple:
+        T, k = len(self.argmins), self.member
+        per_stage = []
+        for t, stage in enumerate(self.stages):
+            best = self.argmins[t].tolist() if t < T else [None] * stage.num_nodes
+            per_stage.append([
+                MemberNode(v, a, stage, row, self.structure, k)
+                for row, (v, a) in enumerate(zip(self.values[t].tolist(), best))
+            ])
+        horizon = _first_histories(self.stages[-1])
+        return tuple(_keyed_stages(self.structure, k, self.decision_keys, horizon, per_stage))
 
 
 def _member_tree(model, structure, k, others, start=None, node_budget=None):
@@ -444,43 +502,49 @@ def solve_member(
     co-strategies and every own action, each node carrying its joint
     conditional, then backs up values with ties going to the smallest own
     action index.  The tree is held as stages of arrays (see
-    :func:`teamdp.filters._member_stage`); view keys are formatted from
-    each stage's history arrays, for the node dicts, the strategy table
-    and the node beliefs.  Raises ValueError for a member outside 0..K-1.
+    :func:`teamdp.filters._member_stage`); each co-strategy is asked once
+    per stage where it has ``member_actions``.  The solve formats the
+    view keys of the decision stages (t < T), from each stage's history
+    arrays, and the strategy table from them; the node dicts
+    (:attr:`MemberSolution.nodes`), the strategy's node beliefs and the
+    horizon stage's keys are built on first read.  Raises ValueError for
+    a member outside 0..K-1 or a co-strategy whose ``member`` is not its
+    key.
     """
     k = member
     K, T = model.num_members, model.horizon
     _check_range("member", k, K)
     others = others_strategies or {}
+    _check_members(others)
     for j in range(K):
         if j != k and j not in others:
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
     stages, values, argmins = _member_tree(model, structure, k, others, None, node_budget)
-    node_stages: list[dict[str, MemberNode]] = []
-    beliefs: dict[str, np.ndarray] = {}
-    for t, stage in enumerate(stages):
-        best = argmins[t].tolist() if t < T else [None] * stage.num_nodes
-        first = stage.hist[stage.bounds[:-1]]
-        keys = _view_keys(structure, k, stage.obs[first], stage.act[first])
-        nodes: dict[str, MemberNode] = {}
-        for row, (key, v, a) in enumerate(zip(keys, values[t].tolist(), best)):
-            # a view records the member's whole past, so no two
-            # (parent, action, innovation) paths share a node
-            if key in nodes:
-                raise InvariantError(f"two member-tree paths reach view {key!r}")
-            nodes[key] = MemberNode(v, a, stage, row, structure, k)
-            beliefs[key] = stage.marginals[row]
-        node_stages.append(nodes)
+    keys = [_view_keys(structure, k, *_first_histories(stage)) for stage in stages[:T]]
+    table: dict[str, int] = {}
+    for stage_keys, best in zip(keys, argmins):
+        table.update(_keyed(stage_keys, best.tolist()))
+    # what the node beliefs are built from, without holding the stages
+    horizon = _first_histories(stages[-1])
+    marginals = [stage.marginals for stage in stages]
 
-    table = {key: node.argmin for stage in node_stages[:T] for key, node in stage.items()}
-    strategy = MemberSeparatedStrategy(model, structure, k, table, node_beliefs=beliefs, default=0)
+    def node_beliefs():
+        per_stage = _keyed_stages(structure, k, keys, horizon, marginals)
+        return {key: belief for stage in per_stage for key, belief in stage.items()}
+
+    strategy = MemberSeparatedStrategy(
+        model, structure, k, table, node_beliefs=node_beliefs, default=0
+    )
     return MemberSolution(
         member=k,
-        nodes=tuple(node_stages),
+        structure=structure,
         stages=tuple(stages),
+        values=tuple(values),
+        argmins=tuple(argmins),
         strategy=strategy,
         root_value=float(values[0][0]),
         node_counts=tuple(s.num_nodes for s in stages),
+        decision_keys=keys,
     )
 
 
@@ -499,7 +563,8 @@ def evaluate_member_value(
     over the tree reachable from that conditional as one node, so at a
     solved node it returns the node's value bit for bit.  Used for
     property probes (homogeneity/concavity in the conditional weights).
-    Raises ValueError for a member outside 0..K-1 or a time outside 0..T.
+    Raises ValueError for a member outside 0..K-1, a time outside 0..T or
+    a co-strategy whose ``member`` is not its key.
     """
     if hasattr(conditional, "entries"):
         t, particles = conditional.time, conditional.entries
@@ -507,7 +572,9 @@ def evaluate_member_value(
         t, particles = conditional
     _check_range("member", member, model.num_members)
     _check_range("time", t, model.horizon + 1)
-    _, values, _ = _member_tree(model, structure, member, others_strategies or {}, (t, particles))
+    others = others_strategies or {}
+    _check_members(others)
+    _, values, _ = _member_tree(model, structure, member, others, (t, particles))
     return float(values[0][0])
 
 

@@ -16,16 +16,17 @@ arrays, ``_MemberStage``: one row per particle (node row, state, history
 id, weight) plus a table of the stage's distinct full histories as small
 integer arrays, which the co-strategies read.  One stage kernel,
 ``_member_stage``, expands every node of a stage at once under every own
-action: it looks up each co-action once per distinct history, propagates
-the particles, branches on unseen co-member data and groups the children
-by the view slots newly revealed, summing with ``np.bincount`` in a fixed
-order.  The member dynamic program in :mod:`teamdp.dp` runs it stage by
-stage, and :func:`member_conditional` replays it on a one-node stage along
-a view, keeping at each step the branch the view reveals.  The
-``(state, obs_seq, act_seq, weight)`` particle tuples are built only at
-the edge.  The member's own past actions enter as recorded values, never
-through the member's own strategy; the result is therefore invariant to
-it.
+action: it asks each co-strategy for the whole stage at once
+(``member_actions``), or once per distinct history where it cannot,
+propagates the particles, branches on unseen co-member data and groups
+the children by the view slots newly revealed, summing with
+``np.bincount`` in a fixed order.  The member dynamic program in
+:mod:`teamdp.dp` runs it stage by stage, and :func:`member_conditional`
+replays it on a one-node stage along a view, keeping at each step the
+branch the view reveals.  The ``(state, obs_seq, act_seq, weight)``
+particle tuples are built only at the edge.  The member's own past
+actions enter as recorded values, never through the member's own
+strategy; the result is therefore invariant to it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     IncompleteHistoryError,
-    StrategyUndefinedError,
     UndefinedCoStrategyError,
     ZeroLikelihoodError,
 )
@@ -52,6 +52,7 @@ from .model import (
     view_known,
     view_slots,
 )
+from .strategies import _check_members, _co_actions
 
 __all__ = [
     "Belief",
@@ -197,17 +198,6 @@ def _check_view_layout(model, structure, view):
             raise ValueError("view private slots do not match the structure")
 
 
-def _co_action(others: dict, m: int, obs_seq, act_seq, s: int) -> int:
-    try:
-        strategy = others[m]
-    except KeyError:
-        raise UndefinedCoStrategyError(f"no strategy supplied for co-member {m}") from None
-    try:
-        return strategy.member_action(obs_seq, act_seq, s)
-    except StrategyUndefinedError as e:
-        raise UndefinedCoStrategyError(str(e)) from e
-
-
 @cache
 def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k: int) -> tuple:
     """Slots that enter member k's view between t and t+1, in layout
@@ -256,8 +246,10 @@ class _MemberStage:
     histories, listed in first-occurrence particle order, whose joint
     observations and actions ``obs`` and ``act`` hold time-major as
     ``(H, time, K)``; the co-strategies read whole histories, so the
-    stage keeps them.  The ``(state, obs_seq, act_seq, weight)`` tuples
-    are built only when asked for.
+    stage keeps them.  The per-history ``sequences`` tuples, which a
+    co-strategy without ``member_actions`` reads, and the ``(state,
+    obs_seq, act_seq, weight)`` particle tuples are built only when asked
+    for.
     """
 
     time: int
@@ -342,17 +334,19 @@ def _member_stage(model, structure, k, others, stage, own_actions, node_budget=N
     step: the member DP builds its tree with it and
     :func:`member_conditional` replays it along a view.
 
-    Co-actions are computed once per distinct history, in the history
-    table's first-occurrence order.  A leaf is (particle, own action, next
-    state, joint observation) with weight ``((w*p)*pm0)*pm1...``; leaves
-    that coincide in (history, own action, observation, next state) merge
-    in particle order.  Children are grouped into child nodes by (parent,
-    own action, revealed slot values), nodes in that order and particles
-    within a node in (state, obs_seq, act_seq) order; a branch weight sums
-    its children in that order and the children are divided by it.  Every
-    sum is an ``np.bincount`` in a fixed order, so a node's numbers do not
-    depend on the other nodes of its stage.  Returns (:class:`_MemberStep`,
-    child stage).
+    Co-actions are computed once per distinct history, for the whole
+    stage at once where the co-strategy allows
+    (:func:`teamdp.strategies._co_actions`).  A leaf is (particle, own
+    action, next state, joint observation) with weight
+    ``((w*p)*pm0)*pm1...``; leaves that coincide in (history, own action,
+    observation, next state) merge in particle order.  Children
+    are grouped into child nodes by (parent, own action, revealed slot
+    values), nodes in that order and particles within a node in (state,
+    obs_seq, act_seq) order; a branch weight sums its children in that
+    order and the children are divided by it.  Every sum is an
+    ``np.bincount`` in a fixed order, so a node's numbers do not depend on
+    the other nodes of its stage.  Returns (:class:`_MemberStep`, child
+    stage).
 
     When ``node_budget`` is given, raises BudgetExceededError before
     building the child stage if ``used`` plus its node count exceeds it;
@@ -363,10 +357,8 @@ def _member_stage(model, structure, k, others, stage, own_actions, node_budget=N
     O, H, N = len(own), len(stage.obs), stage.num_nodes
     joint = np.empty((H, O, K), dtype=np.intp)
     joint[:, :, k] = own
-    for h, (obs_seq, act_seq) in enumerate(stage.sequences):
-        for m in range(K):
-            if m != k:
-                joint[h, :, m] = _co_action(others, m, obs_seq, act_seq, t)
+    for m, actions in _co_actions(others, k, K, stage).items():
+        joint[:, :, m] = actions[:, None]
     flat = np.zeros((H, O), dtype=np.intp)
     for m in range(K):
         flat = flat * model.action_sizes[m] + joint[:, :, m]
@@ -465,8 +457,9 @@ def member_conditional(
     stage: at each s < t it expands with the view's own action at s and
     keeps the branch whose newly revealed slot values match the view, so
     the result equals the member DP's node at this view bit for bit.
-    Raises ValueError for a view's member outside 0..K-1 or time outside
-    0..T, UndefinedCoStrategyError if a co-strategy is missing or
+    Raises ValueError for a view's member outside 0..K-1, a time outside
+    0..T or a co-strategy whose ``member`` is not its key,
+    UndefinedCoStrategyError if a co-strategy is missing or
     undefined, ZeroLikelihoodError if the view is impossible under the
     profile.
     """
@@ -478,6 +471,7 @@ def member_conditional(
     k, t = view.member, view.time
     K = model.num_members
     others = others_strategies or {}
+    _check_members(others)
     for j in range(K):
         if j != k and j not in others:
             raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
@@ -525,8 +519,8 @@ def recombine(
     co-members' realized private streams given the state and the member's
     view, then renormalizes.  Scaling ``belief`` by a positive constant
     does not change the output.  With a single member this is the
-    identity.  Raises ValueError for a ``member`` outside 0..K-1 or a
-    view time outside 0..T.
+    identity.  Raises ValueError for a ``member`` outside 0..K-1, a view
+    time outside 0..T or a co-strategy whose ``member`` is not its key.
     """
     if team_views.member is not None:
         raise ValueError("team-level views required")

@@ -515,14 +515,20 @@ def test_member_root_never_beats_manager(toy2):
 
 
 def test_member_nodes_carry_exact_conditionals(toy2):
+    """Every node's particles are the conditional at its view, and the
+    strategy's node beliefs are the nodes' state marginals, one per node
+    of every stage, in stage and row order."""
     model, structure = toy2
     co = {1: HashedMemberStrategy(model, structure, 1, salt=2)}
     sol = solve_member(model, structure, 0, co)
+    beliefs = sol.strategy.node_beliefs
+    assert list(beliefs) == [key for stage in sol.nodes for key in stage]
     checked = 0
     for t in range(model.horizon + 1):
-        for node in sol.nodes[t].values():
+        for key, node in sol.nodes[t].items():
             ref = member_conditional(model, structure, co, node.view)
             assert node.particles == ref.entries
+            assert np.array_equal(beliefs[key], node.state_marginal(model.num_states))
             checked += 1
     assert checked == sum(sol.node_counts)
 
@@ -901,6 +907,102 @@ def test_member_path_builds_no_view(monkeypatch):
     assert best_responses() == want
 
 
+def _batch_stages(toy2):
+    """Stages of solved member trees, with the instance each comes from:
+    toy2, a zero-entry model at T = 3, and a three-member model."""
+    zero = random_model(601, horizon=3, positive=False), POOLED_VARIANTS[0]
+    three = (
+        random_model(41, num_members=3, positive=False),
+        InformationStructure("delayed_sharing", delays=(1, 3, 2)),
+    )
+    out = []
+    for model, structure in (toy2, zero, three):
+        K = model.num_members
+        co = {j: HashedMemberStrategy(model, structure, j, salt=7 + j) for j in range(1, K)}
+        for stage in solve_member(model, structure, 0, co).stages:
+            out.append((model, structure, stage))
+    return out
+
+
+def test_horizon_views_are_keyed_on_first_read(monkeypatch, toy2):
+    """A solve formats no horizon-stage key: with every horizon view
+    given one key, the solve and its table are as before, and the
+    duplicate view is refused where the keys are first built, by
+    ``nodes`` and by the strategy's ``node_beliefs``."""
+    model, structure = toy2
+    co = {1: ConstantMemberStrategy(1, 1)}
+    want = solve_member(model, structure, 0, co)
+
+    def horizon_collides(structure, member, obs, act):
+        if obs.shape[1] == model.horizon:
+            return ["same"] * len(obs)
+        return _view_keys(structure, member, obs, act)
+
+    monkeypatch.setattr("teamdp.dp._view_keys", horizon_collides)
+    sol = solve_member(model, structure, 0, co)
+    assert sol.strategy.table == want.strategy.table
+    assert sol.root_value == want.root_value
+    with pytest.raises(InvariantError, match="two member-tree paths reach view 'same'"):
+        sol.nodes
+    with pytest.raises(InvariantError, match="two member-tree paths reach view 'same'"):
+        sol.strategy.node_beliefs
+
+
+def test_batch_lookups_match_per_history_lookups(toy2):
+    """``member_actions`` on a stage's history arrays answers, raises and
+    counts fallbacks as ``member_action`` over the stage's histories, for
+    the constant form, keyed tables with and without a default (some of
+    their views dropped) and the member solver's output, on every stage
+    of solved member trees."""
+    stages = _batch_stages(toy2)
+    solved = {}
+
+    def answers(lookup):
+        try:
+            return lookup(), None
+        except StrategyUndefinedError as e:
+            return None, str(e)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        model, structure, stage = data.draw(st.sampled_from(stages))
+        K, t, H = model.num_members, stage.time, len(stage.obs)
+        m = data.draw(st.integers(0, K - 1))
+        form = data.draw(st.sampled_from(["constant", "table", "default", "solver"]))
+        if form == "constant":
+            strategy = ConstantMemberStrategy(m, data.draw(st.integers(0, 1)))
+        elif form == "solver":
+            key = (id(model), structure, m)
+            if key not in solved:
+                co = {j: ConstantMemberStrategy(j, 0) for j in range(K) if j != m}
+                solved[key] = solve_member(model, structure, m, co).strategy
+            strategy = solved[key]
+        else:
+            hashed = HashedMemberStrategy(model, structure, m, salt=t)
+            table = {}
+            for obs_seq, act_seq in stage.sequences:
+                view = prefix_view(structure, K, obs_seq, act_seq, t, m)
+                table[view_key(view)] = hashed.member_action(obs_seq, act_seq, t)
+            dropped = data.draw(st.sets(st.sampled_from(sorted(table)), max_size=3))
+            table = {k: v for k, v in table.items() if k not in dropped}
+            default = data.draw(st.integers(0, 1)) if form == "default" else None
+            strategy = MemberTableStrategy(model, structure, m, table, default=default)
+        before = getattr(strategy, "fallbacks", 0)
+        one = answers(lambda: [strategy.member_action(o, a, t) for o, a in stage.sequences])
+        middle = getattr(strategy, "fallbacks", 0)
+        batch = answers(lambda: strategy.member_actions(stage.obs, stage.act, t))
+        after = getattr(strategy, "fallbacks", 0)
+        if batch[0] is not None:
+            assert batch[0].dtype == np.intp and batch[0].shape == (H,)
+            batch = batch[0].tolist(), None
+        assert batch == one
+        if one[0] is not None:
+            assert after - middle == middle - before
+
+    check()
+
+
 def _member_solutions(model, structure):
     """The manager solution, and each member's solution against the
     manager's projections, as compare_solutions makes them."""
@@ -1005,12 +1107,32 @@ _ROOT_PARTICLE = [(0, (), (), 1.0)]
             lambda m: evaluate_member_value(m, _RANGE_STRUCTURE, 2, _BOTH, (0, _ROOT_PARTICLE)),
             "member 2 outside 0..1",
         ),
+        # strategies in the wrong member's slot, which a profile scored
+        # (1.97739... against 1.97999... in member order) and a member
+        # solve took without a complaint
+        (
+            lambda m: DecentralizedStrategy(
+                m, _RANGE_STRUCTURE, [ConstantMemberStrategy(1, 1), ConstantMemberStrategy(0, 0)]
+            ),
+            "the strategy for member 0 is member 1's",
+        ),
+        (
+            lambda m: solve_member(m, _RANGE_STRUCTURE, 0, {1: ConstantMemberStrategy(0, 1)}),
+            "the strategy for member 1 is member 0's",
+        ),
+        (
+            lambda m: evaluate_member_value(
+                m, _RANGE_STRUCTURE, 0, {1: ConstantMemberStrategy(0, 1)}, (0, _ROOT_PARTICLE)
+            ),
+            "the strategy for member 1 is member 0's",
+        ),
     ],
     ids=[
         "evaluate_value-t-1", "evaluate_value-t3", "evaluate_value-1-state",
         "evaluate_value-5-states", "backup-t-1", "backup-t2", "backup-2-states",
         "solve_member-k2", "solve_member-k-1", "evaluate_member_value-t5",
-        "evaluate_member_value-k2",
+        "evaluate_member_value-k2", "profile-swapped", "solve_member-wrong-co-member",
+        "evaluate_member_value-wrong-co-member",
     ],
 )
 def test_dp_entry_points_refuse_out_of_range_input(call, message):

@@ -366,6 +366,71 @@ def test_co_strategy_key_error_propagates(toy2):
     assert info.value.args == ("inside member_action",)
 
 
+def _stage_tables(model, structure, k, co):
+    """Per co-member, the table of its actions at every view it is asked
+    at in member ``k``'s solve against ``co``, keyed by ``view_key``."""
+    from teamdp import solve_member
+    from teamdp.model import prefix_view
+
+    sol = solve_member(model, structure, k, co)
+    tables = {j: {} for j in co}
+    for stage in sol.stages[:-1]:
+        for obs_seq, act_seq in stage.sequences:
+            for j, strategy in co.items():
+                view = prefix_view(structure, model.num_members, obs_seq, act_seq, stage.time, j)
+                tables[j][view_key(view)] = strategy.member_action(obs_seq, act_seq, stage.time)
+    return sol, tables
+
+
+def test_first_undefined_co_action_in_history_order():
+    """Two co-members' tables each miss a view of stage 1: member 0's at
+    the stage's last history and member 2's at its first.  The error
+    names the first (history, member) in history-major order, member 2's,
+    as when co-strategies were asked history by history."""
+    from teamdp import solve_member
+    from teamdp.model import prefix_view
+
+    model = random_model(700, num_members=3)
+    structure = InformationStructure("delayed_sharing", delays=(1, 2, 1))
+    hashed = {j: HashedMemberStrategy(model, structure, j, salt=j) for j in (0, 2)}
+    sol, tables = _stage_tables(model, structure, 1, hashed)
+    first, *_, last = sol.stages[1].sequences
+    del tables[0][view_key(prefix_view(structure, 3, *last, 1, 0))]
+    del tables[2][view_key(prefix_view(structure, 3, *first, 1, 2))]
+    co = {j: MemberTableStrategy(model, structure, j, tables[j]) for j in (0, 2)}
+    with pytest.raises(UndefinedCoStrategyError) as info:
+        solve_member(model, structure, 1, co)
+    # recorded before co-strategies answered a whole stage at once
+    assert str(info.value) == (
+        "member 2 has no action for view 't=1;k=2;c[a0^0:1,a0^2:0];p[o1:0]'"
+    )
+    with pytest.raises(UndefinedCoStrategyError) as info:
+        solve_member(model, structure, 1, {**co, 2: hashed[2]})
+    assert str(info.value) == (
+        "member 0 has no action for view 't=1;k=0;c[a0^0:1,a0^2:0];p[o1:1]'"
+    )
+
+
+def test_batch_co_strategies_build_no_history_tuples():
+    """Against co-strategies that answer a whole stage (a constant and a
+    keyed table), no stage builds its per-history tuples, neither in the
+    solve nor when its nodes, their views' keys or its beliefs are read;
+    the solve matches the one against per-history co-strategies."""
+    from teamdp import solve_member
+
+    model = random_model(700, num_members=3)
+    structure = InformationStructure("delayed_sharing", delays=(1, 2, 1))
+    hashed = {0: HashedMemberStrategy(model, structure, 0, salt=3), 2: ConstantMemberStrategy(2, 1)}
+    want, tables = _stage_tables(model, structure, 1, hashed)
+    co = {0: MemberTableStrategy(model, structure, 0, tables[0]), 2: hashed[2]}
+    sol = solve_member(model, structure, 1, co)
+    assert [list(stage) for stage in sol.nodes] == [list(stage) for stage in want.nodes]
+    assert sol.strategy.node_beliefs.keys() == want.strategy.node_beliefs.keys()
+    assert sol.strategy.table == want.strategy.table
+    assert sol.root_value == want.root_value
+    assert all("sequences" not in stage.__dict__ for stage in sol.stages)
+
+
 def test_member_belief_zero_probability_view(toy2):
     model, structure = toy2
     co = {1: ConstantMemberStrategy(1, 0)}
@@ -377,10 +442,11 @@ def test_member_belief_zero_probability_view(toy2):
 
 
 def test_member_side_filters_refuse_out_of_range_members_and_times():
-    """A member outside 0..K-1 or a time outside 0..T is a ValueError
-    before any index is taken: member 5 used to raise IndexError from
-    ``structure.delays[5]``, and member -1 (K - 1's delay), time -1 and,
-    with K = 1, any member or time given to recombine were answered."""
+    """A member outside 0..K-1, a time outside 0..T or a co-strategy in
+    another member's slot is a ValueError before any index is taken:
+    member 5 used to raise IndexError from ``structure.delays[5]``, and
+    member -1 (K - 1's delay), time -1 and, with K = 1, any member or
+    time given to recombine were answered."""
     model = random_model(1, horizon=2)
     structure = InformationStructure("delayed_sharing", delays=(1, 1))
     co = {k: ConstantMemberStrategy(k, 0) for k in range(2)}
@@ -402,6 +468,13 @@ def test_member_side_filters_refuse_out_of_range_members_and_times():
             recombine(model, structure, member, belief, co, team)
     with pytest.raises(ValueError, match="time -1 outside 0..2"):
         recombine(model, structure, 0, belief, co, HistoryView(-1, None, (), ((), ())))
+    # a co-strategy in the wrong member's slot, which was answered
+    wrong = {1: ConstantMemberStrategy(0, 0)}
+    for query in (member_conditional, member_belief):
+        with pytest.raises(ValueError, match="the strategy for member 1 is member 0's"):
+            query(model, structure, wrong, extract_views(structure, traj, 1, 0))
+    with pytest.raises(ValueError, match="the strategy for member 1 is member 0's"):
+        recombine(model, structure, 0, belief, wrong, team)
     # K = 1 returns the belief unread, so it must check first
     chain = random_model(1, num_members=1, horizon=2)
     alone = InformationStructure("delayed_sharing", delays=(1,))

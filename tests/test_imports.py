@@ -203,13 +203,34 @@ def test_entry_point_keeps_a_preset_blas_thread_count():
     assert value == "2"
 
 
-@pytest.mark.parametrize(
-    "statement", ["import teamdp", "import teamdp.cli", "from teamdp import solve_manager"]
-)
-def test_library_imports_leave_the_environment_alone(statement):
-    code, (value, numpy_loaded, _) = _fresh(_BLAS, "unset", statement)
+_LIBRARY_IMPORTS = ["import teamdp", "import teamdp.cli", "from teamdp import solve_manager"]
+
+
+@pytest.mark.parametrize("statement", _LIBRARY_IMPORTS)
+def test_library_imports_start_no_blas_pool(statement):
+    """Library use sets ``OPENBLAS_NUM_THREADS=1`` as the command does,
+    so the process holds one thread once numpy loads; the package itself
+    loads no numpy, so the setting comes first."""
+    code, (value, numpy_loaded, threads) = _fresh(_BLAS, "unset", statement)
+    assert code == 0
+    assert value == "1"
+    assert numpy_loaded is (statement != "import teamdp")
+    if threads is None:
+        pytest.skip("needs /proc to count threads")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("statement", _LIBRARY_IMPORTS)
+def test_library_imports_keep_a_preset_blas_thread_count(statement):
+    code, (value, _, _) = _fresh(_BLAS, "2", statement)
+    assert code == 0
+    assert value == "2"
+
+
+def test_numpy_imported_first_leaves_the_environment_alone():
+    """With numpy loaded before teamdp, the setting would come too late
+    to matter, so the package leaves the environment as it is."""
+    code, (value, numpy_loaded, _) = _fresh(_BLAS, "unset", "import numpy, teamdp, teamdp.dp")
     assert code == 0
     assert value is None
-    # the entry point's setting comes in time only while the package
-    # itself loads no numpy
-    assert numpy_loaded is (statement != "import teamdp")
+    assert numpy_loaded
