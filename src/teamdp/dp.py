@@ -75,7 +75,6 @@ from .errors import (
     BudgetExceededError,
     IncompleteHistoryError,
     InvariantError,
-    UndefinedCoStrategyError,
 )
 from .model import (
     DEFAULT_NODE_BUDGET,
@@ -93,7 +92,7 @@ from .strategies import (
     ManagerProjectionStrategy,
     MemberSeparatedStrategy,
     SeparatedTeamStrategy,
-    _check_members,
+    _co_strategies,
 )
 
 __all__ = [
@@ -514,11 +513,7 @@ def solve_member(
     k = member
     K, T = model.num_members, model.horizon
     _check_range("member", k, K)
-    others = others_strategies or {}
-    _check_members(others)
-    for j in range(K):
-        if j != k and j not in others:
-            raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
+    others = _co_strategies(others_strategies, k, K)
     stages, values, argmins = _member_tree(model, structure, k, others, None, node_budget)
     keys = [_view_keys(structure, k, *_first_histories(stage)) for stage in stages[:T]]
     table: dict[str, int] = {}
@@ -564,7 +559,8 @@ def evaluate_member_value(
     solved node it returns the node's value bit for bit.  Used for
     property probes (homogeneity/concavity in the conditional weights).
     Raises ValueError for a member outside 0..K-1, a time outside 0..T or
-    a co-strategy whose ``member`` is not its key.
+    a co-strategy whose ``member`` is not its key, and
+    UndefinedCoStrategyError for a missing co-strategy, at t = T too.
     """
     if hasattr(conditional, "entries"):
         t, particles = conditional.time, conditional.entries
@@ -572,8 +568,7 @@ def evaluate_member_value(
         t, particles = conditional
     _check_range("member", member, model.num_members)
     _check_range("time", t, model.horizon + 1)
-    others = others_strategies or {}
-    _check_members(others)
+    others = _co_strategies(others_strategies, member, model.num_members)
     _, values, _ = _member_tree(model, structure, member, others, (t, particles))
     return float(values[0][0])
 

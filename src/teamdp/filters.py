@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     IncompleteHistoryError,
-    UndefinedCoStrategyError,
     ZeroLikelihoodError,
 )
 from .model import (
@@ -52,7 +51,7 @@ from .model import (
     view_known,
     view_slots,
 )
-from .strategies import _check_members, _co_actions
+from .strategies import _co_actions, _co_strategies
 
 __all__ = [
     "Belief",
@@ -470,11 +469,7 @@ def member_conditional(
     _check_view_layout(model, structure, view)
     k, t = view.member, view.time
     K = model.num_members
-    others = others_strategies or {}
-    _check_members(others)
-    for j in range(K):
-        if j != k and j not in others:
-            raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
+    others = _co_strategies(others_strategies, k, K)
     known = view_known(view)
     stage = _root_stage(model)
     for s in range(t):

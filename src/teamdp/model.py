@@ -67,11 +67,12 @@ STRUCTURE_VARIANTS = (
     "no_sharing",
 )
 
-_DELAYED_VARIANTS = (
-    "delayed_sharing",
-    "delayed_observation_sharing",
-    "delayed_control_sharing",
-)
+# the kinds of datum each delayed variant pools, n_j after member j made it
+_DELAYED_SHARES = {
+    "delayed_sharing": ("obs", "act"),
+    "delayed_observation_sharing": ("obs",),
+    "delayed_control_sharing": ("act",),
+}
 
 # A slot identifies one datum: (time, member, kind) with kind "obs" or "act".
 Slot = tuple[int, int, str]
@@ -191,12 +192,16 @@ def _likelihood_vec(model: TeamModel, joint_obs) -> np.ndarray:
 class InformationStructure:
     """How observations and actions circulate inside the team.
 
+    Each variant fixes the time at which member j's datum from time s
+    enters the common pool; until then it is private to j.
+
     variant
-        One of ``delayed_sharing`` (everything older than each member's
-        delay is pooled), ``periodic_sharing`` (everything is pooled in
-        batches at multiples of ``period``), ``delayed_observation_sharing``
-        (only observations are pooled, with delay), ``delayed_control_sharing``
-        (only actions are pooled, with delay), ``no_sharing``.
+        One of ``delayed_sharing`` (observations and actions arrive at
+        s + n_j), ``delayed_observation_sharing`` (observations arrive at
+        s + n_j, actions never), ``delayed_control_sharing`` (actions
+        arrive at s + n_j, observations never), ``periodic_sharing``
+        (everything arrives in batches, at max(1, ceil(s / w)) * w + 1
+        for w = ``period``), ``no_sharing`` (nothing ever arrives).
     delays
         Per-member positive delays n_k, required by the delayed variants.
         The symmetric case has all entries equal.
@@ -353,7 +358,7 @@ def validate_structure(structure: InformationStructure, num_members: int) -> lis
     if v not in STRUCTURE_VARIANTS:
         out.append(Violation("information_structure.variant", f"unknown variant {v!r}"))
         return out
-    if v in _DELAYED_VARIANTS:
+    if v in _DELAYED_SHARES:
         if structure.delays is None:
             out.append(Violation("information_structure.delays", f"required for {v}"))
         elif len(structure.delays) != num_members:
@@ -378,81 +383,20 @@ def validate_structure(structure: InformationStructure, num_members: int) -> lis
 # ---------------------------------------------------------------------------
 # view slots
 
-def _obs_times(lo: int, hi: int) -> range:
-    """Observation times in [lo, hi] that exist (clipped below at 1)."""
-    return range(max(lo, 1), hi + 1)
 
-
-def _act_times(lo: int, hi: int) -> range:
-    """Action times in [lo, hi] that exist (clipped below at 0)."""
-    return range(max(lo, 0), hi + 1)
-
-
-def _periodic_boundary(t: int, period: int) -> int:
-    """Latest completed pooling boundary at time t (0 while t <= period)."""
-    if t <= period:
-        return 0
-    return ((t - 1) // period) * period
-
-
-def _common_slots(structure: InformationStructure, K: int, t: int) -> tuple[Slot, ...]:
+def _arrival(structure: InformationStructure, slot: Slot) -> int | None:
+    """Time at which a slot's datum enters the common pool (None: never)."""
+    s, j, kind = slot
     v = structure.variant
-    slots: list[tuple[int, int, int, str]] = []  # (arrival, time, kind_order, member) carrier
-    if v == "no_sharing":
-        return ()
+    if v in _DELAYED_SHARES:
+        return s + structure.delays[j] if kind in _DELAYED_SHARES[v] else None
     if v == "periodic_sharing":
+        # just after the first period boundary at or past s (w, 2w, ...)
         w = structure.period
-        b = _periodic_boundary(t, w)
-        if b == 0:
-            return ()
-        for j in range(K):
-            # a datum from time s enters the pool just after the first
-            # period boundary at or past it (boundaries w, 2w, ...)
-            for s in _obs_times(1, b):
-                slots.append((max(1, math.ceil(s / w)) * w + 1, s, 0, j))
-            for s in _act_times(0, b):
-                slots.append((max(1, math.ceil(s / w)) * w + 1, s, 1, j))
-    else:
-        share_obs = v in ("delayed_sharing", "delayed_observation_sharing")
-        share_act = v in ("delayed_sharing", "delayed_control_sharing")
-        for j in range(K):
-            n = structure.delays[j]
-            if share_obs:
-                for s in _obs_times(1, t - n):
-                    slots.append((s + n, s, 0, j))
-            if share_act:
-                for s in _act_times(0, t - n):
-                    slots.append((s + n, s, 1, j))
-    slots.sort()
-    return tuple((s, j, "obs" if kind == 0 else "act") for _, s, kind, j in slots)
-
-
-def _private_slots(structure: InformationStructure, t: int, k: int) -> tuple[Slot, ...]:
-    v = structure.variant
-    if v == "delayed_sharing":
-        n = structure.delays[k]
-        obs = _obs_times(t - n + 1, t)
-        act = _act_times(t - n + 1, t - 1)
-    elif v == "periodic_sharing":
-        b = _periodic_boundary(t, structure.period)
-        obs = _obs_times(b + 1, t)
-        act = _act_times(b + 1 if b > 0 else 0, t - 1)
-    elif v == "delayed_observation_sharing":
-        n = structure.delays[k]
-        obs = _obs_times(t - n + 1, t)
-        act = _act_times(0, t - 1)
-    elif v == "delayed_control_sharing":
-        n = structure.delays[k]
-        obs = _obs_times(1, t)
-        act = _act_times(t - n + 1, t - 1)
-    elif v == "no_sharing":
-        obs = _obs_times(1, t)
-        act = _act_times(0, t - 1)
-    else:
-        raise ValueError(f"unknown variant {v!r}")
-    merged = [(s, 0, "obs") for s in obs] + [(s, 1, "act") for s in act]
-    merged.sort()
-    return tuple((s, k, kind) for s, _, kind in merged)
+        return max(1, math.ceil(s / w)) * w + 1
+    if v == "no_sharing":
+        return None
+    raise ValueError(f"unknown variant {v!r}")
 
 
 @cache
@@ -461,17 +405,28 @@ def view_slots(
 ) -> tuple[tuple[Slot, ...], tuple[tuple[Slot, ...], ...]]:
     """Slot layout of a view at time t: (common slots, private slot streams).
 
-    For a member view the second element has a single stream; for the
-    team-level view (``member`` is None) it has one stream per member.
-    The layout depends only on the arguments, so it is computed once per
-    argument tuple and shared (it is built from tuples, hence immutable).
+    Every datum up to time t (observations 1..t, actions 0..t-1) is
+    common once its :func:`_arrival` time is at most t, and private to its
+    member until then.  The common slots come in arrival order (ties by
+    time, observation before action, member); a private stream is in time
+    order, observation before action.  For a member view the second
+    element has a single stream; for the team-level view (``member`` is
+    None) it has one stream per member.  The layout depends only on the
+    arguments, so it is computed once per argument tuple and shared (it is
+    built from tuples, hence immutable).
     """
-    common = _common_slots(structure, num_members, t)
-    if member is None:
-        privates = tuple(_private_slots(structure, t, k) for k in range(num_members))
-    else:
-        privates = (_private_slots(structure, t, member),)
-    return common, privates
+    # each member's data in time order, u_0, y_1, u_1, ..., u_{t-1}, y_t: the
+    # pairs (y_s, u_s) for s = 0..t less y_0 and u_t, which do not exist
+    own = [
+        [(s, j, kind) for s in range(t + 1) for kind in ("obs", "act")][1:-1]
+        for j in range(num_members)
+    ]
+    arrival = {slot: _arrival(structure, slot) for stream in own for slot in stream}
+    pooled = {slot for slot, a in arrival.items() if a is not None and a <= t}
+    common = sorted(pooled, key=lambda slot: (arrival[slot], slot[0], slot[2] == "act", slot[1]))
+    members = range(num_members) if member is None else (member,)
+    privates = tuple(tuple(slot for slot in own[k] if slot not in pooled) for k in members)
+    return tuple(common), privates
 
 
 def _value_at(traj_obs, traj_act, slot: Slot) -> int:
@@ -580,12 +535,17 @@ def view_key_format(
 ) -> tuple[str, tuple[Slot, ...]]:
     """Member ``member``'s :func:`view_key` at time t as a ``%`` format.
 
-    Returns the key text with one ``%s`` in place of each slot value and
-    the slots in the order of those placeholders (common, then private).
+    Returns the key text with one ``%s`` in place of each slot value (the
+    :func:`view_key` of the view whose every value is ``"%s"``) and the
+    slots in the order of those placeholders (common, then private).
     ``fmt % values`` equals ``view_key`` of the view holding ``values``
     (each rendered by ``str``), without building the view.
     """
     common, (private,) = view_slots(structure, num_members, t, member)
-    c = ",".join(f"{kind[0]}{s}^{j}:%s" for s, j, kind in common)
-    p = ",".join(f"{kind[0]}{s}:%s" for s, _, kind in private)
-    return f"t={t};k={member};c[{c}];p[{p}]", common + private
+    view = HistoryView(
+        time=t,
+        member=member,
+        common=tuple((s, j, kind, "%s") for s, j, kind in common),
+        private=tuple((s, kind, "%s") for s, _, kind in private),
+    )
+    return view_key(view), common + private

@@ -67,10 +67,22 @@ def _check_members(strategies: Mapping[int, object]) -> None:
             raise ValueError(f"the strategy for member {slot} is member {member}'s")
 
 
+def _co_strategies(others: Mapping[int, object] | None, k: int, num_members: int) -> Mapping:
+    """Member k's co-strategies, ``others`` (None for none), admitted:
+    ValueError as :func:`_check_members` gives it, then
+    UndefinedCoStrategyError for the first co-member without one."""
+    others = others or {}
+    _check_members(others)
+    for j in range(num_members):
+        if j != k and j not in others:
+            raise UndefinedCoStrategyError(f"no strategy supplied for co-member {j}")
+    return others
+
+
 def _co_actions(others: Mapping, k: int, num_members: int, stage) -> dict:
     """Every co-member's action at each distinct history of a member-DP
-    stage (``teamdp.filters._MemberStage``), as ``{member: (H,) actions}``.
-    A co-strategy with ``member_actions`` is asked once for the whole
+    stage (``teamdp.filters._MemberStage``), as ``{member: (H,) actions}``,
+    from co-strategies admitted by :func:`_co_strategies`.  A co-strategy with ``member_actions`` is asked once for the whole
     stage; the others, and any whose batch call finds a history
     undefined, are asked history by history over ``stage.sequences``,
     histories outer and members inner, so the first undefined (history,
@@ -80,7 +92,7 @@ def _co_actions(others: Mapping, k: int, num_members: int, stage) -> dict:
     for m in range(num_members):
         if m == k:
             continue
-        batch = getattr(others.get(m), "member_actions", None)
+        batch = getattr(others[m], "member_actions", None)
         if batch is not None:
             try:
                 actions[m] = batch(stage.obs, stage.act, stage.time)
@@ -92,8 +104,6 @@ def _co_actions(others: Mapping, k: int, num_members: int, stage) -> dict:
         cols = np.empty((len(rest), len(stage.obs)), dtype=np.intp)
         for h, (obs_seq, act_seq) in enumerate(stage.sequences):
             for i, m in enumerate(rest):
-                if m not in others:
-                    raise UndefinedCoStrategyError(f"no strategy supplied for co-member {m}")
                 try:
                     cols[i, h] = others[m].member_action(obs_seq, act_seq, stage.time)
                 except StrategyUndefinedError as e:

@@ -7,6 +7,7 @@ case.  The structural probes (positive scaling, concavity in the belief
 or conditional weights) certify the backup operators themselves.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -596,6 +597,25 @@ def test_member_is_deterministic(toy2):
     assert a.strategy.table == b.strategy.table
 
 
+def test_member_ties_go_to_the_smallest_own_action():
+    """Member 0's two actions move the state and cost alike, so every
+    Q-value of its dynamic program ties exactly and the tie-break alone
+    picks action 0, at every node of every stage."""
+    model = random_model(5, horizon=3)
+    transition, stage_cost = model.transition.copy(), model.stage_cost.copy()
+    for u in model.joint_actions:
+        if u[0] == 0:
+            a, twin = model.flat_action(u), model.flat_action((1, *u[1:]))
+            transition[:, twin] = transition[:, a]
+            stage_cost[:, :, twin] = stage_cost[:, :, a]
+    model = dataclasses.replace(model, transition=transition, stage_cost=stage_cost)
+    structure = InformationStructure("delayed_sharing", delays=(1, 2))
+    sol = solve_member(model, structure, 0, {1: ConstantMemberStrategy(1, 0)})
+    assert sum(map(len, sol.argmins)) == sum(sol.node_counts[:-1]) > 20
+    assert all(not a.any() for a in sol.argmins)
+    assert set(sol.strategy.table.values()) == {0}
+
+
 def test_member_node_budget(toy2):
     model, structure = toy2
     co = {1: HashedMemberStrategy(model, structure, 1, salt=1)}
@@ -1085,26 +1105,45 @@ def test_compare_refuses_a_member_history_off_the_manager_tree(monkeypatch, toy2
 _RANGE_STRUCTURE = InformationStructure("delayed_sharing", delays=(1, 1))
 _BOTH = {0: ConstantMemberStrategy(0, 0), 1: ConstantMemberStrategy(1, 0)}
 _ROOT_PARTICLE = [(0, (), (), 1.0)]
+_HORIZON_PARTICLE = [(0, ((0, 0), (1, 0)), ((0, 1), (1, 1)), 1.0)]
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda m: evaluate_value(m, -1, m.initial_dist), "time -1 outside 0..2"),
-        (lambda m: evaluate_value(m, 3, m.initial_dist), "time 3 outside 0..2"),
-        (lambda m: evaluate_value(m, 0, [1.0]), r"belief of shape \(1,\), not \(3,\)"),
-        (lambda m: evaluate_value(m, 0, [0.2] * 5), r"belief of shape \(5,\), not \(3,\)"),
-        (lambda m: backup(m, lambda b: 0.0, m.initial_dist, -1), "time -1 outside 0..1"),
-        (lambda m: backup(m, lambda b: 0.0, m.initial_dist, 2), "time 2 outside 0..1"),
-        (lambda m: backup(m, lambda b: 0.0, [0.5, 0.5], 0), r"belief of shape \(2,\)"),
-        (lambda m: solve_member(m, _RANGE_STRUCTURE, 2, _BOTH), "member 2 outside 0..1"),
-        (lambda m: solve_member(m, _RANGE_STRUCTURE, -1, _BOTH), "member -1 outside 0..1"),
+        (lambda m: evaluate_value(m, -1, m.initial_dist), ValueError, "time -1 outside 0..2"),
+        (lambda m: evaluate_value(m, 3, m.initial_dist), ValueError, "time 3 outside 0..2"),
+        (lambda m: evaluate_value(m, 0, [1.0]), ValueError, r"belief of shape \(1,\), not \(3,\)"),
+        (
+            lambda m: evaluate_value(m, 0, [0.2] * 5),
+            ValueError,
+            r"belief of shape \(5,\), not \(3,\)",
+        ),
+        (
+            lambda m: backup(m, lambda b: 0.0, m.initial_dist, -1),
+            ValueError,
+            "time -1 outside 0..1",
+        ),
+        (lambda m: backup(m, lambda b: 0.0, m.initial_dist, 2), ValueError, "time 2 outside 0..1"),
+        (lambda m: backup(m, lambda b: 0.0, [0.5, 0.5], 0), ValueError, r"belief of shape \(2,\)"),
+        (
+            lambda m: solve_member(m, _RANGE_STRUCTURE, 2, _BOTH),
+            ValueError,
+            "member 2 outside 0..1",
+        ),
+        (
+            lambda m: solve_member(m, _RANGE_STRUCTURE, -1, _BOTH),
+            ValueError,
+            "member -1 outside 0..1",
+        ),
         (
             lambda m: evaluate_member_value(m, _RANGE_STRUCTURE, 0, _BOTH, (5, _ROOT_PARTICLE)),
+            ValueError,
             "time 5 outside 0..2",
         ),
         (
             lambda m: evaluate_member_value(m, _RANGE_STRUCTURE, 2, _BOTH, (0, _ROOT_PARTICLE)),
+            ValueError,
             "member 2 outside 0..1",
         ),
         # strategies in the wrong member's slot, which a profile scored
@@ -1114,17 +1153,27 @@ _ROOT_PARTICLE = [(0, (), (), 1.0)]
             lambda m: DecentralizedStrategy(
                 m, _RANGE_STRUCTURE, [ConstantMemberStrategy(1, 1), ConstantMemberStrategy(0, 0)]
             ),
+            ValueError,
             "the strategy for member 0 is member 1's",
         ),
         (
             lambda m: solve_member(m, _RANGE_STRUCTURE, 0, {1: ConstantMemberStrategy(0, 1)}),
+            ValueError,
             "the strategy for member 1 is member 0's",
         ),
         (
             lambda m: evaluate_member_value(
                 m, _RANGE_STRUCTURE, 0, {1: ConstantMemberStrategy(0, 1)}, (0, _ROOT_PARTICLE)
             ),
+            ValueError,
             "the strategy for member 1 is member 0's",
+        ),
+        # a missing co-member at t = T, where no co-strategy is asked: the
+        # terminal cost came back
+        (
+            lambda m: evaluate_member_value(m, _RANGE_STRUCTURE, 0, {}, (2, _HORIZON_PARTICLE)),
+            UndefinedCoStrategyError,
+            "no strategy supplied for co-member 1",
         ),
     ],
     ids=[
@@ -1132,11 +1181,11 @@ _ROOT_PARTICLE = [(0, (), (), 1.0)]
         "evaluate_value-5-states", "backup-t-1", "backup-t2", "backup-2-states",
         "solve_member-k2", "solve_member-k-1", "evaluate_member_value-t5",
         "evaluate_member_value-k2", "profile-swapped", "solve_member-wrong-co-member",
-        "evaluate_member_value-wrong-co-member",
+        "evaluate_member_value-wrong-co-member", "evaluate_member_value-t2-no-co-member",
     ],
 )
-def test_dp_entry_points_refuse_out_of_range_input(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_dp_entry_points_refuse_out_of_range_input(call, error, message):
+    with pytest.raises(error, match=message):
         call(random_model(1, horizon=2))
 
 

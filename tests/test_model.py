@@ -1,6 +1,8 @@
 """Model validation, view extraction, and canonical-key behavior."""
 
 import dataclasses
+import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from teamdp.model import (
     tiebreak_joint_actions,
     validate_structure,
     view_key,
+    view_slots,
 )
 
 from conftest import flip_transition, random_model, sharing_structures, symmetric_kernel
@@ -177,6 +180,32 @@ def test_control_only_sharing_keeps_all_own_observations():
     assert kinds_common == {"act"}
     own_obs = {(t, v) for t, kind, v in view.private if kind == "obs"}
     assert own_obs == {(1, 1), (2, 1), (3, 0)}
+
+
+# sha256 over the repr of every layout below, one line each, as the slot
+# tables of the earlier model gave them
+_LAYOUT_SHA256 = "bc74fc97a9dbca53b5c2c04fbe840cbc13bbd903243807acd6494a07c013461f"
+
+
+def test_view_layouts_are_pinned():
+    """Every view layout for K <= 3 up to t = 8: no sharing, periods 1..4
+    and each delayed variant under every delay tuple in {1, 2, 3}^K, for
+    the team and each member."""
+    digest = hashlib.sha256()
+    for K in (1, 2, 3):
+        structures = [InformationStructure("no_sharing")]
+        structures += [InformationStructure("periodic_sharing", period=w) for w in range(1, 5)]
+        for variant in (
+            "delayed_sharing", "delayed_observation_sharing", "delayed_control_sharing"
+        ):
+            structures += [
+                InformationStructure(variant, delays=d) for d in product((1, 2, 3), repeat=K)
+            ]
+        for s in structures:
+            for t in range(9):
+                for m in (None, *range(K)):
+                    digest.update(repr(view_slots(s, K, t, m)).encode() + b"\n")
+    assert digest.hexdigest() == _LAYOUT_SHA256
 
 
 def test_time_and_member_range_errors():
