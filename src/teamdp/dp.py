@@ -52,21 +52,22 @@ member side imports ``filters``, so a manager solve never loads it).
 stage and then back up over the arrays with ``np.bincount`` in branch
 order (``_member_tree``); ``evaluate_member_value`` does so over the
 tree reachable from its conditional alone, so at a solved node it returns
-the node's value bit for bit.  A node's view key is formatted from its
-stage's ``(H, t, K)`` history arrays by slot column, one ``%`` on
-:func:`teamdp.model.view_key_format` per node, with no
-:class:`HistoryView` or string joins; a member table co-strategy looks
-up a whole stage with the same formatter.  A solve formats the keys of
-the decision stages and the strategy table from them, and nothing that
-only a report reads: the node dicts of :class:`MemberSolution`, the
-horizon stage's keys and the node beliefs are built on first read, and
-a node's view and particle tuples on first read of each.
+the node's value bit for bit.  A stage's view keys come from one
+kernel, ``_view_keys``, which member tables also answer through: values
+taken from the stage's ``(H, t, K)`` history arrays by slot column, one
+``%`` on :func:`teamdp.model.view_key_format` per key, no
+:class:`HistoryView`.  A solve keys only the decision stages, for the
+strategy table; the strategy's node beliefs key every stage once, on
+first read, and :attr:`MemberSolution.nodes` takes its keys from there.
+``compare_solutions`` reads the solution's arrays and its table's keys,
+and builds no node.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -412,26 +413,16 @@ def _keyed(keys: list, items) -> dict:
     return out
 
 
-def _keyed_stages(structure, member, keys, horizon, per_stage) -> list:
-    """Per stage, the dict from each node's view key to its item of
-    ``per_stage[t]``.  ``keys`` are the decision stages' view keys; the
-    horizon stage's are formatted here, from its nodes' first histories
-    ``horizon``."""
-    keys = [*keys, _view_keys(structure, member, *horizon)]
-    return [_keyed(stage_keys, items) for stage_keys, items in zip(keys, per_stage)]
-
-
 @dataclass(eq=False)
 class MemberSolution:
     """One member's dynamic program, held as its stages of arrays: per
     stage the :class:`teamdp.filters._MemberStage` and the node values
     ``(N,)``, per decision stage the argmin own action of each node
     ``(N,)``, and the strategy, whose table maps the decision stages'
-    view keys to those argmins.  ``nodes``, per stage the dict from view
-    key to :class:`MemberNode`, is built on first read, as are the
-    horizon stage's view keys (here and in the strategy's node beliefs);
-    a view reached twice raises InvariantError where its stage's keys are
-    first built."""
+    view keys, in stage and row order, to those argmins.  ``nodes``, per
+    stage the dict from view key to :class:`MemberNode`, is built on
+    first read with the keys of the strategy's node beliefs; a view
+    reached twice raises InvariantError where its stage is first keyed."""
 
     member: int
     structure: InformationStructure
@@ -441,20 +432,19 @@ class MemberSolution:
     strategy: MemberSeparatedStrategy
     root_value: float
     node_counts: tuple[int, ...]
-    decision_keys: list = field(repr=False)  # per decision stage, its nodes' view keys
 
     @cached_property
     def nodes(self) -> tuple:
-        T, k = len(self.argmins), self.member
-        per_stage = []
-        for t, stage in enumerate(self.stages):
-            best = self.argmins[t].tolist() if t < T else [None] * stage.num_nodes
-            per_stage.append([
-                MemberNode(v, a, stage, row, self.structure, k)
-                for row, (v, a) in enumerate(zip(self.values[t].tolist(), best))
-            ])
-        horizon = _first_histories(self.stages[-1])
-        return tuple(_keyed_stages(self.structure, k, self.decision_keys, horizon, per_stage))
+        keys = iter(self.strategy.node_beliefs)  # every stage's, in stage and row order
+        best = [a.tolist() for a in self.argmins] + [[None] * self.stages[-1].num_nodes]
+        # ``keys`` last in ``zip``, so that each stage takes exactly its nodes' keys
+        return tuple(
+            {
+                key: MemberNode(v, a, stage, row, self.structure, self.member)
+                for row, (v, a, key) in enumerate(zip(values.tolist(), argmins, keys))
+            }
+            for stage, values, argmins in zip(self.stages, self.values, best)
+        )
 
 
 def _member_tree(model, structure, k, others, start=None, node_budget=None):
@@ -502,30 +492,27 @@ def solve_member(
     conditional, then backs up values with ties going to the smallest own
     action index.  The tree is held as stages of arrays (see
     :func:`teamdp.filters._member_stage`); each co-strategy is asked once
-    per stage where it has ``member_actions``.  The solve formats the
-    view keys of the decision stages (t < T), from each stage's history
-    arrays, and the strategy table from them; the node dicts
-    (:attr:`MemberSolution.nodes`), the strategy's node beliefs and the
-    horizon stage's keys are built on first read.  Raises ValueError for
-    a member outside 0..K-1 or a co-strategy whose ``member`` is not its
-    key.
+    per stage where it has ``member_actions``.  The solve keys the
+    decision stages (t < T) for the strategy table, refusing a repeated
+    view, and builds nothing that only a report reads (see
+    :class:`MemberSolution`).  Raises ValueError for a member outside
+    0..K-1 or a co-strategy whose ``member`` is not its key.
     """
     k = member
     K, T = model.num_members, model.horizon
     _check_range("member", k, K)
     others = _co_strategies(others_strategies, k, K)
     stages, values, argmins = _member_tree(model, structure, k, others, None, node_budget)
-    keys = [_view_keys(structure, k, *_first_histories(stage)) for stage in stages[:T]]
-    table: dict[str, int] = {}
-    for stage_keys, best in zip(keys, argmins):
-        table.update(_keyed(stage_keys, best.tolist()))
+    keys = [
+        key for stage in stages[:T] for key in _view_keys(structure, k, *_first_histories(stage))
+    ]
+    table = _keyed(keys, [a for best in argmins for a in best.tolist()])
     # what the node beliefs are built from, without holding the stages
     horizon = _first_histories(stages[-1])
     marginals = [stage.marginals for stage in stages]
 
     def node_beliefs():
-        per_stage = _keyed_stages(structure, k, keys, horizon, marginals)
-        return {key: belief for stage in per_stage for key, belief in stage.items()}
+        return _keyed([*keys, *_view_keys(structure, k, *horizon)], chain.from_iterable(marginals))
 
     strategy = MemberSeparatedStrategy(
         model, structure, k, table, node_beliefs=node_beliefs, default=0
@@ -539,7 +526,6 @@ def solve_member(
         strategy=strategy,
         root_value=float(values[0][0]),
         node_counts=tuple(s.num_nodes for s in stages),
-        decision_keys=keys,
     )
 
 
@@ -618,7 +604,8 @@ def compare_solutions(
     manager's: the manager row of each distinct history of a member stage
     is found by :meth:`ValueFunction.row` and spread to the particles,
     then the manager's action weights and value mixture are summed per
-    node with ``np.bincount`` in particle order.
+    node with ``np.bincount`` in particle order.  The member's side is
+    its solution's ``values[t]`` and ``argmins[t]`` and its table's keys.
     """
     from . import oracle
 
@@ -637,6 +624,7 @@ def compare_solutions(
         O = model.action_sizes[k]
         nodes_out = []
         agree_count = 0
+        keys = iter(sol.strategy.table)  # the decision stages' keys, in stage and row order
         for t, stage in zip(range(model.horizon), sol.stages):
             rows = np.array([vf.row(model, *seqs) for seqs in stage.sequences], dtype=np.intp)
             if (rows < 0).any():
@@ -647,19 +635,20 @@ def compare_solutions(
             weights = np.bincount(cells, stage.w, minlength=size).reshape(-1, O).tolist()
             occurs = np.bincount(cells, minlength=size).reshape(-1, O).tolist()
             mixture = np.bincount(stage.node, stage.w * vf.values[t][rows]).tolist()
-            for row, (key, node) in enumerate(sol.nodes[t].items()):
+            member_side = zip(sol.values[t].tolist(), sol.argmins[t].tolist(), keys)
+            for row, (value, argmin, key) in enumerate(member_side):
                 actions = [a for a in range(O) if occurs[row][a]]
-                agree = actions == [node.argmin]
+                agree = actions == [argmin]
                 agree_count += agree
                 nodes_out.append(
                     {
                         "node": key,
                         "time": t,
-                        "member_argmin": node.argmin,
-                        "member_value": node.value,
+                        "member_argmin": argmin,
+                        "member_value": value,
                         "manager_action_weights": {str(a): weights[row][a] for a in actions},
                         "manager_value_mixture": mixture[row],
-                        "value_gap": node.value - mixture[row],
+                        "value_gap": value - mixture[row],
                         "argmin_agrees": agree,
                     }
                 )

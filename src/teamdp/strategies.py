@@ -10,7 +10,8 @@ member-side fixed forms, :class:`ConstantMemberStrategy` and the member
 tables, also answer a whole stage of the member dynamic program at once:
 ``member_actions(obs, act, t)`` takes the stage's distinct histories as
 ``(H, t, K)`` arrays and returns the ``(H,)`` actions that ``member_action``
-gives history by history, with the same errors and ``fallbacks`` count.
+gives history by history, with the same errors and ``fallbacks`` count
+(a member table's ``member_action`` is that call on its one history).
 The member DP asks each co-member once per stage through it
 (:func:`_co_actions`), and asks a co-strategy without it
 (:class:`ManagerProjectionStrategy`, a user class) history by history.
@@ -27,10 +28,11 @@ Forms:
   (:meth:`teamdp.dp.ValueFunction.row`), with no key and no table.
 * :class:`MemberTableStrategy` / :class:`MemberSeparatedStrategy` - tables
   keyed by the member's own view; the feasible decentralized form.  A
-  lookup formats the view key straight from the history prefixes with
-  :func:`teamdp.model.view_key_format`, without building the view (a
-  stage's keys by slot column of its history arrays), and counts the
-  lookups answered by the default action in ``fallbacks``.
+  lookup, of a whole stage or of one history as ``(1, t, K)`` arrays,
+  formats its keys with ``teamdp.dp._view_keys``, the solver's key
+  kernel, without building a view, refuses a joint label that is not K
+  values, and counts the lookups answered by the default action in
+  ``fallbacks``.
 * :class:`ConstantMemberStrategy`, :class:`ManagerProjectionStrategy` -
   fixed co-strategies for member-side computations.
 * :class:`DecentralizedStrategy` - a profile of member strategies acting
@@ -45,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import StrategyUndefinedError, UndefinedCoStrategyError
-from .model import InformationStructure, TeamModel, history_key, view_key_format
+from .model import InformationStructure, TeamModel, history_key
 
 __all__ = [
     "CentralizedTableStrategy",
@@ -182,40 +184,33 @@ class MemberTableStrategy:
         self.default = default
         self.fallbacks = 0  # lookups answered with ``default``
 
-    def _check_length(self, num_obs: int, num_act: int, t: int) -> None:
-        if num_obs != t or num_act != t:
-            raise StrategyUndefinedError(f"member {self.member} has no action for {num_obs} "
-                                         f"observations and {num_act} actions at t={t}")
-
-    def _undefined(self, key: str) -> StrategyUndefinedError:
-        return StrategyUndefinedError(f"member {self.member} has no action for view {key!r}")
-
     def member_action(self, obs_seq, act_seq, t) -> int:
-        self._check_length(len(obs_seq), len(act_seq), t)
-        fmt, slots = view_key_format(self.structure, self.model.num_members, t, self.member)
-        key = fmt % tuple(
-            obs_seq[s - 1][j] if kind == "obs" else act_seq[s][j] for s, j, kind in slots
-        )
+        """:meth:`member_actions` of the one history, held as ``(1, t, K)``
+        arrays; a joint label that is not K values is refused."""
+        K = self.model.num_members
         try:
-            return self.table[key]
-        except KeyError:
-            if self.default is not None:
-                self.fallbacks += 1
-                return self.default
-            raise self._undefined(key) from None
+            # a last row of K values makes a label of any other shape ragged
+            obs, act = (np.array([*seq, [0] * K])[None, :-1] for seq in (obs_seq, act_seq))
+        except ValueError:
+            raise StrategyUndefinedError(f"member {self.member} has no action at t={t}: "
+                                         f"a joint label is not {K} values") from None
+        return int(self.member_actions(obs, act, t)[0])
 
     def member_actions(self, obs: np.ndarray, act: np.ndarray, t: int) -> np.ndarray:
-        """``member_action`` of every history held in ``obs`` and ``act``
-        (each ``(H, t, K)``), keys formatted by slot column; raises for
-        the first history without an action."""
-        self._check_length(obs.shape[1], act.shape[1], t)
+        """The action at every history held in ``obs`` and ``act`` (each
+        ``(H, t, K)``); a view the table leaves out gets ``default``,
+        counted in ``fallbacks``, or raises for the first one if none."""
         from .dp import _view_keys
 
-        keys, table = _view_keys(self.structure, self.member, obs, act), self.table
+        m = self.member
+        if obs.shape[1] != t or act.shape[1] != t:
+            raise StrategyUndefinedError(f"member {m} has no action for {obs.shape[1]} "
+                                         f"observations and {act.shape[1]} actions at t={t}")
+        keys, table = _view_keys(self.structure, m, obs, act), self.table
         missing = [key for key in keys if key not in table]
         if missing:
             if self.default is None:
-                raise self._undefined(missing[0])
+                raise StrategyUndefinedError(f"member {m} has no action for view {missing[0]!r}")
             self.fallbacks += len(missing)
         return np.array([table.get(key, self.default) for key in keys], dtype=np.intp)
 
@@ -234,16 +229,15 @@ class MemberSeparatedStrategy(MemberTableStrategy):
     realized (common pool, private stream) views with the member's
     conditional state belief attached.
 
-    ``node_beliefs`` maps view keys to state beliefs; it may also be a
-    function of no arguments that returns that mapping, which is then
-    called on the first read of ``node_beliefs`` (the member solver
-    passes one, as only a report reads the beliefs)."""
+    ``node_beliefs`` is a function of no arguments that returns the map
+    from view keys to state beliefs; it is called on the first read of
+    ``node_beliefs``, as only a report reads them."""
 
     variant = "member_separated"
 
-    def __init__(self, model, structure, member, table, node_beliefs=None, default=None):
+    def __init__(self, model, structure, member, table, node_beliefs, default=None):
         super().__init__(model, structure, member, table, default=default)
-        self._node_beliefs = node_beliefs if callable(node_beliefs) else dict(node_beliefs or {})
+        self._node_beliefs = node_beliefs
 
     @property
     def node_beliefs(self) -> dict:
@@ -253,8 +247,7 @@ class MemberSeparatedStrategy(MemberTableStrategy):
 
     def to_json_dict(self) -> dict:
         d = super().to_json_dict()
-        if self.node_beliefs:
-            d["node_beliefs"] = {k: b.tolist() for k, b in self.node_beliefs.items()}
+        d["node_beliefs"] = {k: b.tolist() for k, b in self.node_beliefs.items()}
         return d
 
 

@@ -382,9 +382,16 @@ def test_each_member_reproduces_the_decentralized_optimum():
     two-member criterion-3 instance, each member's best response to the
     other tables of the exhaustive decentralized optimum has the optimum's
     cost at its root, within 1e-12, and plays the optimum's action at
-    every view the optimum reaches with positive probability."""
-    checked = 0
-    for model, structure in enumeration_instances():
+    every view the optimum reaches with positive probability.  So it does
+    at T = 3 under delays (1, 2), where the sharing rule shapes the views,
+    with the optimum pinned by value: a layout that feeds a member the
+    wrong data fails there on a number, not only on a key."""
+    pinned = (
+        random_model(1007, horizon=3, positive=False),
+        InformationStructure("delayed_sharing", delays=(1, 2)),
+    )
+    checked = []
+    for model, structure in [*enumeration_instances(), pinned]:
         if model.num_members != 2:
             continue
         best = oracle.enumerate_decentralized(model, structure)
@@ -402,8 +409,10 @@ def test_each_member_reproduces_the_decentralized_optimum():
                     on_path[view_key(view)] = table.member_action(obs_seq, act_seq, t)
             for key, action in on_path.items():
                 assert sol.strategy.table[key] == action, key
-            checked += len(on_path)
-    assert checked == 60  # on-path views of the 20 member solves
+            checked.append(len(on_path))
+    assert (best.num_strategies, best.optimal_cost.hex()) == (57_344, "0x1.a87a469d16dbap+0")
+    assert sum(checked[:-2]) == 60  # on-path views of the 20 T = 2 member solves
+    assert checked[-2:] == [7, 8]
 
 
 def test_criterion_7_reproducible_reports(toy2, tmp_path):

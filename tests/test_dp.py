@@ -225,7 +225,9 @@ def test_table_strategies_refuse_prefixes_not_of_length_t():
     strategy does: on ``random_model(1, horizon=2)`` under delays (1,1)
     the one-step prefix at t = 0 was answered with the t = 1 node's (team)
     or the t = 0 node's (member) action, and the empty prefix at t = 1
-    raised IndexError (member)."""
+    raised IndexError (member).  The member table also refuses a joint
+    label that is not K values: it answered ``((0, 1, 7),)`` and
+    ``((0,),)`` as ``((0, 1),)``, reading only the slots its key needs."""
     model = random_model(1, horizon=2)
     structure = InformationStructure("delayed_sharing", delays=(1, 1))
     mgr = solve_manager(model, structure)
@@ -236,7 +238,8 @@ def test_table_strategies_refuse_prefixes_not_of_length_t():
     assert strategy.default == 0
     one = ((0, 0),)
     (root,) = member.nodes[0].values()
-    assert strategy.member_action((), (), 0) == root.argmin
+    answer = strategy.member_action((), (), 0)
+    assert answer == root.argmin and type(answer) is int
     for default in (None, (0, 0)):
         team = CentralizedTableStrategy(model, table, default=default)
         assert team.joint_action(one, one, 1) == mgr.strategy.joint_action(one, one, 1)
@@ -250,6 +253,9 @@ def test_table_strategies_refuse_prefixes_not_of_length_t():
         strategy.member_action((), (), 1)
     with pytest.raises(StrategyUndefinedError, match="1 observations and 0 actions at t=1"):
         strategy.member_action(one, (), 1)
+    for obs, act in [(((0, 1, 7),), one), (one, ((0,),))]:
+        with pytest.raises(StrategyUndefinedError, match="a joint label is not 2 values"):
+            strategy.member_action(obs, act, 1)
     assert strategy.fallbacks == 0
 
 
