@@ -27,13 +27,16 @@ byte but NUL.  Only this module spells history keys: ``_keys`` builds
 the decision stages' keys once per written value function, and
 ``_check_key_texts`` makes sure before any of the report is written that
 JSON writes them between quotes as they are.  A stage's rows are
-ordered by parent key and branch suffix (``_write_stage``), so no
-horizon key is built.
+written parent by parent, parents in key order and each parent's rows in
+branch-suffix order (``_write_stage``), so no horizon key is built and
+no stage is sorted whole; the horizon stage, which the value function
+does not hold, is built again for each group of parents as the writer
+reaches it (``dp.ValueFunction.horizon_stage``).
 
 The ``teamdp`` process renders the blocks in order and writes each
 one's text as soon as it is rendered, so no block outlives its write:
-the value-function writers sort a stage when they reach it
-(``_write_stage``), the strategy-table writers every key at once
+the value-function writers order a stage's parents when they reach it
+(``_write_stage``), the strategy-table writers sort every key at once
 (``_write_table_rows``).
 
 ``--out`` is opened before any scenario work; one that cannot be opened,
@@ -538,52 +541,70 @@ def _text(chars: np.ndarray) -> str:
     return str(chars, "utf-8", "surrogatepass")
 
 
-def _ranks(texts: list) -> np.ndarray:
-    """The position of each of the ASCII ``texts`` in sorted order."""
-    return np.argsort(np.argsort(np.array(texts, dtype=bytes)))
-
-
-def _stage_block(render, vf, t: int, rows: np.ndarray, branches, heads, tails) -> str:
-    """The text of ``render(t, keys, argmins, floats)`` of ``rows`` of
-    stage ``t`` of ``vf`` (see ``_write_stage``): parent key and suffix,
-    argmin (None at the horizon), and the texts of belief and value
-    (``floattext.texts`` where repr writes them all in fixed notation,
-    else ``_float``'s).  No field outlives the call."""
+def _stage_block(render, t: int, keys: list, argmins, x: np.ndarray) -> str:
+    """The text of ``render(t, keys, argmins, floats)`` of a block of
+    stage ``t`` (see ``_write_stage``): its keys as parent and suffix
+    matrices, its argmins (None at the horizon), and the texts of ``x``,
+    its beliefs and values side by side (``floattext.texts`` where repr
+    writes them all in fixed notation, else ``_float``'s).  No field
+    outlives the call."""
     from . import floattext
 
-    parent, suffix = np.divmod(branches[rows], len(tails))
-    x = np.column_stack([vf.beliefs[t][rows], vf.values[t][rows]])
     if floattext.fixed(x):
         floats = floattext.texts(x)
     else:
         floats = _chars(list(map(_float, x.ravel().tolist()))).reshape(*x.shape, -1)
-    argmins = None if t == vf.horizon else vf.argmins[t][rows]
-    return _text(render(t, [heads[parent], tails[suffix]], argmins, floats))
+    return _text(render(t, keys, argmins, floats))
 
 
 def _write_stage(vf, t: int, render, write, sep: str = "") -> None:
     """Write stage ``t`` of ``vf`` in key order, a ``_stage_block`` of at
-    most ``_BLOCK_ROWS`` rows at a time, ``sep`` between two blocks.  The
-    stage is sorted here: row r of stage t >= 1 is the r-th live branch
-    ``p * len(tails) + s`` of ``index[t - 1]``, with key ``heads[p] +
-    tails[s]``; the root's is "" plus "".  Rows sort by parent, then
-    suffix, parents by their key plus ``;`` (as every suffix of t >= 1
-    starts), as ``...;y1=0,1`` is a proper prefix of ``...;y1=0,10`` and
-    ``;`` sorts after the digits."""
+    most ``_BLOCK_ROWS`` rows at a time, ``sep`` between two blocks.  Row
+    r of stage t >= 1 is the r-th live branch ``p * len(tails) + s`` of
+    ``index[t - 1]``, with key ``heads[p] + tails[s]``; the root is the one
+    branch of a parent "" with suffix "".  Rows go parent by parent,
+    parents in the order of their key plus ``;`` (as every suffix of t >= 1
+    starts: ``...;y1=0,1`` is a proper prefix of ``...;y1=0,10``, and ``;``
+    sorts after the digits), a parent's rows in suffix order, so no stage
+    is sorted whole.  Parents are taken four blocks' rows at a time (one
+    parent at least): a stage below the horizon gives their rows from the
+    arrays of ``vf``, and the horizon, which ``vf`` does not hold, is built
+    again for each group, in branch order (``vf.horizon_stage``)."""
     if t:
         heads, tails = _keys(vf)[t - 1]
-        branches = np.flatnonzero(vf.index[t - 1] >= 0)
+        index = vf.index[t - 1].reshape(len(heads), len(tails))
     else:
-        heads, tails, branches = [""], [""], np.zeros(1, dtype=np.intp)
-    width = len(tails)
-    order = np.lexsort(
-        (_ranks(tails)[branches % width], _ranks([h + ";" for h in heads])[branches // width])
-    )
+        heads, tails, index = [""], [""], np.zeros((1, 1), dtype=np.intp)
+    suffixes = np.argsort(np.array(tails, dtype=bytes))
     heads, tails = _chars(heads), _chars(tails)
-    for lo in range(0, len(order), _BLOCK_ROWS):
-        if lo and sep:
-            write(sep)
-        write(_stage_block(render, vf, t, order[lo : lo + _BLOCK_ROWS], branches, heads, tails))
+    # a key plus ";" sorts as the key padded with ";" in place of NUL, since
+    # no key of a stage plus ";" is a prefix of another's
+    parents = np.argsort(
+        np.where(heads, heads, np.uint8(ord(";"))).view(f"S{heads.shape[1]}").ravel()
+    )
+    step = max(1, 4 * _BLOCK_ROWS // len(suffixes))
+    written = False
+    for lo in range(0, len(parents), step):
+        group = parents[lo : lo + step]
+        branches = index[group]
+        if t < len(vf.values):
+            beliefs, values = vf.beliefs[t], vf.values[t]
+        else:  # the group's children, in branch order
+            beliefs, values = vf.horizon_stage(group)
+            live = branches >= 0
+            branches = np.where(live, np.cumsum(live).reshape(live.shape) - 1, -1)
+        parent, suffix = np.nonzero(branches[:, suffixes] >= 0)
+        suffix = suffixes[suffix]
+        rows = branches[parent, suffix]
+        for a in range(0, len(rows), _BLOCK_ROWS):
+            if written and sep:
+                write(sep)
+            written = True
+            block = rows[a : a + _BLOCK_ROWS]
+            keys = [heads[group[parent[a : a + _BLOCK_ROWS]]], tails[suffix[a : a + _BLOCK_ROWS]]]
+            argmins = None if t == vf.horizon else vf.argmins[t][block]
+            x = np.column_stack([beliefs[block], values[block]])
+            write(_stage_block(render, t, keys, argmins, x))
 
 
 def _write_table_rows(vf, render, write, sep: str = "") -> None:
@@ -626,10 +647,12 @@ def _write_value_function(vf, indent: str, write) -> None:
     write("{" + i1 + f'"horizon": {vf.horizon},' + i1 + '"stages": [')
     # one text each, shared by every stage
     after, close = "," + i2, i2 + "}"
-    for t, values in enumerate(vf.values):
+    for t in range(vf.horizon + 1):
         write(after if t else i2)
-        write("{" if len(values) else "{}")
-        if len(values):
+        if t and vf.index[t - 1].max(initial=-1) < 0:  # no live branch
+            write("{}")
+        else:
+            write("{")
             _write_stage(vf, t, render, write, ",")
             write(close)
     write(i1 + "]" + indent + "}")
@@ -655,7 +678,7 @@ def _flatten_value_function(prefix: str, vf, write) -> None:
         return _rows(len(floats), parts)
 
     write(f"{lead}horizon,{vf.horizon}\n")
-    for t in range(len(vf.values)):
+    for t in range(vf.horizon + 1):
         _write_stage(vf, t, render, write)
 
 

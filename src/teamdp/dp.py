@@ -26,13 +26,19 @@ for ``solve_manager``, ``backup`` and ``evaluate_value``; sums over the
 state run in a fixed order with elementwise operations, so a node's
 numbers do not depend on how many nodes share its stage.
 
-The solver makes no history key.  The value function is the solved
-stage arrays themselves (the joint action and observation labels they
-index, beliefs, values, argmin action indices, and per decision stage
-the child index), and the manager's strategy reads its argmins: a
-history finds its row by one walk over the child indices
-(:meth:`ValueFunction.row`).  Both report formats, and the history keys
-they print, are written by ``teamdp.cli`` from the stage arrays.
+The horizon stage is needed only as terminal values, so no solve holds
+it: at the last stage the kernel folds each block of children into their
+terminal values as soon as it builds them.  The value function is the
+solved arrays of stages 0..T-1 (with the model, the joint action and
+observation labels they index, beliefs, values, argmin action indices
+and child indices); :meth:`ValueFunction.horizon_stage` builds the
+horizon's beliefs and values again for any set of stage-(T-1) rows with
+the same kernel, bit for bit, and the ``solve-manager`` report writer
+asks it for one group of parents at a time.  The solver makes no history
+key, and the manager's strategy reads the argmins: a history finds its
+row by one walk over the child indices (:meth:`ValueFunction.row`).
+Both report formats, and the history keys they print, are written by
+``teamdp.cli`` from the stage arrays.
 
 Member side: with every co-member's strategy fixed, one member faces a
 decision problem whose sufficient statistic is the joint conditional over
@@ -132,10 +138,26 @@ def _state_sum(beliefs: np.ndarray, per_state: np.ndarray) -> np.ndarray:
 
 # nodes of a stage whose children ``_stage`` builds at a time, so that its
 # index arrays and temporaries are one block's, whatever the stage's size
-_NODE_BLOCK = 1024
+_NODE_BLOCK = 256
 
 
-def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used=0):
+def _stage_tables(model: TeamModel):
+    """What ``_stage`` reads of ``model`` besides its arrays: the flat index
+    of each joint action in tie-break order, and the likelihood vector of
+    each joint observation, one row each."""
+    order = [model.flat_action(u) for u in tiebreak_joint_actions(model)]
+    return order, np.array([_likelihood_vec(model, y) for y in model.joint_observations])
+
+
+def _stage(
+    model: TeamModel,
+    beliefs: np.ndarray,
+    t: int,
+    node_budget=None,
+    used=0,
+    tables=None,
+    per_state=None,
+):
     """Expand every node of a stage at once.
 
     ``beliefs`` is ``(N, S)``, one (possibly unnormalized) belief per row.
@@ -147,20 +169,23 @@ def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used
       -1 where the weight is exactly zero (such branches are skipped,
       never conditioned on);
     * ``children`` ``(N', S)``: the normalized updated beliefs of the
-      positive branches, in (node, action, observation) order.
+      positive branches, in (node, action, observation) order; with
+      ``per_state``, ``_state_sum(children, per_state)`` in their place.
 
     Never normalizes its input, so weights scale linearly in it.  When
     ``node_budget`` is given, raises BudgetExceededError before building
-    the children if ``used`` plus their number exceeds it.
+    the children if ``used`` plus their number exceeds it.  ``tables`` is
+    ``_stage_tables(model)``, built here when not given.
 
-    The children are written into one preallocated array, ``_NODE_BLOCK``
-    nodes at a time: each child is ``(pred * like) / weight`` element by
-    element, as for the whole stage at once, so the bits do not depend on
-    the block size, and the branch indices and temporaries are one
-    block's.
+    The children are built ``_NODE_BLOCK`` nodes at a time: each child is
+    ``(pred * like) / weight`` element by element, as for the whole stage
+    at once, so the bits do not depend on the block size, and the branch
+    indices and temporaries are one block's.  Each block is written into
+    one preallocated result as it is built, reduced first when
+    ``per_state`` is given, so that no block of beliefs outlives its sum:
+    the solve folds the horizon stage into its terminal values this way.
     """
-    order = [model.flat_action(u) for u in tiebreak_joint_actions(model)]
-    like = np.array([_likelihood_vec(model, y) for y in model.joint_observations])
+    order, like = tables or _stage_tables(model)
     immediate = _state_sum(beliefs, model.stage_cost[t][:, order])
     pred = _state_sum(beliefs, model.transition[:, order, :])
     weights = _state_sum(pred.reshape(-1, model.num_states), like.T).reshape(
@@ -175,7 +200,7 @@ def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used
             observed=node_budget + 1,
         )
     index = np.full(weights.shape, -1, dtype=np.intp)
-    children = np.empty((count, model.num_states))
+    children = np.empty((count, model.num_states) if per_state is None else count)
     # flat views: one row of pred per (node, action), one entry per branch
     pairs, flat_live = pred.reshape(-1, model.num_states), live.reshape(-1)
     flat_index, flat_weights = index.reshape(-1), weights.reshape(-1, 1)
@@ -186,9 +211,11 @@ def _stage(model: TeamModel, beliefs: np.ndarray, t: int, node_budget=None, used
         hi = lo + len(branches)
         flat_index[branches] = np.arange(lo, hi)
         pair, obs = np.divmod(branches, len(like))
-        out = children[lo:hi]
-        np.multiply(pairs[pair], like[obs], out=out)
+        out = children[lo:hi] if per_state is None else None
+        out = np.multiply(pairs[pair], like[obs], out=out)
         out /= flat_weights[branches]
+        if per_state is not None:
+            children[lo:hi] = _state_sum(out, per_state)
         lo = hi
     return immediate, weights, index, children
 
@@ -227,15 +254,21 @@ def backup(model: TeamModel, value_next: Callable[[np.ndarray], float], belief, 
 class ValueFunction:
     """The manager's value function, held as the solver's stage arrays.
 
-    For t = 0..horizon: ``beliefs[t]`` ``(N, S)`` and ``values[t]``
-    ``(N,)``.  For t < horizon: ``argmins[t]`` ``(N,)``, indices into
-    ``actions`` (the joint actions in tie-break order), and ``index[t]``
-    ``(N, A, Y)``, the row of each branch's child in stage t+1 (-1 for a
-    zero-probability branch), its observation axis in the order of
-    ``observations`` (the joint observations, member K-1 fastest).  Row r
-    of stage t+1 is the r-th live branch of ``index[t]`` in flat order.
-    :meth:`row` finds a history's row by walking ``index``."""
+    For t = 0..horizon-1: ``beliefs[t]`` ``(N, S)``, ``values[t]``
+    ``(N,)``, ``argmins[t]`` ``(N,)``, indices into ``actions`` (the joint
+    actions in tie-break order), and ``index[t]`` ``(N, A, Y)``, the row of
+    each branch's child in stage t+1 (-1 for a zero-probability branch),
+    its observation axis in the order of ``observations`` (the joint
+    observations, member K-1 fastest).  Row r of stage t+1 is the r-th
+    live branch of ``index[t]`` in flat order.  :meth:`row` finds a
+    history's row by walking ``index``.
 
+    The horizon stage is not held: :meth:`horizon_stage` builds the
+    beliefs and terminal values of any of its rows again from ``model``
+    with the solve's kernel, bit for bit.  At horizon 0 the root is the
+    horizon, and ``beliefs[0]`` and ``values[0]`` hold it."""
+
+    model: TeamModel
     horizon: int
     actions: list[tuple[int, ...]]
     observations: tuple[tuple[int, ...], ...]
@@ -243,6 +276,23 @@ class ValueFunction:
     values: tuple[np.ndarray, ...]
     argmins: tuple[np.ndarray, ...]
     index: tuple[np.ndarray, ...]
+
+    @cached_property
+    def _tables(self):
+        return _stage_tables(self.model)
+
+    def horizon_stage(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """The horizon beliefs ``(n, S)`` and terminal values ``(n,)`` of
+        the children of the stage-(T-1) ``rows`` (of every row when None),
+        in (given row, action, observation) order: ``_stage`` on those
+        rows' beliefs, which gives the solve's bits whatever rows share
+        the call.  Raises ValueError at horizon 0, where no stage has
+        children."""
+        if not self.horizon:
+            raise ValueError("at horizon 0 the root is the horizon stage, held in beliefs[0]")
+        parents = self.beliefs[-1] if rows is None else self.beliefs[-1][rows]
+        children = _stage(self.model, parents, self.horizon - 1, tables=self._tables)[3]
+        return children, _state_sum(children, self.model.terminal_cost)
 
     def row(self, model: TeamModel, obs_seq, act_seq) -> int:
         """Stage-t row of the history ``obs_seq`` (y_1..y_t), ``act_seq``
@@ -287,17 +337,20 @@ class ManagerSolution:
 
 def _solve_tree(model: TeamModel, root: np.ndarray, t: int, node_budget=None):
     """Forward over the reachable tree from one time-t belief, then
-    backward.  Returns the per-stage beliefs, forward steps
-    ``(immediate, weights, index)``, values and argmin action indices."""
-    beliefs = [root[None, :]]
-    steps = []
+    backward.  The horizon's children are folded into their terminal
+    values block by block as ``_stage`` builds them, so no horizon belief
+    is held but the root's when it is the horizon.  Returns the beliefs of
+    stages t..max(t, T-1), forward steps ``(immediate, weights, index)``,
+    values of stages t..T and argmin action indices."""
+    tables = _stage_tables(model)
+    beliefs, steps = [root[None, :]], []
+    values = [] if t < model.horizon else [_state_sum(beliefs[0], model.terminal_cost)]
     for s in range(t, model.horizon):
-        immediate, weights, index, children = _stage(
-            model, beliefs[-1], s, node_budget, sum(map(len, beliefs))
-        )
-        steps.append((immediate, weights, index))
-        beliefs.append(children)
-    values = [_state_sum(beliefs[-1], model.terminal_cost)]
+        per_state = model.terminal_cost if s + 1 == model.horizon else None
+        used = sum(map(len, beliefs))
+        *step, children = _stage(model, beliefs[-1], s, node_budget, used, tables, per_state)
+        steps.append(step)
+        (beliefs if per_state is None else values).append(children)
     argmins = []
     for step in reversed(steps):
         value, best = _stage_values(step, values[0])
@@ -315,9 +368,11 @@ def solve_manager(
 
     The root is the initial distribution; stage t+1 holds exactly the
     nodes generated from stage t by every (joint action, positive-
-    probability joint observation) pair.  Raises IncompleteHistoryError
-    for no_sharing (no pooled viewpoint exists) and BudgetExceededError
-    when the tree would exceed ``node_budget`` nodes.
+    probability joint observation) pair.  The solution holds no array of
+    the horizon stage but the last child index (see :class:`ValueFunction`).
+    Raises IncompleteHistoryError for no_sharing (no pooled viewpoint
+    exists) and BudgetExceededError when the tree would exceed
+    ``node_budget`` nodes.
     """
     if structure.variant == "no_sharing":
         raise IncompleteHistoryError(
@@ -326,8 +381,9 @@ def solve_manager(
     beliefs, steps, values, argmins = _solve_tree(model, model.initial_dist, 0, node_budget)
     labels = tiebreak_joint_actions(model), model.joint_observations
     index = tuple(step[2] for step in steps)
-    vf = ValueFunction(model.horizon, *labels, tuple(beliefs), tuple(values), tuple(argmins), index)
-    counts = tuple(len(b) for b in beliefs)
+    held = tuple(values[: len(beliefs)])
+    vf = ValueFunction(model, model.horizon, *labels, tuple(beliefs), held, tuple(argmins), index)
+    counts = tuple(map(len, values))
     return ManagerSolution(vf, SeparatedTeamStrategy(model, vf), float(values[0][0]), counts)
 
 

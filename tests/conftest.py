@@ -204,18 +204,22 @@ def manager_stages(vf) -> list:
     0..horizon, a dict from key to :class:`ManagerNode` in row order.  The
     keys are ``model.history_key`` of the :func:`manager_histories`, so the
     reference shares no code with the report writer and does not go
-    through ``ValueFunction.row``."""
+    through ``ValueFunction.row``.  The horizon stage, which the value
+    function does not hold, is ``vf.horizon_stage()`` (the root at
+    horizon 0)."""
     stages = []
     for t, stage in enumerate(manager_histories(vf)):
         argmins = vf.argmins[t].tolist() if t < vf.horizon else [None] * len(stage)
+        if t < len(vf.values):
+            beliefs, values = vf.beliefs[t], vf.values[t]
+        else:
+            beliefs, values = vf.horizon_stage()
         stages.append(
             {
                 history_key(act_seq, obs_seq): ManagerNode(
                     b, v, None if a is None else vf.actions[a]
                 )
-                for (obs_seq, act_seq), b, v, a in zip(
-                    stage, vf.beliefs[t], vf.values[t].tolist(), argmins
-                )
+                for (obs_seq, act_seq), b, v, a in zip(stage, beliefs, values.tolist(), argmins)
             }
         )
     return stages

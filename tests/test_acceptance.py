@@ -375,44 +375,76 @@ def test_criterion_6_manager_member_equivalence_report():
     )
 
 
-@pytest.mark.slow
+def _reproduce(model, structure):
+    """Each member's best response to the other tables of the exhaustive
+    decentralized optimum has the optimum's cost at its root, within
+    1e-12, and plays the optimum's action at every view the optimum
+    reaches with positive probability.  Returns the optimum and each
+    member's number of on-path views."""
+    best = oracle.enumerate_decentralized(model, structure)
+    outcomes = oracle.enumerate_outcomes(model, best.strategy)
+    counts = []
+    for k, table in enumerate(best.strategy.members):
+        others = {1 - k: best.strategy.members[1 - k]}
+        sol = solve_member(model, structure, k, others)
+        assert abs(sol.root_value - best.optimal_cost) <= 1e-12
+        on_path = {}
+        for outcome in outcomes:
+            traj = outcome.trajectory
+            for t in range(model.horizon):
+                obs_seq, act_seq = traj.observations[:t], traj.actions[:t]
+                view = prefix_view(structure, 2, obs_seq, act_seq, t, k)
+                on_path[view_key(view)] = table.member_action(obs_seq, act_seq, t)
+        for key, action in on_path.items():
+            assert sol.strategy.table[key] == action, key
+        counts.append(len(on_path))
+    return best, counts
+
+
 def test_each_member_reproduces_the_decentralized_optimum():
     """The paper's claim that each member's solution is the one derived
-    for the team, in the form the repository can certify: on every
-    two-member criterion-3 instance, each member's best response to the
-    other tables of the exhaustive decentralized optimum has the optimum's
-    cost at its root, within 1e-12, and plays the optimum's action at
-    every view the optimum reaches with positive probability.  So it does
-    at T = 3 under delays (1, 2), where the sharing rule shapes the views,
-    with the optimum pinned by value: a layout that feeds a member the
-    wrong data fails there on a number, not only on a key."""
+    for the team, in the form the repository can certify (``_reproduce``),
+    on every two-member criterion-3 instance.  So it does at T = 3 under
+    delays (1, 2), where the sharing rule shapes the views, with the
+    optimum pinned by value: a layout that feeds a member the wrong data
+    fails there on a number, not only on a key.  0.9-1.4 s on a shared
+    2-vCPU host."""
     pinned = (
         random_model(1007, horizon=3, positive=False),
         InformationStructure("delayed_sharing", delays=(1, 2)),
     )
     checked = []
     for model, structure in [*enumeration_instances(), pinned]:
-        if model.num_members != 2:
-            continue
-        best = oracle.enumerate_decentralized(model, structure)
-        outcomes = oracle.enumerate_outcomes(model, best.strategy)
-        for k, table in enumerate(best.strategy.members):
-            others = {1 - k: best.strategy.members[1 - k]}
-            sol = solve_member(model, structure, k, others)
-            assert abs(sol.root_value - best.optimal_cost) <= 1e-12
-            on_path = {}
-            for outcome in outcomes:
-                traj = outcome.trajectory
-                for t in range(model.horizon):
-                    obs_seq, act_seq = traj.observations[:t], traj.actions[:t]
-                    view = prefix_view(structure, 2, obs_seq, act_seq, t, k)
-                    on_path[view_key(view)] = table.member_action(obs_seq, act_seq, t)
-            for key, action in on_path.items():
-                assert sol.strategy.table[key] == action, key
-            checked.append(len(on_path))
+        if model.num_members == 2:
+            best, counts = _reproduce(model, structure)
+            checked += counts
     assert (best.num_strategies, best.optimal_cost.hex()) == (57_344, "0x1.a87a469d16dbap+0")
     assert sum(checked[:-2]) == 60  # on-path views of the 20 T = 2 member solves
     assert checked[-2:] == [7, 8]
+
+
+# T = 3 instances of random_model(1007, positive=False) under the other
+# delayed sharing rules: (variant, delays) -> (profiles, optimum, on-path
+# views of each member).  Control sharing under (1, 2) has an optimum of
+# its own; under (2, 1) it has delayed sharing's, as observation sharing
+# had on every T = 3 instance tried, and a delay off by one moves it.
+_SHARING_RULES = {
+    ("delayed_control_sharing", (1, 2)): (35_840, "0x1.a8c1e9fde8246p+0", [7, 6]),
+    ("delayed_control_sharing", (2, 1)): (35_840, "0x1.a2d42df8eb856p+0", [9, 6]),
+    ("delayed_observation_sharing", (2, 1)): (57_344, "0x1.a2d42df8eb856p+0", [9, 6]),
+}
+
+
+@pytest.mark.parametrize(
+    "rule", list(_SHARING_RULES), ids=lambda rule: "%s-%d%d" % (rule[0], *rule[1])
+)
+def test_each_member_reproduces_the_optimum_under_other_sharing_rules(rule):
+    """``_reproduce`` holds where control sharing and observation sharing
+    shape the views, each optimum pinned by value."""
+    variant, delays = rule
+    model = random_model(1007, horizon=3, positive=False)
+    best, counts = _reproduce(model, InformationStructure(variant, delays=delays))
+    assert (best.num_strategies, best.optimal_cost.hex(), counts) == _SHARING_RULES[rule]
 
 
 def test_criterion_7_reproducible_reports(toy2, tmp_path):

@@ -160,21 +160,25 @@ def test_stage_mappings_match_eager_dicts(instance, toy2):
     keys of the keyed reference, to that node's row; the arrays read there
     hold the beliefs (same bytes), values (same bits) and argmin tuples
     (None past the last decision stage) of a fresh ``_solve_tree``, and
-    histories off the tree walk to -1."""
-    from teamdp.dp import _solve_tree
+    histories off the tree walk to -1.  The horizon is read through
+    ``horizon_stage``; the solve folds its beliefs into values, so the
+    fresh horizon beliefs are the whole last stage's ``_stage`` children."""
+    from teamdp.dp import _solve_tree, _stage
 
     model, structure = _walk_instance(instance, toy2)
     K, T = model.num_members, model.horizon
     vf = solve_manager(model, structure).value_function
     beliefs, _, values, argmins = _solve_tree(model, model.initial_dist, 0)
+    beliefs.append(_stage(model, beliefs[-1], T - 1)[3])
+    held = [*zip(vf.beliefs, vf.values), vf.horizon_stage()]
     stages = manager_stages(vf)
     assert len(stages) == T + 1
     for t, ref in enumerate(stages):
         rows = [vf.row(model, *_history(key)) for key in ref]
         assert rows == list(range(len(ref)))
         for i, (row, node) in enumerate(zip(rows, ref.values())):
-            assert vf.beliefs[t][row].tobytes() == beliefs[t][i].tobytes()
-            assert vf.values[t][row].hex() == values[t][i].hex() == node.value.hex()
+            assert held[t][0][row].tobytes() == beliefs[t][i].tobytes()
+            assert held[t][1][row].hex() == values[t][i].hex() == node.value.hex()
             argmin = vf.actions[vf.argmins[t][row]] if t < T else None
             want = tiebreak_joint_actions(model)[argmins[t][i]] if t < T else None
             assert argmin == want == node.argmin
@@ -260,12 +264,14 @@ def test_table_strategies_refuse_prefixes_not_of_length_t():
 
 
 def test_solve_manager_keeps_no_horizon_keys(toy2):
-    """solve_manager builds no history key: on a T = 4 tree of 69,905
-    nodes (65,536 at the horizon) the solution retains under 3 MB as
-    tracemalloc counts it, 2.8 MB of stage arrays, against 3.4 MB with the
-    decision keys and a strategy table, and 10.2 MB when every horizon key
-    was kept.  The keyed reference's horizon keys walk to the horizon rows
-    in order."""
+    """solve_manager builds no history key and holds no array of the
+    horizon stage: on a T = 4 tree of 69,905 nodes (65,536 at the horizon)
+    the solution retains under 0.75 MB as tracemalloc counts it (0.74 MB
+    measured: the stage arrays of t < T and the child indices), against
+    2.8 MB when it held the horizon's beliefs (1.6 MB) and values
+    (0.5 MB), 3.4 MB with the decision keys and a strategy table too, and
+    10.2 MB when every horizon key was kept.  The keyed reference's
+    horizon keys walk to the horizon rows in order."""
     import tracemalloc
 
     model = random_model(41, num_states=3, horizon=4, obs_sizes=(2, 2))
@@ -278,9 +284,9 @@ def test_solve_manager_keeps_no_horizon_keys(toy2):
     finally:
         tracemalloc.stop()
     vf = sol.value_function
-    assert retained < 3 * 10**6
+    assert retained < 0.75 * 10**6
     horizon = list(manager_stages(vf)[T])
-    assert len(horizon) == len(vf.values[T]) == 65536
+    assert len(horizon) == len(vf.horizon_stage()[1]) == sol.node_counts[T] == 65536
     assert [vf.row(model, *_history(key)) for key in horizon] == list(range(65536))
 
 
@@ -443,9 +449,10 @@ def test_stage_memory_is_the_result_and_one_block():
     held next to it while the children are built: the stage's predicted
     beliefs and live mask and one block's temporaries (the branch
     positions, their (node, action) and observation split and the two
-    gathered ``(branches, S)`` factors).  Measured: a 2.75 MB result,
-    1.64 MB above it against a bound of 1.80 MB; the whole stage at once
-    took 4.20 MB above it."""
+    gathered ``(branches, S)`` factors), which scale with ``_NODE_BLOCK``.
+    Measured with 256-node blocks: a 2.75 MB result, 0.76 MB above it
+    against a bound of 0.83 MB (1.64 MB against 1.80 MB with 1,024-node
+    blocks); the whole stage at once took 4.20 MB above it."""
     import tracemalloc
 
     import teamdp.dp
