@@ -3,10 +3,12 @@
 The team side is a textbook hidden-Markov recursion over the state belief:
 ``predict`` pushes a belief through the controlled transition kernel,
 ``correct`` conditions on a joint observation (per-member likelihoods
-multiply because observation noises are independent given the state), and
-``team_update`` chains the two.  The belief after conditioning on
-everything the team has seen does not depend on anybody's strategy, which
-is what makes the manager's dynamic program well posed.
+multiply because observation noises are independent given the state),
+``team_update`` chains the two, and ``team_belief_from_history`` folds
+``team_update`` along the full history a team view pools.  The belief
+after conditioning on everything the team has seen does not depend on
+anybody's strategy, which is what makes the manager's dynamic program
+well posed.
 
 The member side is heavier.  Conditioned on one member's view, the state
 is entangled with the co-members' unseen private data through their fixed
@@ -19,21 +21,25 @@ integer arrays, which the co-strategies read.  One stage kernel,
 action: it asks each co-strategy for the whole stage at once
 (``member_actions``), or once per distinct history where it cannot,
 propagates the particles, branches on unseen co-member data and groups
-the children by the view slots newly revealed, summing with
-``np.bincount`` in a fixed order.  The member dynamic program in
+the children by the view slots newly revealed
+(:func:`teamdp.model._revealed_slots`), summing with ``np.bincount`` in
+a fixed order.  The member dynamic program in
 :mod:`teamdp.dp` runs it stage by stage, and :func:`member_conditional`
 replays it on a one-node stage along a view, keeping at each step the
 branch the view reveals.  The ``(state, obs_seq, act_seq, weight)``
 particle tuples are built only at the edge.  The member's own past
 actions enter as recorded values, never through the member's own
-strategy; the result is therefore invariant to it.
+strategy; the result is therefore invariant to it.  ``recombine`` reads
+the conditional as arrays too: it checks the co-members' private data
+with :func:`teamdp.model._slot_values` and sums with ``np.bincount`` in
+particle order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +54,8 @@ from .model import (
     TeamModel,
     _check_range,
     _likelihood_vec,
+    _revealed_slots,
+    _slot_values,
     view_known,
     view_slots,
 )
@@ -117,14 +125,10 @@ class JointConditional:
 # team-side elementary operations
 
 
-def _predict_vec(model: TeamModel, vec: np.ndarray, a: int) -> np.ndarray:
-    return vec @ model.transition[:, a, :]
-
-
 def predict(model: TeamModel, belief: Belief, joint_action) -> Belief:
     """Push a time-t belief through the transition kernel; the result is
     the pre-observation belief at t+1 (normalized by construction)."""
-    vec = _predict_vec(model, belief.probs, model.flat_action(joint_action))
+    vec = belief.probs @ model.transition[:, model.flat_action(joint_action), :]
     return Belief(vec, belief.time + 1)
 
 
@@ -146,10 +150,13 @@ def team_belief_from_history(
     model: TeamModel, structure: InformationStructure, views: HistoryView
 ) -> Belief:
     """Team belief at a team-level view's time, by replaying the full joint
-    history the pooled views determine.
+    history the pooled views determine: :func:`team_update` folded from
+    the initial distribution.
 
     Raises IncompleteHistoryError when the structure's union does not
-    determine the full joint history (no_sharing, or missing slots).
+    determine the full joint history (no_sharing, or missing slots; every
+    action slot is checked before any observation slot), and
+    ZeroLikelihoodError, from :func:`correct`, for an impossible history.
     """
     if views.member is not None:
         raise ValueError("team-level view required (member=None)")
@@ -170,15 +177,10 @@ def team_belief_from_history(
             obs.append(tuple(known[(s, m, "obs")] for m in range(model.num_members)))
         except KeyError as e:
             raise IncompleteHistoryError(f"joint observation at time {s} not determined") from e
-    vec = model.initial_dist.copy()
-    for s in range(1, t + 1):
-        vec = _predict_vec(model, vec, model.flat_action(acts[s - 1]))
-        vec = vec * _likelihood_vec(model, obs[s - 1])
-        z = float(vec.sum())
-        if z == 0.0:
-            raise ZeroLikelihoodError(f"history impossible at time {s}")
-        vec = vec / z
-    return Belief(vec, t)
+    belief = Belief(model.initial_dist, 0)
+    for u, y in zip(acts, obs):
+        belief = team_update(model, belief, u, y)
+    return belief
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +197,6 @@ def _check_view_layout(model, structure, view):
         have = tuple((s, view.member, kind) for s, kind, _ in stream)
         if have != privates[0]:
             raise ValueError("view private slots do not match the structure")
-
-
-@cache
-def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k: int) -> tuple:
-    """Slots that enter member k's view between t and t+1, in layout
-    order.  The member's own time-t action is left out: it is the
-    decision, not an innovation."""
-    c_now, p_now = view_slots(structure, num_members, t, k)
-    old = set(c_now) | set(p_now[0])
-    c_next, p_next = view_slots(structure, num_members, t + 1, k)
-    return tuple(s for s in c_next + p_next[0] if s not in old and s != (t, k, "act"))
 
 
 def _sequences(obs: np.ndarray, act: np.ndarray) -> list:
@@ -528,24 +519,15 @@ def recombine(
         time=t, member=k, common=team_views.common, private=team_views.private[k]
     )
     cond = member_conditional(model, structure, others_strategies, member_view)
-    targets = {
-        j: team_views.private[j] for j in range(model.num_members) if j != k
-    }
-    num = np.zeros(model.num_states)
-    den = np.zeros(model.num_states)
-    for x, obs_seq, act_seq, w in cond.entries:
-        den[x] += w
-        ok = True
-        for j, stream in targets.items():
-            for s, kind, val in stream:
-                have = obs_seq[s - 1][j] if kind == "obs" else act_seq[s][j]
-                if have != val:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            num[x] += w
+    stage = _particle_stage(model, t, cond.entries)  # the conditional as arrays
+    # the co-members' private data as the team views give it: (s, j, kind, value)
+    private = [(s, j, kind, v) for j in range(model.num_members) if j != k
+               for s, kind, v in team_views.private[j]]
+    have = _slot_values(stage.obs, stage.act, [datum[:3] for datum in private])
+    ok = np.all(have == [datum[3] for datum in private], axis=1)[stage.hist]
+    S = model.num_states
+    den = np.bincount(stage.x, stage.w, minlength=S)
+    num = np.bincount(stage.x[ok], stage.w[ok], minlength=S)  # both in particle order
     like = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     vec = belief.probs * like
     z = float(vec.sum())

@@ -22,6 +22,14 @@ and realized by :func:`extract_views`, which splits a trajectory at time t
 into the common pool available to everybody and each member's private
 stream.  A view at time t reaches back from t, so index ranges are only
 clipped below: no observation before t = 1, no action before t = 0.
+
+Where a slot's value sits in a history is stated here once:
+:func:`_value_at` reads it from one history's sequences and
+:func:`_slot_values` from histories held as ``(H, t, K)`` arrays.  The
+member view keys of such arrays (:func:`_view_keys`, one ``%`` on
+:func:`view_key_format` per key) and the slots a member's view gains from
+t to t+1 (:func:`_revealed_slots`) are built on them, so the member
+dynamic program, the filters and the member tables read views one way.
 """
 
 from __future__ import annotations
@@ -429,11 +437,32 @@ def view_slots(
     return tuple(common), privates
 
 
+@cache
+def _revealed_slots(structure: InformationStructure, num_members: int, t: int, k: int) -> tuple:
+    """Slots that enter member k's view between t and t+1, in layout
+    order.  The member's own time-t action is left out: it is the
+    decision, not an innovation."""
+    c_now, p_now = view_slots(structure, num_members, t, k)
+    old = set(c_now) | set(p_now[0])
+    c_next, p_next = view_slots(structure, num_members, t + 1, k)
+    return tuple(s for s in c_next + p_next[0] if s not in old and s != (t, k, "act"))
+
+
 def _value_at(traj_obs, traj_act, slot: Slot) -> int:
     s, j, kind = slot
     if kind == "obs":
         return traj_obs[s - 1][j]
     return traj_act[s][j]
+
+
+def _slot_values(obs: np.ndarray, act: np.ndarray, slots: Sequence[Slot]) -> np.ndarray:
+    """The values of ``slots`` in each history held in ``obs`` and ``act``
+    (each ``(H, t, K)``), as ``(H, len(slots))``: y_s of member j is
+    ``obs[:, s-1, j]`` and u_s is ``act[:, s, j]``, as :func:`_value_at`
+    reads them from sequences."""
+    H, t, K = obs.shape
+    cols = [(s - 1) * K + j if kind == "obs" else (t + s) * K + j for s, j, kind in slots]
+    return np.concatenate([obs.reshape(H, t * K), act.reshape(H, t * K)], axis=1)[:, cols]
 
 
 def prefix_view(
@@ -549,3 +578,13 @@ def view_key_format(
         private=tuple((s, kind, "%s") for s, _, kind in private),
     )
     return view_key(view), common + private
+
+
+def _view_keys(structure: InformationStructure, member: int, obs: np.ndarray, act: np.ndarray):
+    """Member ``member``'s view keys of the histories held in ``obs`` and
+    ``act`` (each ``(N, t, K)``), equal to ``view_key(prefix_view(...))``
+    of each: the values are taken by :func:`_slot_values` and each key is
+    one ``%`` on :func:`view_key_format`."""
+    _, t, K = obs.shape
+    fmt, slots = view_key_format(structure, K, t, member)
+    return [fmt % row for row in map(tuple, _slot_values(obs, act, slots).tolist())]

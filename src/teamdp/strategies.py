@@ -29,10 +29,11 @@ Forms:
 * :class:`MemberTableStrategy` / :class:`MemberSeparatedStrategy` - tables
   keyed by the member's own view; the feasible decentralized form.  A
   lookup, of a whole stage or of one history as ``(1, t, K)`` arrays,
-  formats its keys with ``teamdp.dp._view_keys``, the solver's key
+  formats its keys with ``teamdp.model._view_keys``, the member DP's key
   kernel, without building a view, refuses a joint label that is not K
   values, and counts the lookups answered by the default action in
-  ``fallbacks``.
+  ``fallbacks``.  So a lookup loads neither :mod:`teamdp.dp` nor
+  :mod:`teamdp.filters`, and this module imports nothing from ``dp``.
 * :class:`ConstantMemberStrategy`, :class:`ManagerProjectionStrategy` -
   fixed co-strategies for member-side computations.
 * :class:`DecentralizedStrategy` - a profile of member strategies acting
@@ -47,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import StrategyUndefinedError, UndefinedCoStrategyError
-from .model import InformationStructure, TeamModel, history_key
+from .model import InformationStructure, TeamModel, _view_keys, history_key
 
 __all__ = [
     "CentralizedTableStrategy",
@@ -158,7 +159,7 @@ class SeparatedTeamStrategy:
     def joint_action(self, obs_seq, act_seq, t) -> tuple[int, ...]:
         vf = self.value_function
         if t < vf.horizon and len(obs_seq) == len(act_seq) == t:
-            row = vf.row(self.model, obs_seq, act_seq)
+            row = vf.row(obs_seq, act_seq)
             if row >= 0:
                 return vf.actions[vf.argmins[t][row]]
         key = history_key(act_seq, obs_seq)
@@ -200,8 +201,6 @@ class MemberTableStrategy:
         """The action at every history held in ``obs`` and ``act`` (each
         ``(H, t, K)``); a view the table leaves out gets ``default``,
         counted in ``fallbacks``, or raises for the first one if none."""
-        from .dp import _view_keys
-
         m = self.member
         if obs.shape[1] != t or act.shape[1] != t:
             raise StrategyUndefinedError(f"member {m} has no action for {obs.shape[1]} "

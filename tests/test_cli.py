@@ -396,7 +396,7 @@ def test_exit_usage_on_unbounded_grid(capsys, grid, message):
 
 def test_exit_validation_on_member_tree_invariant(capsys, scenario_path, monkeypatch):
     # every member view gets the same key, so two children collide
-    monkeypatch.setattr("teamdp.dp.view_key_format", lambda *layout: ("same", ()))
+    monkeypatch.setattr("teamdp.model.view_key_format", lambda *layout: ("same", ()))
     code, report, _ = invoke(
         capsys, ["solve-member", "--scenario", scenario_path, "--member", "0"]
     )

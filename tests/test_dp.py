@@ -174,7 +174,7 @@ def test_stage_mappings_match_eager_dicts(instance, toy2):
     stages = manager_stages(vf)
     assert len(stages) == T + 1
     for t, ref in enumerate(stages):
-        rows = [vf.row(model, *_history(key)) for key in ref]
+        rows = [vf.row(*_history(key)) for key in ref]
         assert rows == list(range(len(ref)))
         for i, (row, node) in enumerate(zip(rows, ref.values())):
             assert held[t][0][row].tobytes() == beliefs[t][i].tobytes()
@@ -184,7 +184,7 @@ def test_stage_mappings_match_eager_dicts(instance, toy2):
             assert argmin == want == node.argmin
         if t:
             unknown = ((9,) * K,) * t
-            assert vf.row(model, unknown, unknown) == -1
+            assert vf.row(unknown, unknown) == -1
 
 
 def test_rows_walk_refuses_off_tree_histories(toy2):
@@ -195,14 +195,14 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
     root, and a history longer than T is refused."""
     model = _WALK_MODELS["zero_entry"]()
     vf = solve_manager(model, toy2[1]).value_function
-    assert vf.row(model, (), ()) == 0
+    assert vf.row((), ()) == 0
     parent, a, y = np.argwhere(vf.index[1] < 0)[0]
     obs, act = _history(list(manager_stages(vf)[1])[parent])
     u1, y2 = tiebreak_joint_actions(model)[a], model.joint_observations[y]
-    assert vf.row(model, obs + (y2,), act + (u1,)) == -1
+    assert vf.row(obs + (y2,), act + (u1,)) == -1
     joint, ys = tiebreak_joint_actions(model), model.joint_observations
     live = np.argwhere(vf.index[0][0] >= 0).tolist()
-    walk = lambda u, y: vf.row(model, (y,), (u,))
+    walk = lambda u, y: vf.row((y,), (u,))
     # a live branch of action (0, 1), observation (1, y_1)
     a, y = next((a, y) for a, y in live if joint[a] == (0, 1) and ys[y][0])
     y1 = ys[y]
@@ -220,7 +220,7 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
         assert walk(u, y) == -1
     too_long = ((0, 0),) * (model.horizon + 1)
     with pytest.raises(ValueError, match="history length"):
-        vf.row(model, too_long, too_long)
+        vf.row(too_long, too_long)
 
 
 def test_table_strategies_refuse_prefixes_not_of_length_t():
@@ -287,7 +287,7 @@ def test_solve_manager_keeps_no_horizon_keys(toy2):
     assert retained < 0.75 * 10**6
     horizon = list(manager_stages(vf)[T])
     assert len(horizon) == len(vf.horizon_stage()[1]) == sol.node_counts[T] == 65536
-    assert [vf.row(model, *_history(key)) for key in horizon] == list(range(65536))
+    assert [vf.row(*_history(key)) for key in horizon] == list(range(65536))
 
 
 def _oracle_prefixes(model):
@@ -1098,7 +1098,7 @@ def test_compare_refuses_a_member_history_off_the_manager_tree(monkeypatch, toy2
     def off_tree(*args, **kwargs):
         sol = solve(*args, **kwargs)
         sol.value_function = copy.copy(sol.value_function)
-        sol.value_function.row = lambda model, obs_seq, act_seq: -1
+        sol.value_function.row = lambda obs_seq, act_seq: -1
         return sol
 
     monkeypatch.setattr(teamdp.dp, "solve_manager", off_tree)

@@ -2,6 +2,8 @@
 conditional, and recombination — each pinned against hand numbers and the
 brute-force posterior oracle."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -544,6 +546,54 @@ def test_recombine_scaling_invariance(toy2):
     # constant (here: passing the identical belief again) does not
     again = recombine(model, structure, 0, mb, co, views)
     np.testing.assert_array_equal(base.probs, again.probs)
+
+
+def _recombine_by_particles(model, k, belief, cond, team):
+    """``recombine`` from member k's conditional ``cond``, as a loop over
+    its particles and the co-members' private slots."""
+    num, den = np.zeros(model.num_states), np.zeros(model.num_states)
+    for x, obs_seq, act_seq, w in cond.entries:
+        den[x] += w
+        if all(
+            (obs_seq[s - 1][j] if kind == "obs" else act_seq[s][j]) == val
+            for j in range(model.num_members) if j != k for s, kind, val in team.private[j]
+        ):
+            num[x] += w
+    vec = belief.probs * np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return vec / float(vec.sum())
+
+
+def test_recombine_matches_the_particle_loop():
+    """``recombine``, which checks the co-members' streams on the
+    conditional's history arrays and sums with ``np.bincount``, gives the
+    bits of a loop over the particles, for K = 2 and 3, dense and
+    zero-entry models at T = 3, every sharing rule, at every t and for
+    every member, on a trajectory of a hashed member profile."""
+    for K in (2, 3):
+        structures = [
+            InformationStructure("delayed_sharing", delays=(1,) * K),
+            InformationStructure("delayed_sharing", delays=(1, 2, 3)[:K]),
+            InformationStructure("periodic_sharing", period=2),
+            InformationStructure("delayed_control_sharing", delays=(1, 2, 1)[:K]),
+            InformationStructure("delayed_observation_sharing", delays=(2, 1, 1)[:K]),
+            InformationStructure("no_sharing"),
+        ]
+        for seed, positive in product(range(3), (True, False)):
+            model = random_model(seed, num_members=K, horizon=3, positive=positive)
+            for structure in structures:
+                members = [HashedMemberStrategy(model, structure, j, salt=j) for j in range(K)]
+                profile = DecentralizedStrategy(model, structure, members)
+                traj = rollout(model, profile, seed=seed).trajectory
+                for t in range(model.horizon + 1):
+                    team = extract_views(structure, traj, t, None)
+                    for k in range(K):
+                        co = {j: members[j] for j in range(K) if j != k}
+                        view = extract_views(structure, traj, t, k)
+                        cond = member_conditional(model, structure, co, view)
+                        belief = cond.state_marginal(model.num_states)
+                        got = recombine(model, structure, k, belief, co, team)
+                        want = _recombine_by_particles(model, k, belief, cond, team)
+                        assert got.probs.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

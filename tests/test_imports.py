@@ -2,9 +2,12 @@
 fresh interpreters: the package imports its submodules on first use, and
 each subcommand imports only the modules it runs."""
 
+import ast
 import json
 import subprocess
 import sys
+from graphlib import TopologicalSorter
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +237,61 @@ def test_numpy_imported_first_leaves_the_environment_alone():
     assert code == 0
     assert value is None
     assert numpy_loaded
+
+
+def _relative_imports() -> dict:
+    """Each module of the package mapped to the package modules it
+    imports relatively, at module level or inside a function."""
+    src = Path(teamdp.__file__).parent
+    names = {path.stem for path in src.glob("*.py")}
+    graph = {}
+    for name in names:
+        edges = set()
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:  # from .dp import solve_manager
+                    edges.add(node.module)
+                else:  # from . import oracle
+                    edges.update(alias.name for alias in node.names if alias.name in names)
+        graph[name] = edges
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    """No module of the package imports, even inside a function, a module
+    that imports it back: member tables key their views with
+    ``teamdp.model``, so ``strategies`` imports nothing from ``dp``."""
+    graph = _relative_imports()
+    assert {"filters", "oracle", "strategies"} <= graph["dp"]  # call-time imports are seen
+    assert graph["strategies"] == {"errors", "model"}
+    TopologicalSorter(graph).prepare()  # raises CycleError naming a cycle
+
+
+_LOOKUPS = """
+import json, sys
+import numpy as np
+from teamdp.model import InformationStructure, TeamModel, prefix_view, view_key
+from teamdp.strategies import MemberTableStrategy
+
+one = np.ones(1)
+model = TeamModel(2, 2, ("x",), (("0", "1"),) * 2, (("0", "1"),) * 2, one, np.ones((1, 4, 1)),
+                  (np.array([[0.5, 0.5]]),) * 2, np.zeros((2, 1, 4)), np.zeros(1))
+structure = InformationStructure("delayed_sharing", delays=(1, 2))
+obs_seq, act_seq = ((0, 1),), ((1, 0),)
+key = view_key(prefix_view(structure, 2, obs_seq, act_seq, 1, 0))
+table = MemberTableStrategy(model, structure, 0, {key: 1}, default=0)
+single = table.member_action(obs_seq, act_seq, 1)
+batch = table.member_actions(np.array([[[0, 1]], [[1, 1]]]), np.array([[[1, 0]], [[1, 0]]]), 1)
+print(json.dumps([single, batch.tolist(), table.fallbacks, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def test_member_table_lookups_load_no_solver():
+    """A member table formats its view keys with ``teamdp.model``, so its
+    lookups, of one history or of a stage's arrays, load neither the
+    dynamic programs nor the filters."""
+    code, (single, batch, fallbacks, modules) = _fresh(_LOOKUPS)
+    assert code == 0
+    assert (single, batch, fallbacks) == (1, [1, 0], 1)
+    assert "teamdp.strategies" in modules
+    assert {"teamdp.dp", "teamdp.filters"} & set(modules) == set()

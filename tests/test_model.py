@@ -18,6 +18,8 @@ from teamdp import (
     view_known,
 )
 from teamdp.model import (
+    _slot_values,
+    _value_at,
     history_key,
     prefix_view,
     tiebreak_joint_actions,
@@ -206,6 +208,31 @@ def test_view_layouts_are_pinned():
                 for m in (None, *range(K)):
                     digest.update(repr(view_slots(s, K, t, m)).encode() + b"\n")
     assert digest.hexdigest() == _LAYOUT_SHA256
+
+
+def test_slot_values_read_every_layout_as_value_at():
+    """``_slot_values`` reads every slot of every view layout above, the
+    team's and each member's, from ``(H, t, K)`` history arrays as
+    ``_value_at`` reads it from one history's sequences."""
+    rng = np.random.default_rng(3)
+    for K in (1, 2, 3):
+        structures = [InformationStructure("no_sharing")]
+        structures += [InformationStructure("periodic_sharing", period=w) for w in range(1, 5)]
+        for variant in (
+            "delayed_sharing", "delayed_observation_sharing", "delayed_control_sharing"
+        ):
+            structures += [
+                InformationStructure(variant, delays=d) for d in product((1, 2, 3), repeat=K)
+            ]
+        for t in range(9):
+            obs, act = rng.integers(0, 13, size=(2, 3, t, K))
+            histories = list(zip(obs.tolist(), act.tolist()))
+            for s in structures:
+                for m in (None, *range(K)):
+                    common, privates = view_slots(s, K, t, m)
+                    slots = common + sum(privates, ())
+                    want = [[_value_at(o, a, slot) for slot in slots] for o, a in histories]
+                    assert _slot_values(obs, act, slots).tolist() == want
 
 
 def test_time_and_member_range_errors():
