@@ -405,7 +405,7 @@ def _member_stage(model, structure, k, others, stage, own_actions, node_budget=N
         raise BudgetExceededError(
             f"member tree exceeds node budget {node_budget}",
             budget=node_budget,
-            observed=max(node_budget, used) + 1,
+            observed=node_budget + 1,
         )
     cw = cw[order]
     weight = np.bincount(new_node, cw, minlength=count)
@@ -464,10 +464,7 @@ def member_conditional(
     known = view_known(view)
     stage = _root_stage(model)
     for s in range(t):
-        own = known.get((s, k, "act"))
-        if own is None:
-            raise IncompleteHistoryError(f"member {k}'s own action at time {s} is not in the view")
-        step, children = _member_stage(model, structure, k, others, stage, [own])
+        step, children = _member_stage(model, structure, k, others, stage, [known[(s, k, "act")]])
         vals = [known[slot] for slot in _revealed_slots(structure, K, s, k)]
         match = np.flatnonzero(np.all(step.vals == vals, axis=1))
         if not len(match):

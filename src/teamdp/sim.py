@@ -24,14 +24,15 @@ returns the index ``choice`` would return from the same stream.  The CDF
 rows are built, and each gets ``choice``'s probability check, once per
 estimate rather than once per draw.
 
-All samples of a block advance together, stage by stage.  At each stage
-the strategy is asked for its action once per distinct realized
-observation path, in order of the path's first sample; the answer is
-kept in a trie of paths (a node per path, keyed by its parent node and
-the joint observation) shared by all blocks of an estimate, so later
-samples and blocks reuse it.  This relies on every strategy being
-deterministic: the same observation prefix then gives the same earlier
-actions, by induction, and so the same history.  Each sample's cost is
+All samples of a block advance together, stage by stage.  Each stage
+lists its distinct realized histories in order of first sample, and one
+``np.unique`` over (history, joint observation) gives the next stage's
+list.  The strategy is asked for its action once per distinct history,
+in list order; the answer is kept in a memo keyed by the history and
+shared by all blocks of an estimate, so later samples and blocks reuse
+it.  This relies on every strategy being deterministic: the same
+observation prefix then gives the same earlier actions, by induction,
+and so the same history.  Each sample's cost is
 ``0.0`` plus its stage costs in stage order plus its terminal cost, the
 order a one-sample loop adds them in, so the estimate's sums see the
 same array.  Samples go through in blocks of ``_BLOCK``, which bounds an
@@ -226,83 +227,49 @@ def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=1)
 
 
-class _Paths:
-    """The trie of realized observation paths of one strategy.  Node 0 is
-    the empty path; a node's child under a joint observation is the path
-    extended by it.  Each node keeps its history (observation and action
-    tuples) and, once asked, the strategy's joint action there with its
-    flat index."""
-
-    def __init__(self, model: TeamModel, strategy):
-        self.model = model
-        self.strategy = strategy
-        self.histories: list[tuple] = [((), ())]
-        self.actions: list = [None]
-        self.children: dict[tuple[int, int], int] = {}
-
-    def act(self, nodes: np.ndarray, t: int):
-        """Flat joint action per sample at stage ``t``, asking the
-        strategy at each new node in order of its first sample; also the
-        samples' dense node indices (into the sorted distinct nodes)."""
-        ids, first, dense = np.unique(nodes, return_index=True, return_inverse=True)
-        flat = np.empty(len(ids), np.intp)
-        for j in np.argsort(first):
-            node = int(ids[j])
-            hit = self.actions[node]
-            if hit is None:
-                obs_seq, act_seq = self.histories[node]
-                u = tuple(int(v) for v in self.strategy.joint_action(obs_seq, act_seq, t))
-                hit = self.actions[node] = (u, self.model.flat_action(u))
-            flat[j] = hit[1]
-        return flat[dense], dense
-
-    def extend(self, nodes: np.ndarray, dense: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
-        """Child node per sample under its joint observation ``ys[k][i]``;
-        ``dense`` is what :meth:`act` gave for ``nodes``."""
-        joint = np.zeros(len(nodes), np.int64)
-        for y, n in zip(ys, self.model.observation_sizes):
-            joint = joint * n + y
-        keys, first, inverse = np.unique(
-            dense * math.prod(self.model.observation_sizes) + joint,
-            return_index=True,
-            return_inverse=True,
-        )
-        child = np.empty(len(keys), np.intp)
-        for j, i in enumerate(first.tolist()):
-            parent = int(nodes[i])
-            key = (parent, int(joint[i]))
-            node = self.children.get(key)
-            if node is None:
-                obs_seq, act_seq = self.histories[parent]
-                y = tuple(int(col[i]) for col in ys)
-                node = self.children[key] = len(self.histories)
-                self.histories.append((obs_seq + (y,), act_seq + (self.actions[parent][0],)))
-                self.actions.append(None)
-            child[j] = node
-        return child[inverse]
-
-
-def _run(model: TeamModel, tables: _Tables, paths: _Paths, u: np.ndarray):
+def _run(model: TeamModel, tables: _Tables, strategy, memo: dict, u: np.ndarray):
     """Advance the samples of one block, row i of ``u`` holding sample i's
-    doubles, stage by stage.  Returns each sample's cost, its states
-    ``(n, T+1)`` and its final path node."""
+    doubles, stage by stage.  Each stage lists its distinct histories,
+    ``(obs_seq, act_seq)`` tuples, in order of first sample, and each
+    sample's index into that list.  The strategy is asked, in list order,
+    at the histories missing from ``memo`` (history -> joint action and
+    its flat index).  Returns each sample's cost, its states ``(n, T+1)``,
+    the final list of histories and each sample's index into it."""
     n, K = len(u), model.num_members
     x = _draw(tables.initial, u[:, 0])
     states = np.empty((n, model.horizon + 1), np.intp)
     states[:, 0] = x
-    nodes = np.zeros(n, np.intp)
+    histories, index = [((), ())], np.zeros(n, np.intp)
     cost = np.zeros(n)
     col = 1
     for t in range(model.horizon):
-        a, dense = paths.act(nodes, t)
+        answers = []
+        for hist in histories:
+            hit = memo.get(hist)
+            if hit is None:
+                act = tuple(int(v) for v in strategy.joint_action(*hist, t))
+                hit = memo[hist] = (act, model.flat_action(act))
+            answers.append(hit)
+        a = np.array([flat for _, flat in answers], np.intp)[index]
         cost += model.stage_cost[t, x, a]
         x = _draw(tables.transition[x, a], u[:, col])
         ys = [_draw(obs[x], u[:, col + 1 + k]) for k, obs in enumerate(tables.observation)]
         col += 1 + K
         states[:, t + 1] = x
-        nodes = paths.extend(nodes, dense, ys)
+        # the next stage's list: distinct (history, joint observation)
+        # pairs, relabelled in order of first sample
+        pair = np.ravel_multi_index([index, *ys], (len(histories), *model.observation_sizes))
+        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+        seen = np.argsort(first)
+        children = []
+        for i in first[seen].tolist():
+            p = index[i]
+            obs_seq, act_seq = histories[p]
+            y = tuple(int(v[i]) for v in ys)
+            children.append((obs_seq + (y,), act_seq + (answers[p][0],)))
+        histories, index = children, np.argsort(seen)[inverse]
     cost += model.terminal_cost[x]
-    return cost, states, nodes
+    return cost, states, histories, index
 
 
 def rollout(model: TeamModel, strategy, seed: int) -> WeightedOutcome:
@@ -314,9 +281,8 @@ def rollout(model: TeamModel, strategy, seed: int) -> WeightedOutcome:
     tables = _tables(model)
     m = 1 + model.horizon * (1 + model.num_members)
     u = np.random.default_rng(seed).random(m)[None, :]
-    paths = _Paths(model, strategy)
-    cost, states, nodes = _run(model, tables, paths, u)
-    obs_seq, act_seq = paths.histories[nodes[0]]
+    cost, states, histories, index = _run(model, tables, strategy, {}, u)
+    obs_seq, act_seq = histories[index[0]]
     traj = Trajectory(states=tuple(states[0].tolist()), observations=obs_seq, actions=act_seq)
     return WeightedOutcome(trajectory=traj, probability=None, cost=float(cost[0]))
 
@@ -331,13 +297,13 @@ def estimate_cost(model: TeamModel, strategy, config: SimConfig) -> CostEstimate
     if n < 1:
         raise ValueError("samples must be >= 1")
     tables = _tables(model)
-    paths = _Paths(model, strategy)
+    memo: dict = {}
     m = 1 + model.horizon * (1 + model.num_members)
     costs = np.empty(n)
     for lo in range(0, n, _BLOCK):
         count = min(_BLOCK, n - lo)
         seeds = np.uint64((config.seed + lo) % 2**64) + np.arange(count, dtype=np.uint64)
-        costs[lo : lo + count] = _run(model, tables, paths, _uniforms(seeds, m))[0]
+        costs[lo : lo + count] = _run(model, tables, strategy, memo, _uniforms(seeds, m))[0]
     mean = float(np.sum(costs) / n)
     if n > 1:
         se = float(np.std(costs, ddof=1) / math.sqrt(n))

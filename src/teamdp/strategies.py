@@ -85,12 +85,13 @@ def _co_strategies(others: Mapping[int, object] | None, k: int, num_members: int
 def _co_actions(others: Mapping, k: int, num_members: int, stage) -> dict:
     """Every co-member's action at each distinct history of a member-DP
     stage (``teamdp.filters._MemberStage``), as ``{member: (H,) actions}``,
-    from co-strategies admitted by :func:`_co_strategies`.  A co-strategy with ``member_actions`` is asked once for the whole
-    stage; the others, and any whose batch call finds a history
-    undefined, are asked history by history over ``stage.sequences``,
-    histories outer and members inner, so the first undefined (history,
-    member) in that order raises UndefinedCoStrategyError as it would
-    with every co-strategy asked that way."""
+    from co-strategies admitted by :func:`_co_strategies`.  A co-strategy
+    with ``member_actions`` is asked once for the whole stage; the
+    others, and any whose batch call finds a history undefined, are asked
+    history by history over ``stage.sequences``, histories outer and
+    members inner, so the first undefined (history, member) in that order
+    raises UndefinedCoStrategyError as it would with every co-strategy
+    asked that way."""
     actions, rest = {}, []
     for m in range(num_members):
         if m == k:

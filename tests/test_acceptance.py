@@ -447,6 +447,7 @@ def test_each_member_reproduces_the_optimum_under_other_sharing_rules(rule):
     assert (best.num_strategies, best.optimal_cost.hex(), counts) == _SHARING_RULES[rule]
 
 
+@pytest.mark.slow
 def test_criterion_7_reproducible_reports(toy2, tmp_path):
     """Byte-identical reports (timing line excluded) across consecutive
     invocations and across serial vs concurrent execution of the CLI."""

@@ -202,6 +202,61 @@ def test_exit_validation_on_undefined_problem(capsys, toy2, tmp_path):
     assert report["error"]["type"] == "IncompleteHistoryError"
 
 
+def _set(path, value):
+    """An edit of a scenario document that sets ``doc[path...] = value``."""
+
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+# violation path -> (edit of a valid scenario, the message it gives first)
+STRUCTURAL_EDITS = {
+    "actions": (_set(["num_members"], 3), "expected 3 member entries, got 2"),
+    "states": (_set(["states"], ["s0", "s0", "s2"]), "labels must be unique"),
+    "initial_dist": (_set(["initial_dist"], [0.5, 0.5]), "shape (2,), expected (3,)"),
+    "transition": (
+        lambda doc: doc.update(transition=[row[:2] for row in doc["transition"]]),
+        "shape (3, 2, 3), expected (3, 4, 3)",
+    ),
+    "observation_kernels": (
+        lambda doc: doc.update(observation_kernels=doc["observation_kernels"][:1]),
+        "expected 2 kernels",
+    ),
+    "stage_cost": (_set(["stage_cost", 0, 0, 0], float("nan")), "entries must be finite"),
+    "terminal_cost": (_set(["terminal_cost"], [float("inf"), 0.0, 0.0]), "entries must be finite"),
+    "information_structure.period": (
+        _set(["information_structure", "period"], 2),
+        "not allowed for delayed_sharing",
+    ),
+    "information_structure": (
+        _set(["information_structure"], {"variant": "no_sharing", "period": 2}),
+        "no_sharing takes no parameters",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", list(STRUCTURAL_EDITS))
+def test_validate_reports_the_first_structural_violation(capsys, tmp_path, where):
+    """Each edit of a valid S = 3, K = 2, 4-joint-action scenario gives
+    exit 2 with the violation named first."""
+    edit, message = STRUCTURAL_EDITS[where]
+    doc = scenario_to_dict(
+        random_model(7, 2, 3, 4, (2, 2)), InformationStructure("delayed_sharing", delays=(1, 1))
+    )
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = invoke(capsys, ["validate", "--scenario", str(path)])
+    assert code == 2
+    assert report["results"]["valid"] is False
+    assert report["results"]["violations"][0] == {"path": where, "message": message}
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 

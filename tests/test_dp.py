@@ -191,8 +191,10 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
     """The walk gives -1 for a history through a zero-weight branch and
     for a label out of its member's range, such as an action label equal
     to its member's action count or a negative one, even where the
-    unchecked position would be a live branch's; the empty history is the
-    root, and a history longer than T is refused."""
+    unchecked position would be a live branch's, and for a joint label of
+    the wrong length; the empty history is the root, and a history longer
+    than T or with unequal numbers of actions and observations is
+    refused."""
     model = _WALK_MODELS["zero_entry"]()
     vf = solve_manager(model, toy2[1]).value_function
     assert vf.row((), ()) == 0
@@ -221,6 +223,25 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
     too_long = ((0, 0),) * (model.horizon + 1)
     with pytest.raises(ValueError, match="history length"):
         vf.row(too_long, too_long)
+    assert vf.row(((0,),), ((0, 0),)) == -1 and vf.row(((0, 0),), ((0,),)) == -1
+    with pytest.raises(ValueError, match=r"^history of 0 joint actions and 1 observations$"):
+        vf.row(((0, 0),), ())
+
+
+def test_member_strategy_report_forms_and_profile_size():
+    """The report forms of the constant and manager-projection member
+    strategies; a profile needs one strategy per member."""
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    mgr = solve_manager(model, structure)
+    assert ConstantMemberStrategy(1, 0).to_json_dict() == {
+        "variant": "constant", "scope": "member", "member": 1, "action": 0
+    }
+    assert ManagerProjectionStrategy(0, mgr.strategy).to_json_dict() == {
+        "variant": "manager_projection", "scope": "member", "member": 0
+    }
+    with pytest.raises(ValueError, match="^need one strategy per member$"):
+        DecentralizedStrategy(model, structure, [ConstantMemberStrategy(0, 0)])
 
 
 def test_table_strategies_refuse_prefixes_not_of_length_t():
@@ -263,6 +284,7 @@ def test_table_strategies_refuse_prefixes_not_of_length_t():
     assert strategy.fallbacks == 0
 
 
+@pytest.mark.slow
 def test_solve_manager_keeps_no_horizon_keys(toy2):
     """solve_manager builds no history key and holds no array of the
     horizon stage: on a T = 4 tree of 69,905 nodes (65,536 at the horizon)
@@ -636,6 +658,21 @@ def test_member_node_budget(toy2):
         solve_member(model, structure, 0, co, node_budget=1)
     assert info.value.budget == 1
     assert info.value.observed > 1
+
+
+@pytest.mark.parametrize("solver", ["manager", "member"])
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_budget_overrun_observes_the_first_node_past_it(solver, budget):
+    """Both solvers report ``observed == budget + 1``, the number of the
+    first node past the budget; at budget 0 the root alone is over it."""
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    with pytest.raises(BudgetExceededError) as info:
+        if solver == "manager":
+            solve_manager(model, structure, node_budget=budget)
+        else:
+            solve_member(model, structure, 0, {1: ConstantMemberStrategy(1, 0)}, node_budget=budget)
+    assert (info.value.budget, info.value.observed) == (budget, budget + 1)
 
 
 # (seed, shape, positive, structure index) -> (root_value.hex(),

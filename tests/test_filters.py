@@ -213,6 +213,26 @@ def test_team_belief_no_sharing_refuses(toy2):
         team_belief_from_history(model, ns, views)
 
 
+def test_team_belief_refuses_views_missing_pooled_data():
+    """A hand-built team view without a pooled action, or with the
+    actions but without a pooled observation, names the first missing
+    datum; a member view is refused outright."""
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    traj = Trajectory(states=(0, 0, 0), observations=((0, 1), (1, 0)), actions=((1, 0), (0, 1)))
+    views = extract_views(structure, traj, 2, None)
+    for slot, message in [
+        ((1, 0, "act"), "joint action at time 1 not determined"),
+        ((1, 0, "obs"), "joint observation at time 1 not determined"),
+    ]:
+        common = tuple(d for d in views.common if d[:3] != slot)
+        assert len(common) == len(views.common) - 1
+        with pytest.raises(IncompleteHistoryError, match=f"^{message}$"):
+            team_belief_from_history(model, structure, HistoryView(2, None, common, views.private))
+    with pytest.raises(ValueError, match="team-level view required"):
+        team_belief_from_history(model, structure, extract_views(structure, traj, 2, 0))
+
+
 def test_team_filter_ignores_which_strategy_made_the_history(toy2):
     model, structure = toy2
     traj = Trajectory(states=(0, 0, 0), observations=((0, 0), (1, 0)), actions=((1, 1), (0, 1)))
@@ -441,6 +461,28 @@ def test_member_belief_zero_probability_view(toy2):
     view = extract_views(structure, traj, 2, 0)
     with pytest.raises(ZeroLikelihoodError):
         member_belief(model, structure, co, view)
+
+
+@pytest.mark.parametrize(
+    "structure, message",
+    [
+        (InformationStructure("delayed_sharing", delays=(1, 1)), "common"),
+        (InformationStructure("delayed_observation_sharing", delays=(1, 1)), "private"),
+        (InformationStructure("periodic_sharing", period=2), "private"),
+    ],
+)
+def test_member_conditional_refuses_a_view_without_an_own_action(structure, message):
+    """A member view whose own action at t = 0 was removed does not
+    match the structure's slot layout, wherever that action sits."""
+    model = random_model(1, horizon=2)
+    co = {1: ConstantMemberStrategy(1, 0)}
+    traj = Trajectory(states=(0, 0, 0), observations=((0, 1), (1, 0)), actions=((1, 0), (0, 1)))
+    view = extract_views(structure, traj, 2, 0)
+    common = tuple(d for d in view.common if d[:3] != (0, 0, "act"))
+    private = tuple(d for d in view.private if d[:2] != (0, "act"))
+    assert len(common) + len(private) == len(view.common) + len(view.private) - 1
+    with pytest.raises(ValueError, match=f"^view {message} slots do not match the structure$"):
+        member_conditional(model, structure, co, HistoryView(2, 0, common, private))
 
 
 def test_member_side_filters_refuse_out_of_range_members_and_times():

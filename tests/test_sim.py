@@ -65,6 +65,12 @@ def test_estimate_matches_manual_per_sample_rollouts(toy2):
     assert est.samples == 64 and est.seed == 100
 
 
+def test_estimate_refuses_zero_samples(toy2):
+    model, _ = toy2
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        estimate_cost(model, HashedCentralizedStrategy(model, salt=4), SimConfig(samples=0))
+
+
 def test_estimate_single_sample_has_zero_std_error(toy2):
     model, structure = toy2
     g = HashedCentralizedStrategy(model, salt=4)
@@ -298,10 +304,11 @@ def test_rollout_is_a_kernel_row(case, request):
     g = HashedCentralizedStrategy(model, salt=6)
     seeds = np.arange(2**32 - 20, 2**32 + 20, dtype=np.uint64)
     m = 1 + model.horizon * (1 + model.num_members)
-    paths = sim._Paths(model, g)
-    costs, states, nodes = sim._run(model, sim._tables(model), paths, sim._uniforms(seeds, m))
+    costs, states, histories, index = sim._run(
+        model, sim._tables(model), g, {}, sim._uniforms(seeds, m)
+    )
     for i, seed in enumerate(seeds.tolist()):
         one = rollout(model, g, seed=seed)
         assert one.cost == costs[i]
         assert one.trajectory.states == tuple(states[i].tolist())
-        assert (one.trajectory.observations, one.trajectory.actions) == paths.histories[nodes[i]]
+        assert (one.trajectory.observations, one.trajectory.actions) == histories[index[i]]
