@@ -78,16 +78,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    IncompleteHistoryError,
-    InvariantError,
-)
+from .errors import IncompleteHistoryError, InvariantError
 from .model import (
     DEFAULT_NODE_BUDGET,
     HistoryView,
     InformationStructure,
     TeamModel,
+    _check_budget,
     _check_range,
     _likelihood_vec,
     _view_keys,
@@ -183,12 +180,7 @@ def _stage(
     )
     live = weights != 0.0
     count = int(np.count_nonzero(live))
-    if node_budget is not None and used + count > node_budget:
-        raise BudgetExceededError(
-            f"manager tree exceeds node budget {node_budget}",
-            budget=node_budget,
-            observed=node_budget + 1,
-        )
+    _check_budget("manager", node_budget, used + count)
     index = np.full(weights.shape, -1, dtype=np.intp)
     children = np.empty((count, model.num_states) if per_state is None else count)
     # flat views: one row of pred per (node, action), one entry per branch
@@ -251,7 +243,8 @@ class ValueFunction:
     its observation axis in the order of ``observations`` (the joint
     observations, member K-1 fastest).  Row r of stage t+1 is the r-th
     live branch of ``index[t]`` in flat order.  :meth:`row` finds a
-    history's row by walking ``index`` with ``model``'s label sizes.
+    history's row by walking ``index``, each joint label looked up in
+    ``actions`` or ``observations``.
 
     The horizon stage is not held: :meth:`horizon_stage` builds the
     beliefs and terminal values of any of its rows again from ``model``
@@ -280,33 +273,33 @@ class ValueFunction:
         children = _stage(self.model, parents, self.horizon - 1)[3]
         return children, _state_sum(children, self.model.terminal_cost)
 
+    @cached_property
+    def _positions(self) -> tuple[dict, dict]:
+        """``{joint label: position}`` along the action and observation
+        axes of ``index``."""
+        return (
+            {u: a for a, u in enumerate(self.actions)},
+            {y: b for b, y in enumerate(self.observations)},
+        )
+
     def row(self, obs_seq, act_seq) -> int:
         """Stage-t row of the history ``obs_seq`` (y_1..y_t), ``act_seq``
         (u_0..u_{t-1}), found without a key: from row 0, for s < t, ``row =
-        index[s][row, u_s's tie-break position (member 0 fastest), y_{s+1}'s
-        flat position (member K-1 fastest)]``, with Python ints.  -1 off the
-        tree, for a joint label of the wrong length, or for a label outside
-        its member's range, negative ones included, which would otherwise
-        alias another branch.  Raises ValueError for a history length
-        outside 0..T or unequal numbers of actions and observations."""
+        index[s][row, position of u_s in actions, position of y_{s+1} in
+        observations]``.  -1 off the tree or for a joint label that is not
+        on its axis (of the wrong length, or with a label outside its
+        member's range).  Raises ValueError for a history length outside
+        0..T or unequal numbers of actions and observations."""
         t = len(act_seq)
         _check_range("history length", t, self.horizon + 1)
         if len(obs_seq) != t:
             raise ValueError(f"history of {t} joint actions and {len(obs_seq)} observations")
-        A, Y = self.model.action_sizes, self.model.observation_sizes
+        actions, observations = self._positions
         row = 0
         for index, u, y in zip(self.index, act_seq, obs_seq):
-            if len(u) != len(A) or len(y) != len(Y):
+            a, b = actions.get(tuple(u)), observations.get(tuple(y))
+            if a is None or b is None:
                 return -1
-            a = b = 0
-            for label, size in zip(u[::-1], A[::-1]):
-                if not 0 <= label < size:
-                    return -1
-                a = a * size + label
-            for label, size in zip(y, Y):
-                if not 0 <= label < size:
-                    return -1
-                b = b * size + label
             row = index.item(row, a, b)
             if row < 0:
                 return -1

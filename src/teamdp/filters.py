@@ -43,16 +43,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    IncompleteHistoryError,
-    ZeroLikelihoodError,
-)
+from .errors import IncompleteHistoryError, ZeroLikelihoodError
 from .model import (
     HistoryView,
     InformationStructure,
     TeamModel,
+    _check_budget,
     _check_range,
+    _first_occurrences,
     _likelihood_vec,
     _revealed_slots,
     _slot_values,
@@ -401,12 +399,7 @@ def _member_stage(model, structure, k, others, stage, own_actions, node_budget=N
     starts = _starts(branch)
     new_node = np.cumsum(starts) - 1
     count = int(np.count_nonzero(starts))
-    if node_budget is not None and used + count > node_budget:
-        raise BudgetExceededError(
-            f"member tree exceeds node budget {node_budget}",
-            budget=node_budget,
-            observed=node_budget + 1,
-        )
+    _check_budget("member", node_budget, used + count)
     cw = cw[order]
     weight = np.bincount(new_node, cw, minlength=count)
     step = _MemberStep(
@@ -415,18 +408,14 @@ def _member_stage(model, structure, k, others, stage, own_actions, node_budget=N
 
     # the child stage's histories, in first-occurrence order
     h, o, y = h[order], o[order], y[order]
-    _, seen_at, inverse = np.unique((h * O + o) * Y + y, return_index=True, return_inverse=True)
-    seen = np.argsort(seen_at)
-    relabel = np.empty_like(seen)
-    relabel[seen] = np.arange(len(seen))
-    src = seen_at[seen]
+    src, hist = _first_occurrences((h * O + o) * Y + y)
     children = _MemberStage(
         time=t + 1,
         num_nodes=count,
         num_states=S,
         node=new_node,
         x=x2[order],
-        hist=relabel[inverse],
+        hist=hist,
         w=cw / weight[new_node],
         obs=np.concatenate([stage.obs[h[src]], ys[y[src]][:, None, :]], axis=1),
         act=np.concatenate([stage.act[h[src]], joint[h[src], o[src]][:, None, :]], axis=1),

@@ -42,6 +42,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
 __all__ = [
     "TeamModel",
     "InformationStructure",
@@ -189,6 +191,24 @@ def _check_range(what: str, value: int, stop: int) -> None:
         raise ValueError(f"{what} {value} outside 0..{stop - 1}")
 
 
+def _check_budget(tree: str, node_budget: int | None, nodes: int) -> None:
+    """Raise BudgetExceededError if ``nodes`` exceeds ``node_budget`` (None: no cap)."""
+    if node_budget is not None and nodes > node_budget:
+        raise BudgetExceededError(
+            f"{tree} tree exceeds node budget {node_budget}",
+            budget=node_budget,
+            observed=node_budget + 1,
+        )
+
+
+def _first_occurrences(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct value of ``codes`` first occurs, in that order,
+    and each entry's index into that list."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _likelihood_vec(model: TeamModel, joint_obs) -> np.ndarray:
     like = model.observation_kernels[0][:, joint_obs[0]].copy()
     for k in range(1, model.num_members):
@@ -269,15 +289,12 @@ class Violation:
 # validation
 
 
-def _check_dist(rows: np.ndarray, path: str, out: list[Violation], tol: float = 1e-12):
-    flat = rows.reshape(-1, rows.shape[-1])
-    for i, row in enumerate(flat):
-        where = path if flat.shape[0] == 1 else f"{path}[{np.unravel_index(i, rows.shape[:-1])}]"
-        if np.any(row < 0):
-            out.append(Violation(where, "negative probability entry"))
-        s = float(np.sum(row))
-        if not math.isclose(s, 1.0, rel_tol=0.0, abs_tol=tol):
-            out.append(Violation(where, f"probabilities sum to {s!r}, not 1 within {tol}"))
+def _check_dist(row: np.ndarray, path: str, out: list[Violation]):
+    if np.any(row < 0):
+        out.append(Violation(path, "negative probability entry"))
+    s = float(np.sum(row))
+    if not math.isclose(s, 1.0, rel_tol=0.0, abs_tol=1e-12):
+        out.append(Violation(path, f"probabilities sum to {s!r}, not 1 within 1e-12"))
 
 
 def validate_model(model: TeamModel, structure: InformationStructure | None = None) -> list[Violation]:
@@ -294,9 +311,8 @@ def validate_model(model: TeamModel, structure: InformationStructure | None = No
         out.append(Violation("horizon", "must be >= 1"))
     if S < 1:
         out.append(Violation("states", "must be nonempty"))
-    for name, labels in (("states", model.states),):
-        if len(set(labels)) != len(labels):
-            out.append(Violation(name, "labels must be unique"))
+    if len(set(model.states)) != S:
+        out.append(Violation("states", "labels must be unique"))
     for group, per in (("actions", model.actions), ("observations", model.observations)):
         if len(per) != K:
             out.append(Violation(group, f"expected {K} member entries, got {len(per)}"))
@@ -313,13 +329,13 @@ def validate_model(model: TeamModel, structure: InformationStructure | None = No
     if model.initial_dist.shape != (S,):
         out.append(Violation("initial_dist", f"shape {model.initial_dist.shape}, expected ({S},)"))
     else:
-        _check_dist(model.initial_dist[None, :], "initial_dist", out)
+        _check_dist(model.initial_dist, "initial_dist", out)
     if model.transition.shape != (S, A, S):
         out.append(Violation("transition", f"shape {model.transition.shape}, expected {(S, A, S)}"))
     else:
         for x in range(S):
             for a in range(A):
-                _check_dist(model.transition[x, a][None, :], f"transition[x={x}][u={a}]", out)
+                _check_dist(model.transition[x, a], f"transition[x={x}][u={a}]", out)
     if len(model.observation_kernels) != K:
         out.append(Violation("observation_kernels", f"expected {K} kernels"))
     else:
@@ -329,7 +345,7 @@ def validate_model(model: TeamModel, structure: InformationStructure | None = No
                 out.append(Violation(f"observation_kernels[{k}]", f"shape {kern.shape}, expected {want}"))
             else:
                 for x in range(S):
-                    _check_dist(kern[x][None, :], f"observation_kernels[{k}][x={x}]", out)
+                    _check_dist(kern[x], f"observation_kernels[{k}][x={x}]", out)
     largest = []  # the largest |cost| of each stage, then of the terminal cost
     if model.stage_cost.shape != (T, S, A):
         out.append(Violation("stage_cost", f"shape {model.stage_cost.shape}, expected {(T, S, A)}"))
@@ -502,9 +518,7 @@ def extract_views(
     0..T or an unknown member index.
     """
     K = len(traj.observations[0]) if traj.observations else len(traj.actions[0])
-    horizon = len(traj.actions)
-    if not 0 <= t <= horizon:
-        raise ValueError(f"time {t} outside 0..{horizon}")
+    _check_range("time", t, len(traj.actions) + 1)
     if member is not None and not 0 <= member < K:
         raise ValueError(f"unknown member index {member}")
     return prefix_view(structure, K, traj.observations, traj.actions, t, member)

@@ -37,6 +37,7 @@ from .model import (
     InformationStructure,
     TeamModel,
     Trajectory,
+    _check_range,
     history_key,
     prefix_view,
     tiebreak_joint_actions,
@@ -147,8 +148,7 @@ def exact_cost_to_go(model: TeamModel, strategy, obs_seq: tuple, act_seq: tuple,
     prefix (t joint observations, t joint actions), with future actions
     drawn from ``strategy``.  Raises ValueError unless 0 <= t <= T and
     both prefixes hold exactly t entries."""
-    if not 0 <= t <= model.horizon:
-        raise ValueError(f"time {t} outside 0..{model.horizon}")
+    _check_range("time", t, model.horizon + 1)
     if len(obs_seq) != t or len(act_seq) != t:
         raise ValueError(
             f"prefixes of {len(obs_seq)} observations and {len(act_seq)} actions at time {t}"

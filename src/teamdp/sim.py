@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TeamModel, Trajectory
+from .model import TeamModel, Trajectory, _first_occurrences
 from .oracle import WeightedOutcome
 
 __all__ = ["SimConfig", "CostEstimate", "rollout", "estimate_cost"]
@@ -259,15 +259,14 @@ def _run(model: TeamModel, tables: _Tables, strategy, memo: dict, u: np.ndarray)
         # the next stage's list: distinct (history, joint observation)
         # pairs, relabelled in order of first sample
         pair = np.ravel_multi_index([index, *ys], (len(histories), *model.observation_sizes))
-        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-        seen = np.argsort(first)
+        first, next_index = _first_occurrences(pair)
         children = []
-        for i in first[seen].tolist():
+        for i in first.tolist():
             p = index[i]
             obs_seq, act_seq = histories[p]
             y = tuple(int(v[i]) for v in ys)
             children.append((obs_seq + (y,), act_seq + (answers[p][0],)))
-        histories, index = children, np.argsort(seen)[inverse]
+        histories, index = children, next_index
     cost += model.terminal_cost[x]
     return cost, states, histories, index
 

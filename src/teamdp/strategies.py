@@ -85,34 +85,25 @@ def _co_strategies(others: Mapping[int, object] | None, k: int, num_members: int
 def _co_actions(others: Mapping, k: int, num_members: int, stage) -> dict:
     """Every co-member's action at each distinct history of a member-DP
     stage (``teamdp.filters._MemberStage``), as ``{member: (H,) actions}``,
-    from co-strategies admitted by :func:`_co_strategies`.  A co-strategy
-    with ``member_actions`` is asked once for the whole stage; the
-    others, and any whose batch call finds a history undefined, are asked
-    history by history over ``stage.sequences``, histories outer and
-    members inner, so the first undefined (history, member) in that order
-    raises UndefinedCoStrategyError as it would with every co-strategy
-    asked that way."""
-    actions, rest = {}, []
+    from co-strategies admitted by :func:`_co_strategies`.  Each co-member
+    is asked once, in member order: through ``member_actions`` for the
+    whole stage where it has it, else through ``member_action`` history by
+    history over ``stage.sequences``.  The first StrategyUndefinedError
+    raises UndefinedCoStrategyError."""
+    actions = {}
     for m in range(num_members):
         if m == k:
             continue
-        batch = getattr(others[m], "member_actions", None)
-        if batch is not None:
-            try:
+        strategy = others[m]
+        batch = getattr(strategy, "member_actions", None)
+        try:
+            if batch is not None:
                 actions[m] = batch(stage.obs, stage.act, stage.time)
-                continue
-            except StrategyUndefinedError:
-                pass
-        rest.append(m)
-    if rest:
-        cols = np.empty((len(rest), len(stage.obs)), dtype=np.intp)
-        for h, (obs_seq, act_seq) in enumerate(stage.sequences):
-            for i, m in enumerate(rest):
-                try:
-                    cols[i, h] = others[m].member_action(obs_seq, act_seq, stage.time)
-                except StrategyUndefinedError as e:
-                    raise UndefinedCoStrategyError(str(e)) from e
-        actions.update(zip(rest, cols))
+            else:
+                each = [strategy.member_action(*h, stage.time) for h in stage.sequences]
+                actions[m] = np.array(each, dtype=np.intp)
+        except StrategyUndefinedError as e:
+            raise UndefinedCoStrategyError(str(e)) from e
     return actions
 
 

@@ -214,37 +214,91 @@ def _set(path, value):
     return edit
 
 
-# violation path -> (edit of a valid scenario, the message it gives first)
+# case -> (violation path, edit of a valid scenario, the message it gives first)
 STRUCTURAL_EDITS = {
-    "actions": (_set(["num_members"], 3), "expected 3 member entries, got 2"),
-    "states": (_set(["states"], ["s0", "s0", "s2"]), "labels must be unique"),
-    "initial_dist": (_set(["initial_dist"], [0.5, 0.5]), "shape (2,), expected (3,)"),
+    "actions": ("actions", _set(["num_members"], 3), "expected 3 member entries, got 2"),
+    "states": ("states", _set(["states"], ["s0", "s0", "s2"]), "labels must be unique"),
+    "observations": (
+        "observations[0]",
+        _set(["observations", 0], ["0", "0"]),
+        "labels must be unique",
+    ),
+    "initial_dist": (
+        "initial_dist",
+        _set(["initial_dist"], [0.5, 0.5]),
+        "shape (2,), expected (3,)",
+    ),
     "transition": (
+        "transition",
         lambda doc: doc.update(transition=[row[:2] for row in doc["transition"]]),
         "shape (3, 2, 3), expected (3, 4, 3)",
     ),
+    "negative_transition": (
+        "transition[x=0][u=0]",
+        _set(["transition", 0, 0], [-0.5, 1.0, 0.5]),
+        "negative probability entry",
+    ),
     "observation_kernels": (
+        "observation_kernels",
         lambda doc: doc.update(observation_kernels=doc["observation_kernels"][:1]),
         "expected 2 kernels",
     ),
-    "stage_cost": (_set(["stage_cost", 0, 0, 0], float("nan")), "entries must be finite"),
-    "terminal_cost": (_set(["terminal_cost"], [float("inf"), 0.0, 0.0]), "entries must be finite"),
+    "kernel_width": (
+        "observation_kernels[0]",
+        _set(["observation_kernels", 0], [[1.0]] * 3),
+        "shape (3, 1), expected (3, 2)",
+    ),
+    "stage_cost": (
+        "stage_cost",
+        _set(["stage_cost", 0, 0, 0], float("nan")),
+        "entries must be finite",
+    ),
+    "short_stage_cost": (
+        "stage_cost",
+        lambda doc: doc.update(stage_cost=doc["stage_cost"][:-1]),
+        "shape (3, 3, 4), expected (4, 3, 4)",
+    ),
+    "terminal_cost": (
+        "terminal_cost",
+        _set(["terminal_cost"], [float("inf"), 0.0, 0.0]),
+        "entries must be finite",
+    ),
+    "short_terminal_cost": (
+        "terminal_cost",
+        _set(["terminal_cost"], [0.0]),
+        "shape (1,), expected (3,)",
+    ),
+    "information_structure.delays": (
+        "information_structure.delays",
+        _set(["information_structure", "delays"], [1]),
+        "expected 2 entries",
+    ),
     "information_structure.period": (
+        "information_structure.period",
         _set(["information_structure", "period"], 2),
         "not allowed for delayed_sharing",
     ),
+    "periodic_delays": (
+        "information_structure.delays",
+        _set(
+            ["information_structure"],
+            {"variant": "periodic_sharing", "period": 2, "delays": [1, 1]},
+        ),
+        "not allowed for periodic_sharing",
+    ),
     "information_structure": (
+        "information_structure",
         _set(["information_structure"], {"variant": "no_sharing", "period": 2}),
         "no_sharing takes no parameters",
     ),
 }
 
 
-@pytest.mark.parametrize("where", list(STRUCTURAL_EDITS))
-def test_validate_reports_the_first_structural_violation(capsys, tmp_path, where):
-    """Each edit of a valid S = 3, K = 2, 4-joint-action scenario gives
-    exit 2 with the violation named first."""
-    edit, message = STRUCTURAL_EDITS[where]
+@pytest.mark.parametrize("case", list(STRUCTURAL_EDITS))
+def test_validate_reports_the_first_structural_violation(capsys, tmp_path, case):
+    """Each edit of a valid S = 3, K = 2, 4-joint-action, horizon-4
+    scenario gives exit 2 with the violation named first."""
+    where, edit, message = STRUCTURAL_EDITS[case]
     doc = scenario_to_dict(
         random_model(7, 2, 3, 4, (2, 2)), InformationStructure("delayed_sharing", delays=(1, 1))
     )
@@ -440,6 +494,9 @@ def test_simulate_reduces_a_negative_seed(capsys, scenario_path):
         ("0:1e308:1e-308,0:1:0.1,0:1:0.1", f"more points than the limit of {MAX_GRID_POINTS}"),
         ("-1e308:1e308:1,0:1:0.1,0:1:0.1", f"more points than the limit of {MAX_GRID_POINTS}"),
         ("0:1:5e-324,0:1:0.1,0:1:0.1", f"more points than the limit of {MAX_GRID_POINTS}"),
+        ("0:1,0:1:0.1,0:1:0.1", "bad grid range '0:1', expected lo:hi:step"),
+        ("a:1:0.5,0:1:0.1,0:1:0.1", "bad grid range 'a:1:0.5', expected numbers"),
+        ("1:0:0.5,0:1:0.1,0:1:0.1", "bad grid range '1:0:0.5', need step > 0 and hi >= lo"),
     ],
 )
 def test_exit_usage_on_unbounded_grid(capsys, grid, message):

@@ -191,10 +191,10 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
     """The walk gives -1 for a history through a zero-weight branch and
     for a label out of its member's range, such as an action label equal
     to its member's action count or a negative one, even where the
-    unchecked position would be a live branch's, and for a joint label of
-    the wrong length; the empty history is the root, and a history longer
-    than T or with unequal numbers of actions and observations is
-    refused."""
+    unchecked position would be a live branch's, for a joint label of the
+    wrong length and for string labels; list and array labels walk as
+    tuples do.  The empty history is the root, and a history longer than
+    T or with unequal numbers of actions and observations is refused."""
     model = _WALK_MODELS["zero_entry"]()
     vf = solve_manager(model, toy2[1]).value_function
     assert vf.row((), ()) == 0
@@ -218,8 +218,9 @@ def test_rows_walk_refuses_off_tree_histories(toy2):
     a, y = next((a, y) for a, y in live if joint[a] == (1, 0) and not ys[y][0])
     y1 = ys[y]
     assert walk((1, 0), y1) == vf.index[0][0, a, y]
-    for u, y in [((-1, 1), y1), ((1, 0), (1, y1[1] - 2))]:
+    for u, y in [((-1, 1), y1), ((1, 0), (1, y1[1] - 2)), (("1", "0"), y1)]:
         assert walk(u, y) == -1
+    assert walk([1, 0], list(y1)) == walk(np.array([1, 0]), y1) == walk((1, 0), y1)
     too_long = ((0, 0),) * (model.horizon + 1)
     with pytest.raises(ValueError, match="history length"):
         vf.row(too_long, too_long)
@@ -621,6 +622,21 @@ def test_member_value_matches_direct_recursion(toy2):
     root = next(iter(sol.nodes[0].values()))
     direct = evaluate_member_value(model, structure, 0, co, (0, root.particles))
     assert abs(direct - sol.root_value) <= 1e-12
+
+
+def test_member_value_of_a_joint_conditional_is_the_solved_root_value():
+    """``evaluate_member_value`` takes a ``JointConditional`` as well as a
+    (time, particles) pair: the root node's particles give the solved
+    root value bit for bit."""
+    from teamdp import JointConditional
+
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    co = {1: ConstantMemberStrategy(1, 1)}
+    sol = solve_member(model, structure, 0, co)
+    root = next(iter(sol.nodes[0].values()))
+    value = evaluate_member_value(model, structure, 0, co, JointConditional(0, 0, root.particles))
+    assert value == sol.root_value == 1.484821827240382
 
 
 def test_member_is_deterministic(toy2):

@@ -16,6 +16,7 @@ from teamdp import (
     HistoryView,
     IncompleteHistoryError,
     InformationStructure,
+    JointConditional,
     MemberTableStrategy,
     TeamModel,
     Trajectory,
@@ -404,11 +405,10 @@ def _stage_tables(model, structure, k, co):
     return sol, tables
 
 
-def test_first_undefined_co_action_in_history_order():
+def test_first_undefined_co_action_in_member_order():
     """Two co-members' tables each miss a view of stage 1: member 0's at
-    the stage's last history and member 2's at its first.  The error
-    names the first (history, member) in history-major order, member 2's,
-    as when co-strategies were asked history by history."""
+    the stage's last history and member 2's at its first.  Each co-member
+    is asked once, in member order, so the error names member 0's."""
     from teamdp import solve_member
     from teamdp.model import prefix_view
 
@@ -422,9 +422,8 @@ def test_first_undefined_co_action_in_history_order():
     co = {j: MemberTableStrategy(model, structure, j, tables[j]) for j in (0, 2)}
     with pytest.raises(UndefinedCoStrategyError) as info:
         solve_member(model, structure, 1, co)
-    # recorded before co-strategies answered a whole stage at once
     assert str(info.value) == (
-        "member 2 has no action for view 't=1;k=2;c[a0^0:1,a0^2:0];p[o1:0]'"
+        "member 0 has no action for view 't=1;k=0;c[a0^0:1,a0^2:0];p[o1:1]'"
     )
     with pytest.raises(UndefinedCoStrategyError) as info:
         solve_member(model, structure, 1, {**co, 2: hashed[2]})
@@ -527,6 +526,34 @@ def test_member_side_filters_refuse_out_of_range_members_and_times():
         recombine(chain, alone, 1, prior, {}, HistoryView(0, None, (), ((),)))
     with pytest.raises(ValueError, match="time 3 outside 0..2"):
         recombine(chain, alone, 0, prior, {}, HistoryView(3, None, (), ((),)))
+
+
+def test_filters_refuse_the_wrong_view_kind_and_unnormalized_weights():
+    model = random_model(1, horizon=2)
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    co = {1: ConstantMemberStrategy(1, 1)}
+    traj = Trajectory(states=(0, 0, 0), observations=((0, 0), (0, 0)), actions=((0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="^member view required$"):
+        member_conditional(model, structure, co, extract_views(structure, traj, 1, None))
+    belief = Belief(model.initial_dist, 0)
+    with pytest.raises(ValueError, match="^team-level views required$"):
+        recombine(model, structure, 0, belief, co, extract_views(structure, traj, 0, 0))
+    with pytest.raises(ValueError, match=r"^conditional weights must sum to 1, got 0\.5$"):
+        JointConditional(0, 0, ((0, (), (), 0.5),))
+
+
+def test_recombine_refuses_co_member_streams_the_belief_rules_out():
+    """Member 1's kernel gives observation 0 probability zero in state 2,
+    so a member belief on state 2 leaves no mass for a team view in which
+    member 1 observed 0."""
+    model = random_model(302, horizon=2, positive=False)
+    assert model.observation_kernels[1][2, 0] == 0.0
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    traj = Trajectory(states=(0, 0, 0), observations=((0, 0), (0, 0)), actions=((0, 0), (0, 0)))
+    team = extract_views(structure, traj, 1, None)
+    co = {1: ConstantMemberStrategy(1, 0)}
+    with pytest.raises(ZeroLikelihoodError, match="^co-member streams impossible given"):
+        recombine(model, structure, 0, Belief([0.0, 0.0, 1.0], 1), co, team)
 
 
 def test_member_conditional_weights_and_marginal(toy2):

@@ -97,6 +97,22 @@ def test_costs_whose_value_bound_overflows_are_a_violation(stage, terminal, vali
     assert [v.path for v in violations] == ([] if valid else ["stage_cost"])
 
 
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        ({"num_members": 0}, "num_members", "must be >= 1"),
+        ({"horizon": 0}, "horizon", "must be >= 1"),
+        ({"states": ()}, "states", "must be nonempty"),
+        ({"actions": ((), ("0", "1"))}, "actions[0]", "must be nonempty"),
+    ],
+)
+def test_size_violations_the_schema_refuses_first(edit, path, message):
+    """Sizes that a scenario document cannot carry past its schema are
+    still refused by the library, first in the list."""
+    violations = validate_model(dataclasses.replace(random_model(1, horizon=2), **edit))
+    assert (violations[0].path, violations[0].message) == (path, message)
+
+
 def test_structure_parameter_checks():
     assert validate_structure(InformationStructure("delayed_sharing", delays=(1, 1)), 2) == []
     out = validate_structure(InformationStructure("delayed_sharing"), 2)
@@ -237,10 +253,12 @@ def test_slot_values_read_every_layout_as_value_at():
 
 def test_time_and_member_range_errors():
     st1 = InformationStructure("delayed_sharing", delays=(1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^time 4 outside 0\.\.3$"):
         extract_views(st1, _traj3(), 4, 0)
     with pytest.raises(ValueError):
         extract_views(st1, _traj3(), 2, 5)
+    with pytest.raises(ValueError, match=r"^unknown variant 'bogus'$"):
+        view_slots(InformationStructure("bogus"), 2, 1, 0)
 
 
 # ---------------------------------------------------------------------------

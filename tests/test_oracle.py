@@ -16,10 +16,13 @@ from conftest import HashedCentralizedStrategy, HashedMemberStrategy, random_mod
 from teamdp import (
     BudgetExceededError,
     CentralizedTableStrategy,
+    ConstantMemberStrategy,
     DecentralizedStrategy,
     InformationStructure,
     InvariantError,
     MemberTableStrategy,
+    Trajectory,
+    ZeroLikelihoodError,
     extract_views,
 )
 from teamdp import oracle
@@ -164,6 +167,29 @@ def test_cost_to_go_refuses_prefixes_shorter_than_the_time():
 
 # ---------------------------------------------------------------------------
 # posterior oracle vs. conditioned outcome law
+
+
+def test_zero_probability_prefixes_and_views_are_refused():
+    """Member 0 observes 1 only in state 1, which joint action (0, 0)
+    never leads to, so a history prefix or member view with that
+    observation after (0, 0) has probability zero: a ZeroLikelihoodError,
+    as is a view that leaves an action neither recorded nor supplied by a
+    strategy."""
+    model = random_model(302, horizon=2, positive=False)
+    assert model.observation_kernels[0][[0, 2], 1].tolist() == [0.0, 0.0]
+    assert model.transition[:, 0, 1].tolist() == [0.0, 0.0, 0.0]
+    structure = InformationStructure("delayed_sharing", delays=(1, 1))
+    zeros = DecentralizedStrategy(model, structure, [ConstantMemberStrategy(k, 0) for k in (0, 1)])
+    with pytest.raises(ZeroLikelihoodError, match="^history prefix has probability zero$"):
+        oracle.exact_cost_to_go(model, zeros, ((1, 0),), ((0, 0),), 1)
+    traj = Trajectory(states=(0, 0, 0), observations=((1, 0), (0, 0)), actions=((0, 0), (0, 0)))
+    with pytest.raises(ZeroLikelihoodError, match="^view has probability zero under this"):
+        oracle.exact_posterior(model, zeros, extract_views(structure, traj, 1, 0))
+    # delays (2, 2): at t = 2 member 0 sees its own u_1 but not member 1's
+    late = InformationStructure("delayed_sharing", delays=(2, 2))
+    view = extract_views(late, dataclasses.replace(traj, observations=((0, 0), (0, 0))), 2, 0)
+    with pytest.raises(ZeroLikelihoodError, match="^action of member 1 at time 1 neither"):
+        oracle.exact_posterior(random_model(1, horizon=2), None, view)
 
 
 def test_posterior_matches_conditioned_outcomes(toy2):
